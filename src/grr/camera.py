@@ -12,7 +12,9 @@ Coordinate conventions:
 
 from __future__ import annotations
 
-import csv
+import functools
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,36 +207,65 @@ def world_points(pose: Pose, pts: PointMap) -> PointMap:
     return PointMap(pts.pts @ pose.r.m.T + pose.t)
 
 
+_XYZ_HEADER = "i,x,y,z"
+# One parsed body row: the integer index, then the three coordinates.
+_XYZ_ROW = np.dtype([("i", np.int64), ("xyz", np.float64, (3,))])
+
+
+@functools.lru_cache(maxsize=8)
+def _xyz_template(m: int) -> str:
+    """printf template for an m-row file: the header, then i,%.17g,%.17g,%.17g per row.
+
+    Rows end in \r\n, as csv.writer ends them.
+    """
+    return _XYZ_HEADER + "\r\n" + "".join(f"{i},%.17g,%.17g,%.17g\r\n" for i in range(m))
+
+
 def write_xyz_csv(path, rows) -> None:
-    """Write an (m, 3) array as CSV with header i,x,y,z.
+    """Write an (m, 3) array as CSV with header i,x,y,z and \r\n row ends.
 
     %.17g round-trips float64 exactly, so a written file reloads bitwise.
     """
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"expected an (m, 3) array, got {arr.shape}")
+    text = _xyz_template(arr.shape[0]) % tuple(arr.ravel().tolist())
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "x", "y", "z"])
-        for i, (x, y, z) in enumerate(arr):
-            writer.writerow([i, format(x, ".17g"), format(y, ".17g"), format(z, ".17g")])
+        fh.write(text)
 
 
 def read_xyz_csv(path) -> np.ndarray:
-    """Read a CSV written by write_xyz_csv back into an (m, 3) array."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["i", "x", "y", "z"]:
-            raise ValueError(f"{path}: expected header i,x,y,z, got {header}")
-        rows = []
-        for lineno, row in enumerate(reader):
-            if len(row) != 4:
-                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected 4")
-            if int(row[0]) != lineno:
-                raise ValueError(f"{path}: row index {row[0]} out of order at line {lineno}")
-            rows.append([float(row[1]), float(row[2]), float(row[3])])
-    out = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    """Read a CSV written by write_xyz_csv back into an (m, 3) array.
+
+    Rejects a wrong header, blank lines, rows without exactly four fields,
+    an index column other than the integers 0..m-1 in order, and non-finite
+    values.
+    """
+    # Universal newlines: \r\n and \r row ends both reach the parser as \n.
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline()
+        body = fh.read()
+    if header.rstrip("\n") != _XYZ_HEADER:
+        raise ValueError(f"{path}: expected header {_XYZ_HEADER}, got {header.rstrip()!r}")
+    if not body:
+        return np.empty((0, 3))
+    # loadtxt skips empty lines; a blank line is a malformed row here.
+    if body.startswith("\n") or "\n\n" in body:
+        raise ValueError(f"{path}: blank line in the body, expected 4 fields per row")
+    # NumPy 1.x parses an index such as "1.0" as an integer with only a
+    # DeprecationWarning; raise it so that index is rejected there too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", dtype=_XYZ_ROW,
+                              comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"{path}: expected 4 fields i,x,y,z per row: {exc}") from None
+    misplaced = np.flatnonzero(data["i"] != np.arange(len(data)))
+    if misplaced.size:
+        k = int(misplaced[0])
+        raise ValueError(f"{path}: row index {data['i'][k]} out of order at line {k}")
+    out = np.ascontiguousarray(data["xyz"])
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{path}: non-finite values")
     return out

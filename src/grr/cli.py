@@ -103,10 +103,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _run_seed(args, cfg: dict) -> Seed:
     """--seed beats the config key beats 0."""
     if args.seed is not None:
@@ -214,29 +210,10 @@ def cmd_solve(args) -> int:
             records.append(FrameRecord(idx, math.nan, math.nan, math.nan, "ok"))
 
     save_poses(poses, os.path.join(out, "solved_poses.txt"))
-    _write_frames_csv(records, gt is not None, os.path.join(out, "frames.csv"))
+    write_report_csv(records, os.path.join(out, "frames.csv"), have_gt=gt is not None)
     summary = summarize_records(records, unit_scale=unit_scale, have_gt=gt is not None)
     _emit(summary.to_json_dict())
     return EXIT_OK
-
-
-def _write_frames_csv(records, have_gt: bool, path: str) -> None:
-    """Same shape as the simulator report; error columns empty without GT."""
-    import csv
-
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["frame", "rot_err_rays_deg", "rot_err_points_deg", "trans_err", "status"]
-        )
-        for r in records:
-            if have_gt:
-                writer.writerow(
-                    [r.frame, _fmt(r.rot_err_rays_deg), _fmt(r.rot_err_points_deg),
-                     _fmt(r.trans_err), r.status]
-                )
-            else:
-                writer.writerow([r.frame, "", "", "", r.status])
 
 
 _GRADCHECK_SIZES = {"rotation": 12, "rigid": 16, "loss_total": 4}
@@ -310,7 +287,7 @@ def cmd_ablate(args) -> int:
     reports = ablation_sweep(grid, poses, specs, threads=args.threads)
     write_sweep_csv(specs, reports, os.path.join(out, "sweep.csv"))
     for i, report in enumerate(reports):
-        write_report_csv(report, os.path.join(out, f"trial_{i:03d}.csv"))
+        write_report_csv(report.records, os.path.join(out, f"trial_{i:03d}.csv"))
     log.info("ablate: %d trials x %d frames", len(specs), len(poses))
     _emit({"frames": len(poses), "trials": len(specs)})
     return EXIT_OK

@@ -253,16 +253,21 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_report_csv(report: TrialReport, path) -> None:
-    """Per-frame CSV: frame, rot_err_rays_deg, rot_err_points_deg, trans_err, status."""
+def write_report_csv(records: Sequence[FrameRecord], path, have_gt: bool = True) -> None:
+    """Per-frame CSV: frame, rot_err_rays_deg, rot_err_points_deg, trans_err, status.
+
+    have_gt=False leaves the three error columns empty, for frames solved
+    without ground-truth poses.
+    """
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for r in report.records:
-            writer.writerow(
-                [r.frame, _fmt(r.rot_err_rays_deg), _fmt(r.rot_err_points_deg),
-                 _fmt(r.trans_err), r.status]
-            )
+        for r in records:
+            if have_gt:
+                errors = [_fmt(r.rot_err_rays_deg), _fmt(r.rot_err_points_deg), _fmt(r.trans_err)]
+            else:
+                errors = ["", "", ""]
+            writer.writerow([r.frame, *errors, r.status])
 
 
 def write_sweep_csv(specs: Sequence[NoiseSpec], reports: Sequence[TrialReport], path) -> None:

@@ -272,13 +272,23 @@ def _dpow(x: np.ndarray, p: int) -> np.ndarray:
     return np.sign(x) if p == 1 else 2.0 * x
 
 
+def _d_over_sin(d: float) -> float:
+    """d / sin d, by its series 1 + d^2/6 + 7 d^4/360 near 0 (exact to
+    rounding below 1e-4, and finite at d = 0)."""
+    if d < 1e-4:
+        d2 = d * d
+        return 1.0 + d2 / 6.0 + 7.0 * d2 * d2 / 360.0
+    return d / math.sin(d)
+
+
 def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.ndarray]:
     """Composed loss and its analytic gradient w.r.t. (rays_pred, pts_pred).
 
     The pose term backpropagates through both solvers via the VJPs above;
     the geometry and pairwise terms contribute directly. Raises
-    NearSingularJacobian at non-differentiable points (zero geodesic or
-    coincident points) rather than returning a clamped direction.
+    NearSingularJacobian at non-differentiable points (zero geodesic at
+    p = 1, geodesic near pi, or coincident points) rather than returning a
+    clamped direction.
     """
     m = fi.rays_cam.shape[0]
     w = fi.weights
@@ -299,13 +309,18 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
     )
 
     # Pose term: d/dR of d_g^p and d/dt of ||t - t_gt||_p, then through the solvers.
+    # d(d_g)/dR = -R_gt / (2 sin d_g) has no limit at 0 or pi; d(d_g^2)/dR =
+    # -R_gt d_g / sin d_g tends to -R_gt at 0, so only p = 1 fails at convergence.
     dist = geodesic_distance(r_hat, fi.gt.r)
     sin_dist = math.sin(dist)
-    if abs(sin_dist) < NEAR_SINGULAR_TOL:
+    if abs(sin_dist) < NEAR_SINGULAR_TOL and (p == 1 or dist > 0.5 * math.pi):
         raise NearSingularJacobian(
             f"geodesic distance {dist:.3e} too close to 0 or pi for a stable gradient"
         )
-    rot_grad = w.w_pose_r * p * dist ** (p - 1) * (-fi.gt.r.m / (2.0 * sin_dist))
+    if p == 1:
+        rot_grad = w.w_pose_r * (-fi.gt.r.m / (2.0 * sin_dist))
+    else:
+        rot_grad = -w.w_pose_r * _d_over_sin(dist) * fi.gt.r.m
     diff = t_hat - fi.gt.t
     if p == 1:
         trans_dir = np.sign(diff)

@@ -4,7 +4,10 @@ The canonical-ray reference here is a deliberately naive per-pixel loop;
 the library's vectorized reduction must reproduce it.
 """
 
+import csv
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,7 +218,87 @@ class TestPointMap:
             PointMap(np.array([[np.inf, 0.0, 0.0]]))
 
 
+def csv_writer_bytes(arr: np.ndarray) -> bytes:
+    """Reference: the xyz CSV bytes as csv.writer lays them out, value by value."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["i", "x", "y", "z"])
+    for i, (x, y, z) in enumerate(arr):
+        writer.writerow([i, format(x, ".17g"), format(y, ".17g"), format(z, ".17g")])
+    return buf.getvalue().encode("ascii")
+
+
 class TestXyzCsv:
+    def test_golden_bytes(self, tmp_path):
+        arr = np.array([[-0.0, 5e-324, 1e308], [1e-8, 1.0 / 3.0, 2.0]])
+        path = tmp_path / "golden.csv"
+        write_xyz_csv(path, arr)
+        assert path.read_bytes() == (
+            b"i,x,y,z\r\n"
+            b"0,-0,4.9406564584124654e-324,1e+308\r\n"
+            b"1,1e-08,0.33333333333333331,2\r\n"
+        )
+        assert np.array_equal(read_xyz_csv(path).view(np.uint64), arr.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [0, 1, 256])
+    def test_bytes_match_csv_writer(self, tmp_path, rng, m):
+        arr = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
+        path = tmp_path / "rows.csv"
+        write_xyz_csv(path, arr)
+        assert path.read_bytes() == csv_writer_bytes(arr)
+
+    def test_row_count_follows_each_write(self, tmp_path, rng):
+        # Interleaved sizes: a template built for one m must not serve another.
+        for k, m in enumerate([3, 2, 3, 0, 5, 2]):
+            arr = rng.normal(size=(m, 3))
+            path = tmp_path / f"w{k}.csv"
+            write_xyz_csv(path, arr)
+            assert path.read_bytes() == csv_writer_bytes(arr)
+            assert read_xyz_csv(path).shape == (m, 3)
+
+    def test_header_only_reads_empty_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_xyz_csv(path, np.zeros((0, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = read_xyz_csv(path)
+        assert out.shape == (0, 3) and out.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("0,0,0,1\n1.0,0,0,1\n", "fields"),
+            ("0,0,0,1\n1.5,0,0,1\n", "fields"),
+            ("0,0,0,1\n\n1,0,0,1\n", "blank line"),
+            ("\n0,0,0,1\n", "blank line"),
+            ("0,0,0,1\n\n", "blank line"),
+            ("0,0,0,1\n1,0,0\n", "fields"),
+            ("0,0,0,1\n1,0,0,1,7\n", "fields"),
+            ("0,nan,0,1\n", "non-finite"),
+            ("0,0,inf,1\n", "non-finite"),
+            ("0,0,0,1 # comment\n", "fields"),
+            ("0,0,0,1\n# comment\n", "fields"),
+        ],
+        ids=["index-1.0", "index-1.5", "blank-inside", "blank-first", "blank-last",
+             "3-fields", "5-fields", "nan", "inf", "trailing-comment", "comment-line"],
+    )
+    def test_rejects_malformed_body(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("i,x,y,z\n" + body)
+        with pytest.raises(ValueError, match=match):
+            read_xyz_csv(path)
+
+    def test_seeded_roundtrips_are_bitwise(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "rt.csv"
+        for m in [1, 2, 3, 17, 256, 1000]:
+            arr = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
+            write_xyz_csv(path, arr)
+            out = read_xyz_csv(path)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert out.shape == (m, 3)
+            assert np.array_equal(out.view(np.uint64), arr.view(np.uint64))
+
     def test_roundtrip_bitwise(self, tmp_path, rng):
         arr = rng.normal(size=(10, 3)) * np.array([1e-8, 1.0, 1e8])
         path = tmp_path / "pts.csv"

@@ -293,7 +293,7 @@ class TestCsvRoundTrip:
         poses = [Pose(random_rotation(Seed(80)), np.array([0.3, 0.1, -1.0]))] * 3
         rep = run_trial(grid16, poses, spec(ray=0.01, pt=0.01, seed=30))
         path = tmp_path / "report.csv"
-        write_report_csv(rep, path)
+        write_report_csv(rep.records, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["frame", "rot_err_rays_deg", "rot_err_points_deg",
@@ -305,6 +305,17 @@ class TestCsvRoundTrip:
             assert float(row[2]) == rec.rot_err_points_deg
             assert float(row[3]) == rec.trans_err
             assert row[4] == rec.status
+
+    def test_report_csv_without_ground_truth(self, tmp_path):
+        records = [FrameRecord(0, 1.5, 2.5, 0.1, "ok"),
+                   FrameRecord(1, math.nan, math.nan, math.nan, "degenerate:rays")]
+        path = tmp_path / "frames.csv"
+        write_report_csv(records, path, have_gt=False)
+        assert path.read_bytes() == (
+            b"frame,rot_err_rays_deg,rot_err_points_deg,trans_err,status\r\n"
+            b"0,,,,ok\r\n"
+            b"1,,,,degenerate:rays\r\n"
+        )
 
     def test_sweep_csv(self, grid16, tmp_path):
         poses = [Pose(random_rotation(Seed(81)), np.zeros(3))] * 2

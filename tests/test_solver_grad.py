@@ -11,6 +11,7 @@ from grr import (
     Seed,
     VjpRequest,
     finite_diff_check,
+    geodesic_distance,
     kabsch_rotation,
     kabsch_rotation_vjp,
     near_collinear_problem,
@@ -234,6 +235,28 @@ class TestPipelineLoss:
         assert terms_fwd.total == terms_grad.total
         assert grad_rays.shape == fi.rays_pred.shape
         assert grad_pts.shape == fi.pts_pred.shape
+
+    @staticmethod
+    def converged_frame(p: int):
+        """Exact ray directions, so the ray solve returns the ground-truth
+        rotation, and noisy points. The rays are shortened to 0.98 so the
+        geometry term's cosine clip is not at its kink under a probe step."""
+        fi = random_frame_inputs(Seed(44), p=p)
+        d_gt = fi.rays_cam @ fi.gt.r.m.T
+        return fi.with_predictions(0.98 * d_gt, fi.pts_pred)
+
+    def test_converged_p2_gradient_is_finite_and_matches_fd(self):
+        fi = self.converged_frame(p=2)
+        r_hat, _ = kabsch_rotation(AlignmentProblem(fi.rays_cam, fi.rays_pred))
+        assert geodesic_distance(r_hat, fi.gt.r) < 1e-8
+        _, grad_rays, grad_pts = pipeline_loss_grad(fi)
+        assert np.all(np.isfinite(grad_rays)) and np.all(np.isfinite(grad_pts))
+        report = finite_diff_check("loss_total", fi, seed=Seed(44))
+        assert report.max_rel_err < FD_TOL
+
+    def test_converged_p1_still_raises(self):
+        with pytest.raises(NearSingularJacobian, match="geodesic"):
+            pipeline_loss_grad(self.converged_frame(p=1))
 
     def test_instance_generation_is_deterministic(self):
         a = random_frame_inputs(Seed(43))
