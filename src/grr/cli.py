@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen, solve, gradcheck, ablate, loss. Every subcommand takes
---config PATH (JSON) plus the common overrides --seed, --out, --threads.
+--config PATH (JSON) plus the common overrides --seed, --out (and --threads, ignored).
 Diagnostics go to stderr (level via GRR_LOG); machine-readable results go
 to stdout as JSON with sorted keys.
 
@@ -284,7 +284,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("'noise' must list at least one spec")
     specs = [noise_spec_from_config(d, seed, i) for i, d in enumerate(noise_cfgs)]
 
-    reports = ablation_sweep(grid, poses, specs, threads=args.threads)
+    reports = ablation_sweep(grid, poses, specs)
     write_sweep_csv(specs, reports, os.path.join(out, "sweep.csv"))
     for i, report in enumerate(reports):
         write_report_csv(report.records, os.path.join(out, f"trial_{i:03d}.csv"))
@@ -403,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads (0 = auto)"
+            "--threads", type=int, default=1,
+            help="accepted for old command lines and ignored: frames run in one thread",
         )
     return parser
 

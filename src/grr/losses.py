@@ -8,6 +8,7 @@ literal L1/L2 norm of the 3-vector, for scalars |x|_p means |x|^p.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,11 +180,19 @@ def pose_loss(
     """
     _check_p(p)
     t_hat = np.asarray(t_hat, dtype=np.float64).reshape(3)
-    rot_term = geodesic_distance(r_hat, gt.r) ** p
-    trans_term = _vec_pnorm(t_hat - gt.t, p)
+    return _pose_value(
+        geodesic_distance(r_hat, gt.r), t_hat - gt.t, weights, p, squared_translation
+    )
+
+
+def _pose_value(
+    dist: float, t_resid, weights: LossWeights, p: int, squared_translation: bool = False
+) -> float:
+    """pose_loss from the geodesic distance and the translation residual."""
+    trans_term = _vec_pnorm(t_resid, p)
     if squared_translation:
         trans_term *= trans_term
-    return weights.w_pose_r * rot_term + weights.w_pose_p * trans_term
+    return weights.w_pose_r * dist ** p + weights.w_pose_p * trans_term
 
 
 def geometry_loss(rays_hat, rays_gt, pts_hat, pts_gt, weights: LossWeights, p: int) -> float:
@@ -199,11 +208,19 @@ def geometry_loss(rays_hat, rays_gt, pts_hat, pts_gt, weights: LossWeights, p: i
     d_gt = _rows(rays_gt, "rays_gt")
     p_hat = _rows(pts_hat, "pts_hat")
     p_gt = _rows(pts_gt, "pts_gt")
+    return _geometry_terms(d_hat, d_gt, p_hat, p_gt, weights, p)[0]
+
+
+def _geometry_terms(d_hat, d_gt, p_hat, p_gt, weights: LossWeights, p: int):
+    """(geometry_loss, 1 - d_hat . d_gt, p_hat - p_gt, ||p_hat - p_gt||_p), per patch."""
     if d_hat.shape != d_gt.shape or p_hat.shape != p_gt.shape:
         raise ValueError("prediction/ground-truth shapes differ")
-    cos_term = float(np.clip(1.0 - (d_hat * d_gt).sum(axis=1), 0.0, 2.0).mean())
-    point_term = float(_row_pnorms(p_hat - p_gt, p).mean())
-    return weights.w_geo_r * cos_term + weights.w_geo_p * point_term
+    cos_dev = 1.0 - (d_hat * d_gt).sum(axis=1)
+    resid = p_hat - p_gt
+    point_norms = _row_pnorms(resid, p)
+    cos_term = float(np.clip(cos_dev, 0.0, 2.0).mean())
+    point_term = float(point_norms.mean())
+    return weights.w_geo_r * cos_term + weights.w_geo_p * point_term, cos_dev, resid, point_norms
 
 
 def regularization_loss(
@@ -222,21 +239,32 @@ def regularization_loss(
     p_hat = _rows(pts_hat, "pts_hat")
     d_cam = _rows(rays_cam, "rays_cam")
     p_gt = _rows(pts_gt, "pts_gt")
+    return _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors, weights, p).value
+
+
+# regularization_loss and the per-pair terms its gradient reuses: d_pair = d_hat
+# at (i, j) as (k, 2, 3), delta = p_hat[i] - p_hat[j], dist_dev = |delta| - dist_gt.
+_PairTerms = namedtuple("_PairTerms", "value d_pair ray_dev delta dist_hat dist_dev")
+
+
+def _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors: NeighborSet, weights: LossWeights, p: int):
     if len(neighbors) == 0:
         raise EmptyNeighborSet("neighbor set has no pairs")
     if neighbors.n_items != d_hat.shape[0]:
         raise ValueError(
             f"neighbor set is over {neighbors.n_items} items, bundles have {d_hat.shape[0]}"
         )
-    i = neighbors.pairs[:, 0]
-    j = neighbors.pairs[:, 1]
-    ray_dev = (d_hat[i] * d_hat[j]).sum(axis=1) - (d_cam[i] * d_cam[j]).sum(axis=1)
-    dist_hat = np.linalg.norm(p_hat[i] - p_hat[j], axis=1)
-    dist_gt = np.linalg.norm(p_gt[i] - p_gt[j], axis=1)
+    # Rows i and j of each array in one gather; a[:, 0] is a[i], a[:, 1] is a[j].
+    d_pair, c_pair, p_pair, g_pair = (np.take(a, neighbors.pairs, axis=0)
+                                      for a in (d_hat, d_cam, p_hat, p_gt))
+    ray_dev = (d_pair[:, 0] * d_pair[:, 1]).sum(axis=1) - (c_pair[:, 0] * c_pair[:, 1]).sum(axis=1)
+    delta = p_pair[:, 0] - p_pair[:, 1]
+    dist_hat = np.linalg.norm(delta, axis=1)
+    dist_dev = dist_hat - np.linalg.norm(g_pair[:, 0] - g_pair[:, 1], axis=1)
     per_pair = weights.w_reg_r * _scalar_pow(ray_dev, p) + weights.w_reg_p * _scalar_pow(
-        dist_hat - dist_gt, p
+        dist_dev, p
     )
-    return float(per_pair.mean())
+    return _PairTerms(float(per_pair.mean()), d_pair, ray_dev, delta, dist_hat, dist_dev)
 
 
 def domain_bce(logit: float, label: int) -> float:

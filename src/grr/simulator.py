@@ -2,15 +2,15 @@
 
 Determinism contract: every random draw is keyed by an explicit Seed. Trials
 derive one child seed per frame from (seed, frame index), so results are
-independent of execution order and thread count, and two runs with the same
-seed produce byte-identical reports.
+independent of execution order, and two runs with the same seed produce
+byte-identical reports. Frames run in the calling thread: the solve is short
+numpy calls that hold the interpreter lock, so a thread pool only slowed it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -215,38 +215,25 @@ def _score_frame(
     )
 
 
-def run_trial(
-    grid: PatchGrid, poses: Sequence[Pose], noise: NoiseSpec, threads: int = 1
-) -> TrialReport:
+def run_trial(grid: PatchGrid, poses: Sequence[Pose], noise: NoiseSpec) -> TrialReport:
     """One trial: for every pose, corrupt the ground-truth representations
     with per-frame-seeded noise, re-solve, and score against the pose.
 
     Degenerate frames are recorded with a status tag and NaN errors, never
-    raised. threads > 1 (or 0 for auto) fans frames over a thread pool;
-    per-frame seeding keeps the output identical either way.
+    raised.
     """
     rays_cam = canonical_rays(grid)
     pts_cam = canonical_points(rays_cam)
-
-    def score(item: tuple[int, Pose]) -> FrameRecord:
-        idx, pose = item
-        return _score_frame(idx, pose, rays_cam, pts_cam, noise)
-
-    items = list(enumerate(poses))
-    if threads == 1 or len(items) <= 1:
-        records = [score(it) for it in items]
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(score, items))
-    return TrialReport.from_records(records)
+    return TrialReport.from_records(
+        [_score_frame(idx, pose, rays_cam, pts_cam, noise) for idx, pose in enumerate(poses)]
+    )
 
 
 def ablation_sweep(
-    grid: PatchGrid, poses: Sequence[Pose], specs: Sequence[NoiseSpec], threads: int = 1
+    grid: PatchGrid, poses: Sequence[Pose], specs: Sequence[NoiseSpec]
 ) -> list[TrialReport]:
     """run_trial once per noise spec, in order."""
-    return [run_trial(grid, poses, spec, threads=threads) for spec in specs]
+    return [run_trial(grid, poses, spec) for spec in specs]
 
 
 def _fmt(x: float) -> str:

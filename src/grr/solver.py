@@ -17,6 +17,7 @@ optimum to proper rotations (no reflections, no scale).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,23 +121,28 @@ class PoseRecovery:
     point_diagnostics: SolveDiagnostics
 
 
-def _normalized_rows(arr: np.ndarray, what: str) -> np.ndarray:
+def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     if np.any(norms < 1e-12):
         raise ValueError(f"cannot normalize near-zero {what} rows")
-    return arr / norms
+    return arr / norms, norms
 
 
-def _cross_covariance(problem: AlignmentProblem, normalize: bool):
+# H, the rows it was built from and, if renormalized, their (m, 1) norms.
+_CrossCovariance = namedtuple("_CrossCovariance", "h src tgt w src_norms tgt_norms")
+
+
+def _cross_covariance(problem: AlignmentProblem, normalize: bool) -> _CrossCovariance:
     """H = sum_i w_i target_i source_i^T, optionally on renormalized rows."""
     src = problem.source
     tgt = problem.target
+    src_norms = tgt_norms = None
     if normalize:
-        src = _normalized_rows(src, "source")
-        tgt = _normalized_rows(tgt, "target")
+        src, src_norms = _normalized_rows(src, "source")
+        tgt, tgt_norms = _normalized_rows(tgt, "target")
     w = problem.effective_weights()
     h = (w[:, np.newaxis] * tgt).T @ src
-    return h, src, tgt, w
+    return _CrossCovariance(h, src, tgt, w, src_norms, tgt_norms)
 
 
 def _svd_rotation(h: np.ndarray):
@@ -166,6 +172,33 @@ def _svd_rotation(h: np.ndarray):
     return r, diag, (u, s, vt, sign)
 
 
+# A solve plus what the gradient code reuses: the cross-covariance rows and the
+# SVD factors (u, s, vt, sign); for rigid_align, the Kabsch solve on the
+# centered sets, the source centroid and the weight sum.
+_KabschSolve = namedtuple("_KabschSolve", "rotation diag cov svd")
+_RigidSolve = namedtuple("_RigidSolve", "pose kabsch c_src wsum")
+
+
+def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> _KabschSolve:
+    cov = _cross_covariance(problem, normalize)
+    r, diag, svd = _svd_rotation(cov.h)
+    return _KabschSolve(Rotation(r), diag, cov, svd)
+
+
+def _rigid_solve(problem: AlignmentProblem) -> _RigidSolve:
+    w = problem.effective_weights()
+    wsum = float(w.sum())
+    c_src = (w @ problem.source) / wsum
+    c_tgt = (w @ problem.target) / wsum
+    # Validated again: centering can overflow.
+    centered = AlignmentProblem(
+        problem.source - c_src, problem.target - c_tgt, problem.weights
+    )
+    kabsch = _kabsch_solve(centered, normalize=False)
+    t = c_tgt - kabsch.rotation.m @ c_src
+    return _RigidSolve(Pose(kabsch.rotation, t), kabsch, c_src, wsum)
+
+
 def kabsch_rotation(
     problem: AlignmentProblem, normalize: bool = True
 ) -> tuple[Rotation, SolveDiagnostics]:
@@ -180,9 +213,8 @@ def kabsch_rotation(
     (sigma_2 / sigma_1 < DEGENERACY_RTOL): the component of the rotation
     about the common axis is unobservable.
     """
-    h, _, _, _ = _cross_covariance(problem, normalize)
-    r, diag, _ = _svd_rotation(h)
-    return Rotation(r), diag
+    solve = _kabsch_solve(problem, normalize)
+    return solve.rotation, solve.diag
 
 
 def rigid_align(problem: AlignmentProblem) -> tuple[Pose, SolveDiagnostics]:
@@ -193,16 +225,8 @@ def rigid_align(problem: AlignmentProblem) -> tuple[Pose, SolveDiagnostics]:
     here), then t = centroid(target) - R centroid(source). Scale is fixed
     to 1 by construction.
     """
-    w = problem.effective_weights()
-    wsum = float(w.sum())
-    c_src = (w @ problem.source) / wsum
-    c_tgt = (w @ problem.target) / wsum
-    centered = AlignmentProblem(
-        problem.source - c_src, problem.target - c_tgt, problem.weights
-    )
-    rot, diag = kabsch_rotation(centered, normalize=False)
-    t = c_tgt - rot.m @ c_src
-    return Pose(rot, t), diag
+    solve = _rigid_solve(problem)
+    return solve.pose, solve.kabsch.diag
 
 
 def recover_pose(

@@ -25,6 +25,7 @@ From Hbar, with H = sum_i w_i t_i s_i^T:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,17 +36,19 @@ from .geometry import Pose, Seed, geodesic_distance, random_rotation
 from .losses import (
     LossWeights,
     NeighborSet,
-    geometry_loss,
-    pose_loss,
-    regularization_loss,
+    _check_p,
+    _geometry_terms,
+    _pair_terms,
+    _pose_value,
 )
 from .solver import (
     AlignmentProblem,
-    DegenerateConfiguration,
     kabsch_rotation,
     rigid_align,
-    _cross_covariance,
-    _svd_rotation,
+    _kabsch_solve,
+    _KabschSolve,
+    _rigid_solve,
+    _RigidSolve,
 )
 
 __all__ = [
@@ -139,12 +142,30 @@ def _polar_h_cotangent(k: np.ndarray, s: np.ndarray, sign: float) -> np.ndarray:
     return pbar
 
 
-def _normalization_chain(raw: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Pull gradients w.r.t. unit rows back to the raw (unnormalized) rows."""
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    unit = raw / norms
+def _normalization_chain(unit: np.ndarray, norms: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Pull gradients w.r.t. unit rows back to the raw rows they were divided from."""
     radial = (grads * unit).sum(axis=1, keepdims=True)
     return (grads - radial * unit) / norms
+
+
+def _kabsch_backward(fwd: _KabschSolve, rotation_grad: np.ndarray) -> VjpResult:
+    u, s, vt, sign = fwd.svd
+    hbar = u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
+    cov = fwd.cov
+    grad_target = cov.w[:, np.newaxis] * (cov.src @ hbar.T)
+    grad_source = cov.w[:, np.newaxis] * (cov.tgt @ hbar)
+    if cov.src_norms is not None:
+        grad_target = _normalization_chain(cov.tgt, cov.tgt_norms, grad_target)
+        grad_source = _normalization_chain(cov.src, cov.src_norms, grad_source)
+    return VjpResult(target=grad_target, source=grad_source)
+
+
+def _rigid_backward(fwd: _RigidSolve, req: VjpRequest) -> VjpResult:
+    g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
+    centered = _kabsch_backward(fwd.kabsch, req.rotation_grad - np.outer(g_t, fwd.c_src))
+    share = fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
+    return VjpResult(target=centered.target + share * g_t,
+                     source=centered.source - share * (fwd.pose.r.m.T @ g_t))
 
 
 def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
@@ -155,19 +176,10 @@ def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
     are with respect to the raw stored vectors.
 
     Raises NearSingularJacobian when a required cross-term denominator is
-    below NEAR_SINGULAR_TOL, and DegenerateConfiguration when the forward
-    problem itself is degenerate.
+    below NEAR_SINGULAR_TOL, and what kabsch_rotation raises on the problem
+    (DegenerateConfiguration when it is degenerate).
     """
-    h, src, tgt, w = _cross_covariance(req.problem, normalize)
-    _, _, (u, s, vt, sign) = _svd_rotation(h)
-    k = u.T @ req.rotation_grad @ vt.T
-    hbar = u @ _polar_h_cotangent(k, s, sign) @ vt
-    grad_target = w[:, np.newaxis] * (src @ hbar.T)
-    grad_source = w[:, np.newaxis] * (tgt @ hbar)
-    if normalize:
-        grad_target = _normalization_chain(req.problem.target, grad_target)
-        grad_source = _normalization_chain(req.problem.source, grad_source)
-    return VjpResult(target=grad_target, source=grad_source)
+    return _kabsch_backward(_kabsch_solve(req.problem, normalize), req.rotation_grad)
 
 
 def rigid_align_vjp(req: VjpRequest) -> VjpResult:
@@ -178,23 +190,7 @@ def rigid_align_vjp(req: VjpRequest) -> VjpResult:
     centroid; the centered-set terms need no centroid correction because the
     centered rows sum to zero.
     """
-    problem = req.problem
-    w = problem.effective_weights()
-    wsum = float(w.sum())
-    c_src = (w @ problem.source) / wsum
-    c_tgt = (w @ problem.target) / wsum
-    src_c = problem.source - c_src
-    tgt_c = problem.target - c_tgt
-    h = (w[:, np.newaxis] * tgt_c).T @ src_c
-    r, _, (u, s, vt, sign) = _svd_rotation(h)
-    g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
-    g_rot_total = req.rotation_grad - np.outer(g_t, c_src)
-    k = u.T @ g_rot_total @ vt.T
-    hbar = u @ _polar_h_cotangent(k, s, sign) @ vt
-    wcol = w[:, np.newaxis]
-    grad_target = wcol * (src_c @ hbar.T) + (wcol / wsum) * g_t
-    grad_source = wcol * (tgt_c @ hbar) - (wcol / wsum) * (r.T @ g_t)
-    return VjpResult(target=grad_target, source=grad_source)
+    return _rigid_backward(_rigid_solve(req.problem), req)
 
 
 @dataclass(frozen=True)
@@ -247,24 +243,31 @@ class FrameInputs:
         )
 
 
-def _gt_world(fi: FrameInputs) -> tuple[np.ndarray, np.ndarray]:
+# One frame's forward pass: both solves and every loss intermediate the gradient reuses.
+_FramePass = namedtuple(
+    "_FramePass", "terms ray_problem pt_problem rays pts d_gt dist t_resid geo pairs"
+)
+
+
+def _frame_forward(fi: FrameInputs) -> _FramePass:
+    ray_problem = AlignmentProblem(fi.rays_cam, fi.rays_pred)
+    pt_problem = AlignmentProblem(fi.pts_cam, fi.pts_pred)
+    rays = _kabsch_solve(ray_problem, normalize=True)
+    pts = _rigid_solve(pt_problem)
     d_gt = fi.rays_cam @ fi.gt.r.m.T
     p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
-    return d_gt, p_gt
+    w, p = fi.weights, _check_p(fi.p)
+    dist = geodesic_distance(rays.rotation, fi.gt.r)
+    t_resid = pts.pose.t - fi.gt.t
+    geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
+    pairs = _pair_terms(fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p)
+    terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
+    return _FramePass(terms, ray_problem, pt_problem, rays, pts, d_gt, dist, t_resid, geo, pairs)
 
 
 def pipeline_loss(fi: FrameInputs) -> FrameLossTerms:
     """Composed per-frame loss: solve the pose, then pose + geometry + pairwise terms."""
-    r_hat, _ = kabsch_rotation(AlignmentProblem(fi.rays_cam, fi.rays_pred), normalize=True)
-    point_pose, _ = rigid_align(AlignmentProblem(fi.pts_cam, fi.pts_pred))
-    d_gt, p_gt = _gt_world(fi)
-    return FrameLossTerms(
-        pose=pose_loss(r_hat, point_pose.t, fi.gt, fi.weights, fi.p),
-        geometry=geometry_loss(fi.rays_pred, d_gt, fi.pts_pred, p_gt, fi.weights, fi.p),
-        regularization=regularization_loss(
-            fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, fi.weights, fi.p
-        ),
-    )
+    return _frame_forward(fi).terms
 
 
 def _dpow(x: np.ndarray, p: int) -> np.ndarray:
@@ -284,93 +287,70 @@ def _d_over_sin(d: float) -> float:
 def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.ndarray]:
     """Composed loss and its analytic gradient w.r.t. (rays_pred, pts_pred).
 
-    The pose term backpropagates through both solvers via the VJPs above;
-    the geometry and pairwise terms contribute directly. Raises
+    The forward pass is pipeline_loss's; the pose term backpropagates
+    through the VJPs above on the solves' own SVD factors, and the geometry
+    and pairwise terms contribute directly. Raises
     NearSingularJacobian at non-differentiable points (zero geodesic at
     p = 1, geodesic near pi, or coincident points) rather than returning a
     clamped direction.
     """
-    m = fi.rays_cam.shape[0]
-    w = fi.weights
-    p = fi.p
-    ray_problem = AlignmentProblem(fi.rays_cam, fi.rays_pred)
-    pt_problem = AlignmentProblem(fi.pts_cam, fi.pts_pred)
-    r_hat, _ = kabsch_rotation(ray_problem, normalize=True)
-    point_pose, _ = rigid_align(pt_problem)
-    t_hat = point_pose.t
-    d_gt, p_gt = _gt_world(fi)
-
-    terms = FrameLossTerms(
-        pose=pose_loss(r_hat, t_hat, fi.gt, w, p),
-        geometry=geometry_loss(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p),
-        regularization=regularization_loss(
-            fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p
-        ),
-    )
+    f = _frame_forward(fi)
+    m, w, p = fi.rays_cam.shape[0], fi.weights, fi.p
 
     # Pose term: d/dR of d_g^p and d/dt of ||t - t_gt||_p, then through the solvers.
     # d(d_g)/dR = -R_gt / (2 sin d_g) has no limit at 0 or pi; d(d_g^2)/dR =
     # -R_gt d_g / sin d_g tends to -R_gt at 0, so only p = 1 fails at convergence.
-    dist = geodesic_distance(r_hat, fi.gt.r)
-    sin_dist = math.sin(dist)
-    if abs(sin_dist) < NEAR_SINGULAR_TOL and (p == 1 or dist > 0.5 * math.pi):
+    sin_dist = math.sin(f.dist)
+    if abs(sin_dist) < NEAR_SINGULAR_TOL and (p == 1 or f.dist > 0.5 * math.pi):
         raise NearSingularJacobian(
-            f"geodesic distance {dist:.3e} too close to 0 or pi for a stable gradient"
+            f"geodesic distance {f.dist:.3e} too close to 0 or pi for a stable gradient"
         )
     if p == 1:
         rot_grad = w.w_pose_r * (-fi.gt.r.m / (2.0 * sin_dist))
+        trans_dir = np.sign(f.t_resid)
     else:
-        rot_grad = -w.w_pose_r * _d_over_sin(dist) * fi.gt.r.m
-    diff = t_hat - fi.gt.t
-    if p == 1:
-        trans_dir = np.sign(diff)
-    else:
-        nrm = float(np.linalg.norm(diff))
+        rot_grad = -w.w_pose_r * _d_over_sin(f.dist) * fi.gt.r.m
+        nrm = float(np.linalg.norm(f.t_resid))
         if nrm < 1e-12:
             raise NearSingularJacobian("translation residual too small for an L2 gradient")
-        trans_dir = diff / nrm
-    trans_grad = w.w_pose_p * trans_dir
+        trans_dir = f.t_resid / nrm
 
-    grad_rays = kabsch_rotation_vjp(VjpRequest(ray_problem, rot_grad), normalize=True).target
-    grad_pts = rigid_align_vjp(
-        VjpRequest(pt_problem, np.zeros((3, 3)), trans_grad)
+    # The VjpRequests check the cotangents as the public VJPs do.
+    grad_rays = _kabsch_backward(f.rays, VjpRequest(f.ray_problem, rot_grad).rotation_grad).target
+    grad_pts = _rigid_backward(
+        f.pts, VjpRequest(f.pt_problem, np.zeros((3, 3)), w.w_pose_p * trans_dir)
     ).target
 
     # Geometry term, direct paths. The cosine clip only binds at round-off.
-    cos_dev = 1.0 - (fi.rays_pred * d_gt).sum(axis=1)
+    _, cos_dev, point_resid, point_norms = f.geo
     active = ((cos_dev > 0.0) & (cos_dev < 2.0)).astype(np.float64)
-    grad_rays += -(w.w_geo_r / m) * active[:, np.newaxis] * d_gt
-    resid = fi.pts_pred - p_gt
+    grad_rays += -(w.w_geo_r / m) * active[:, np.newaxis] * f.d_gt
     if p == 1:
-        point_dir = np.sign(resid)
+        point_dir = np.sign(point_resid)
     else:
-        rn = np.linalg.norm(resid, axis=1, keepdims=True)
-        if np.any(rn < 1e-12):
+        if np.any(point_norms < 1e-12):
             raise NearSingularJacobian("point residual too small for an L2 gradient")
-        point_dir = resid / rn
+        point_dir = point_resid / point_norms[:, np.newaxis]
     grad_pts += (w.w_geo_p / m) * point_dir
 
-    # Pairwise term. np.add.at accumulates over repeated patch indices.
-    i = fi.neighbors.pairs[:, 0]
-    j = fi.neighbors.pairs[:, 1]
+    # Pairwise term: pair (i, j) adds to rows i and j, so one np.bincount per
+    # coordinate over the concatenated (i, j) indices sums the repeated rows.
+    pr = f.pairs
     k_pairs = len(fi.neighbors)
-    ray_dev = (fi.rays_pred[i] * fi.rays_pred[j]).sum(axis=1) - (
-        fi.rays_cam[i] * fi.rays_cam[j]
-    ).sum(axis=1)
-    coef = (w.w_reg_r / k_pairs) * _dpow(ray_dev, p)
-    np.add.at(grad_rays, i, coef[:, np.newaxis] * fi.rays_pred[j])
-    np.add.at(grad_rays, j, coef[:, np.newaxis] * fi.rays_pred[i])
-    delta = fi.pts_pred[i] - fi.pts_pred[j]
-    dist_hat = np.linalg.norm(delta, axis=1)
-    if np.any(dist_hat < 1e-12):
+    coef = ((w.w_reg_r / k_pairs) * _dpow(pr.ray_dev, p))[:, np.newaxis]
+    if np.any(pr.dist_hat < 1e-12):
         raise NearSingularJacobian("coincident neighbor points; pair distance gradient undefined")
-    dist_gt = np.linalg.norm(p_gt[i] - p_gt[j], axis=1)
-    dcoef = (w.w_reg_p / k_pairs) * _dpow(dist_hat - dist_gt, p)
-    unit = delta / dist_hat[:, np.newaxis]
-    np.add.at(grad_pts, i, dcoef[:, np.newaxis] * unit)
-    np.add.at(grad_pts, j, -dcoef[:, np.newaxis] * unit)
+    pull = ((w.w_reg_p / k_pairs) * _dpow(pr.dist_dev, p) / pr.dist_hat)[:, np.newaxis] * pr.delta
+    rows = np.concatenate([  # per pair: (ray, point) terms at i, then at j
+        np.concatenate([coef * pr.d_pair[:, 1], pull], axis=1),
+        np.concatenate([coef * pr.d_pair[:, 0], -pull], axis=1),
+    ])
+    idx = fi.neighbors.pairs.T.ravel()
+    summed = np.stack([np.bincount(idx, weights=c, minlength=m) for c in rows.T], axis=1)
+    grad_rays += summed[:, :3]
+    grad_pts += summed[:, 3:]
 
-    return terms, grad_rays, grad_pts
+    return f.terms, grad_rays, grad_pts
 
 
 @dataclass(frozen=True)
@@ -443,7 +423,7 @@ def finite_diff_check(op_id: str, instance, h: float = 1e-5, seed: Seed = Seed(0
         problem: AlignmentProblem = instance
         g_rot = seed.rng().standard_normal((3, 3))
         res = kabsch_rotation_vjp(VjpRequest(problem, g_rot), normalize=True)
-        analytic = np.concatenate([res.target.reshape(-1), res.source.reshape(-1)])
+        analytic, base = (res.target, res.source), (problem.target, problem.source)
 
         def probe(arrays: Sequence[np.ndarray]) -> float:
             rot, _ = kabsch_rotation(
@@ -451,39 +431,31 @@ def finite_diff_check(op_id: str, instance, h: float = 1e-5, seed: Seed = Seed(0
             )
             return float((g_rot * rot.m).sum())
 
-        numeric_parts = _central_diff(probe, [problem.target.copy(), problem.source.copy()], h)
-        numeric = np.concatenate([numeric_parts[0].reshape(-1), numeric_parts[1].reshape(-1)])
-        return _compare(op_id, analytic, numeric)
-
-    if op_id == "rigid":
+    elif op_id == "rigid":
         problem = instance
         rng = seed.rng()
         g_rot = rng.standard_normal((3, 3))
         g_t = rng.standard_normal(3)
         res = rigid_align_vjp(VjpRequest(problem, g_rot, g_t))
-        analytic = np.concatenate([res.target.reshape(-1), res.source.reshape(-1)])
+        analytic, base = (res.target, res.source), (problem.target, problem.source)
 
         def probe(arrays: Sequence[np.ndarray]) -> float:
             pose, _ = rigid_align(AlignmentProblem(arrays[1], arrays[0], problem.weights))
             return float((g_rot * pose.r.m).sum() + g_t @ pose.t)
 
-        numeric_parts = _central_diff(probe, [problem.target.copy(), problem.source.copy()], h)
-        numeric = np.concatenate([numeric_parts[0].reshape(-1), numeric_parts[1].reshape(-1)])
-        return _compare(op_id, analytic, numeric)
-
-    if op_id == "loss_total":
+    elif op_id == "loss_total":
         fi: FrameInputs = instance
         _, grad_rays, grad_pts = pipeline_loss_grad(fi)
-        analytic = np.concatenate([grad_rays.reshape(-1), grad_pts.reshape(-1)])
+        analytic, base = (grad_rays, grad_pts), (fi.rays_pred, fi.pts_pred)
 
         def probe(arrays: Sequence[np.ndarray]) -> float:
             return pipeline_loss(fi.with_predictions(arrays[0], arrays[1])).total
 
-        numeric_parts = _central_diff(probe, [fi.rays_pred.copy(), fi.pts_pred.copy()], h)
-        numeric = np.concatenate([numeric_parts[0].reshape(-1), numeric_parts[1].reshape(-1)])
-        return _compare(op_id, analytic, numeric)
-
-    raise ValueError(f"unknown op_id {op_id!r}; expected rotation, rigid, or loss_total")
+    else:
+        raise ValueError(f"unknown op_id {op_id!r}; expected rotation, rigid, or loss_total")
+    numeric = _central_diff(probe, [a.copy() for a in base], h)
+    return _compare(op_id, np.concatenate([a.reshape(-1) for a in analytic]),
+                    np.concatenate([g.reshape(-1) for g in numeric]))
 
 
 def random_alignment_problem(seed: Seed, m: int = 12, noise: float = 0.05) -> AlignmentProblem:

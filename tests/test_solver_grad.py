@@ -1,25 +1,34 @@
 """Analytic VJPs vs central finite differences, guard behavior, pipeline grads."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from grr import (
     AlignmentProblem,
+    DegenerateConfiguration,
+    EmptyNeighborSet,
+    FrameInputs,
+    LossWeights,
     NearSingularJacobian,
+    NeighborSet,
     Seed,
     VjpRequest,
     finite_diff_check,
     geodesic_distance,
+    geometry_loss,
     kabsch_rotation,
     kabsch_rotation_vjp,
     near_collinear_problem,
     pipeline_loss,
     pipeline_loss_grad,
+    pose_loss,
     random_alignment_problem,
     random_frame_inputs,
     random_rigid_problem,
+    regularization_loss,
     rigid_align,
     rigid_align_vjp,
 )
@@ -263,3 +272,164 @@ class TestPipelineLoss:
         b = random_frame_inputs(Seed(43))
         assert np.array_equal(a.rays_pred, b.rays_pred)
         assert np.array_equal(a.pts_pred, b.pts_pred)
+
+
+def reference_loss_grad(fi: FrameInputs):
+    """pipeline_loss_grad as it was before the fused forward pass, built from
+    public pieces: two solves for the loss terms, the public VJPs (which
+    solve again) for the pose gradient, and np.add.at for the pair scatters."""
+    m = fi.rays_cam.shape[0]
+    w, p = fi.weights, fi.p
+    ray_problem = AlignmentProblem(fi.rays_cam, fi.rays_pred)
+    pt_problem = AlignmentProblem(fi.pts_cam, fi.pts_pred)
+    r_hat, _ = kabsch_rotation(ray_problem, normalize=True)
+    point_pose, _ = rigid_align(pt_problem)
+    d_gt = fi.rays_cam @ fi.gt.r.m.T
+    p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
+    terms = (
+        pose_loss(r_hat, point_pose.t, fi.gt, w, p),
+        geometry_loss(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p),
+        regularization_loss(fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p),
+    )
+
+    dist = geodesic_distance(r_hat, fi.gt.r)
+    diff = point_pose.t - fi.gt.t
+    if p == 1:
+        rot_grad = w.w_pose_r * (-fi.gt.r.m / (2.0 * math.sin(dist)))
+        trans_dir = np.sign(diff)
+    else:
+        rot_grad = -w.w_pose_r * (dist / math.sin(dist)) * fi.gt.r.m
+        trans_dir = diff / np.linalg.norm(diff)
+    grad_rays = kabsch_rotation_vjp(VjpRequest(ray_problem, rot_grad), normalize=True).target
+    grad_pts = rigid_align_vjp(
+        VjpRequest(pt_problem, np.zeros((3, 3)), w.w_pose_p * trans_dir)
+    ).target
+
+    cos_dev = 1.0 - (fi.rays_pred * d_gt).sum(axis=1)
+    active = ((cos_dev > 0.0) & (cos_dev < 2.0)).astype(np.float64)
+    grad_rays += -(w.w_geo_r / m) * active[:, np.newaxis] * d_gt
+    resid = fi.pts_pred - p_gt
+    if p == 1:
+        point_dir = np.sign(resid)
+    else:
+        point_dir = resid / np.linalg.norm(resid, axis=1, keepdims=True)
+    grad_pts += (w.w_geo_p / m) * point_dir
+
+    def dpow(x):
+        return np.sign(x) if p == 1 else 2.0 * x
+
+    i, j = fi.neighbors.pairs[:, 0], fi.neighbors.pairs[:, 1]
+    k = len(fi.neighbors)
+    d = fi.rays_pred
+    ray_dev = (d[i] * d[j]).sum(axis=1) - (fi.rays_cam[i] * fi.rays_cam[j]).sum(axis=1)
+    coef = (w.w_reg_r / k) * dpow(ray_dev)
+    np.add.at(grad_rays, i, coef[:, np.newaxis] * d[j])
+    np.add.at(grad_rays, j, coef[:, np.newaxis] * d[i])
+    delta = fi.pts_pred[i] - fi.pts_pred[j]
+    dist_hat = np.linalg.norm(delta, axis=1)
+    dist_gt = np.linalg.norm(p_gt[i] - p_gt[j], axis=1)
+    dcoef = (w.w_reg_p / k) * dpow(dist_hat - dist_gt)
+    unit = delta / dist_hat[:, np.newaxis]
+    np.add.at(grad_pts, i, dcoef[:, np.newaxis] * unit)
+    np.add.at(grad_pts, j, -dcoef[:, np.newaxis] * unit)
+    return terms, grad_rays, grad_pts
+
+
+def three_patch_frame(s: int, p: int) -> FrameInputs:
+    """m = 3: the first three patches of a 2x2 frame, chained by hand."""
+    fi = random_frame_inputs(Seed(s), n=2, p=p)
+    return FrameInputs(fi.rays_cam[:3], fi.pts_cam[:3], fi.rays_pred[:3], fi.pts_pred[:3],
+                       fi.gt, NeighborSet(3, [[0, 1], [1, 2]]), fi.weights, p)
+
+
+def mirrored_points_frame(s: int, p: int) -> FrameInputs:
+    """Predicted points mirrored through the ground-truth centroid along y,
+    so the point branch's unconstrained optimum is a reflection."""
+    fi = random_frame_inputs(Seed(s), p=p)
+    centroid = fi.pts_pred.mean(axis=0)
+    return replace(fi, pts_pred=(fi.pts_pred - centroid) * [1.0, -1.0, 1.0] + centroid)
+
+
+UNEVEN_WEIGHTS = LossWeights(w_pose_r=0.5, w_pose_p=2.0, w_geo_r=0.0, w_geo_p=1.5,
+                             w_reg_r=3.0, w_reg_p=0.25)
+
+AGREEMENT_CASES = {
+    **{f"default-p{p}-seed{s}": (lambda s=s, p=p: random_frame_inputs(Seed(s), p=p))
+       for p in (1, 2) for s in (100, 101, 102)},
+    **{f"8-connected-p{p}": (lambda p=p: replace(
+        random_frame_inputs(Seed(110), p=p), neighbors=NeighborSet.grid(4, connectivity=8)))
+       for p in (1, 2)},
+    **{f"uneven-weights-p{p}": (lambda p=p: replace(
+        random_frame_inputs(Seed(120), p=p), weights=UNEVEN_WEIGHTS))
+       for p in (1, 2)},
+    **{f"2x2-grid-p{p}": (lambda p=p: random_frame_inputs(Seed(130), n=2, p=p)) for p in (1, 2)},
+    **{f"m3-p{p}": (lambda p=p: three_patch_frame(140, p)) for p in (1, 2)},
+    **{f"reflective-points-p{p}": (lambda p=p: mirrored_points_frame(150, p)) for p in (1, 2)},
+}
+
+
+class TestFusedPassAgreement:
+    """The single forward pass shared by pipeline_loss and pipeline_loss_grad
+    against the two-solve reference: loss terms bitwise, gradients to 1e-12
+    of their largest entry (only the order of the pair sums changed)."""
+
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+    def test_matches_reference(self, case):
+        fi = AGREEMENT_CASES[case]()
+        terms, grad_rays, grad_pts = pipeline_loss_grad(fi)
+        ref_terms, ref_rays, ref_pts = reference_loss_grad(fi)
+        assert (terms.pose, terms.geometry, terms.regularization) == ref_terms
+        for got, want in ((grad_rays, ref_rays), (grad_pts, ref_pts)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert pipeline_loss(fi) == terms
+
+    def test_reflective_case_takes_the_reflection_branch(self):
+        fi = mirrored_points_frame(150, 2)
+        _, diag = rigid_align(AlignmentProblem(fi.pts_cam, fi.pts_pred))
+        assert diag.reflection_corrected
+
+    def test_uneven_weights_change_the_gradient(self):
+        # The zero geometry-ray weight must reach the fused gradient.
+        fi = random_frame_inputs(Seed(120), p=2)
+        _, base, _ = pipeline_loss_grad(fi)
+        _, uneven, _ = pipeline_loss_grad(replace(fi, weights=UNEVEN_WEIGHTS))
+        assert not np.allclose(base, uneven)
+
+
+def _raised(fn, fi):
+    with pytest.raises(Exception) as info:
+        fn(fi)
+    return type(info.value), getattr(info.value, "branch", None)
+
+
+class TestFailureParity:
+    """pipeline_loss and pipeline_loss_grad fail the same way on bad frames."""
+
+    @staticmethod
+    def bad_frames():
+        fi = random_frame_inputs(Seed(160))
+        nan_pts = fi.pts_pred.copy()
+        nan_pts[5, 1] = np.nan
+        collinear = np.tile(fi.rays_pred[:1], (fi.rays_pred.shape[0], 1))
+        return {
+            "empty-neighbors": (replace(fi, neighbors=NeighborSet(16, np.zeros((0, 2)))),
+                                EmptyNeighborSet),
+            "wrong-item-count": (replace(fi, neighbors=NeighborSet.grid(3)), ValueError),
+            "nan-point": (replace(fi, pts_pred=nan_pts), ValueError),
+            "collinear-rays": (replace(fi, rays_pred=collinear), DegenerateConfiguration),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["empty-neighbors", "wrong-item-count", "nan-point", "collinear-rays"]
+    )
+    def test_same_exception(self, case):
+        fi, expected = self.bad_frames()[case]
+        from_loss = _raised(pipeline_loss, fi)
+        assert from_loss == _raised(pipeline_loss_grad, fi)
+        assert issubclass(from_loss[0], expected)
+
+    def test_only_the_gradient_rejects_a_converged_p1_frame(self):
+        fi = TestPipelineLoss.converged_frame(p=1)
+        assert math.isfinite(pipeline_loss(fi).total)
+        with pytest.raises(NearSingularJacobian):
+            pipeline_loss_grad(fi)
