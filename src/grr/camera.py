@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, UNIT_TOL, _freeze
+from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _row_norms
 
 __all__ = [
     "Intrinsics",
@@ -94,9 +94,9 @@ class RayBundle:
         d = np.asarray(self.dirs, dtype=np.float64)
         if d.ndim != 2 or d.shape[1] != 3:
             raise ValueError(f"dirs must have shape (m, 3), got {d.shape}")
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise ValueError("dirs contains non-finite entries")
-        norms = np.linalg.norm(d, axis=1)
+        norms = _row_norms(d)
         worst = float(np.abs(norms - 1.0).max()) if d.shape[0] else 0.0
         if worst > UNIT_TOL:
             raise ValueError(f"ray norms deviate from 1 by up to {worst:.3e}")
@@ -109,10 +109,7 @@ class RayBundle:
         if normalize:
             if d.ndim != 2 or d.shape[1] != 3:
                 raise ValueError(f"expected (m, 3) array, got {d.shape}")
-            norms = np.linalg.norm(d, axis=1, keepdims=True)
-            if np.any(norms < 1e-12):
-                raise ValueError("cannot normalize near-zero ray rows")
-            d = d / norms
+            d = _normalized_rows(d, "ray")[0]
         return cls(d)
 
     def __len__(self) -> int:
@@ -129,7 +126,7 @@ class PointMap:
         p = np.asarray(self.pts, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 3:
             raise ValueError(f"pts must have shape (m, 3), got {p.shape}")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("pts contains non-finite entries")
         _freeze(self, "pts", p)
 

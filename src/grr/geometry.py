@@ -37,13 +37,35 @@ ORTHONORMALITY_TOL = 1e-9
 UNIT_TOL = 1e-9
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
+_EYE3 = np.eye(3)
+# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1, keepdims=keepdims) bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+
+
+def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit norm, and the (m, 1) norms they were divided by."""
+    norms = _row_norms(arr, keepdims=True)
+    if (norms < 1e-12).any():
+        raise ValueError(f"cannot normalize near-zero {what} rows")
+    return arr / norms, norms
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of (..., 3) rows bit for bit, without its axis handling."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     out = np.asarray(value, dtype=np.float64)
     if out.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -66,7 +88,7 @@ class Rotation:
 
     def __post_init__(self):
         m = _as_float_array(self.m, (3, 3), "rotation matrix")
-        err = float(np.abs(m.T @ m - np.eye(3)).max())
+        err = float(np.abs(m.T @ m - _EYE3).max())
         if err > ORTHONORMALITY_TOL:
             raise ValueError(f"matrix is not orthonormal (max residual {err:.3e})")
         det = float(np.linalg.det(m))
@@ -250,8 +272,9 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
     and returns exactly 0.0 for identical rotations.
     """
     q = a.m.T @ b.m
-    c = 0.5 * (float(np.trace(q)) - 1.0)
-    s = float(np.linalg.norm(q - q.T)) / _SQRT8
+    c = 0.5 * (float(q.trace()) - 1.0)
+    anti = (q - q.T).ravel(order="K")  # np.linalg.norm's Frobenius path, unwrapped
+    s = math.sqrt(anti.dot(anti)) / _SQRT8
     return math.atan2(s, max(-1.0, min(1.0, c)))
 
 

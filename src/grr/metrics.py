@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Pose, geodesic_distance
-from .simulator import FrameRecord
+from .simulator import FrameRecord, median
 
 __all__ = ["MetricsSummary", "pose_errors", "median", "summarize_records"]
 
@@ -23,14 +23,6 @@ def pose_errors(est: Pose, gt: Pose) -> tuple[float, float]:
     rot = math.degrees(geodesic_distance(est.r, gt.r))
     trans = float(np.linalg.norm(est.t - gt.t))
     return rot, trans
-
-
-def median(values: Sequence[float]) -> float:
-    """Median with the even-count convention: mean of the two middle order
-    statistics. NaN for an empty sequence."""
-    if len(values) == 0:
-        return math.nan
-    return float(np.median(np.asarray(values, dtype=np.float64)))
 
 
 @dataclass(frozen=True)

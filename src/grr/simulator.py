@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .camera import PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays, world_points, world_rays
-from .geometry import Pose, Rotation, Seed, geodesic_distance
+from .geometry import Pose, Rotation, Seed, _cross_rows, _row_norms, geodesic_distance
 from .solver import DegenerateConfiguration, recover_pose
 
 __all__ = [
@@ -78,11 +78,19 @@ class NoiseSpec:
         if self.mode not in ("iid_gaussian", "per_patch_scaled"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         bias = np.asarray(self.point_bias, dtype=np.float64)
-        if bias.shape != (3,) or not np.all(np.isfinite(bias)):
+        if bias.shape != (3,) or not np.isfinite(bias).all():
             raise ValueError("point_bias must be a finite 3-vector")
         bias = bias.copy()
         bias.flags.writeable = False
         object.__setattr__(self, "point_bias", bias)
+
+
+def median(values: Sequence[float]) -> float:
+    """Median with the even-count convention: mean of the two middle order
+    statistics. NaN for an empty sequence."""
+    if len(values) == 0:
+        return math.nan
+    return float(np.median(np.asarray(values, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -109,17 +117,12 @@ class TrialReport:
     @classmethod
     def from_records(cls, records: Sequence[FrameRecord]) -> "TrialReport":
         ok = [r for r in records if r.status == "ok"]
-        busted = len(records) - len(ok)
-
-        def med(vals: list[float]) -> float:
-            return float(np.median(vals)) if vals else math.nan
-
         return cls(
             records=tuple(records),
-            median_rot_err_rays_deg=med([r.rot_err_rays_deg for r in ok]),
-            median_rot_err_points_deg=med([r.rot_err_points_deg for r in ok]),
-            median_trans_err=med([r.trans_err for r in ok]),
-            failure_count=busted,
+            median_rot_err_rays_deg=median([r.rot_err_rays_deg for r in ok]),
+            median_rot_err_points_deg=median([r.rot_err_points_deg for r in ok]),
+            median_trans_err=median([r.trans_err for r in ok]),
+            failure_count=len(records) - len(ok),
         )
 
     @property
@@ -148,10 +151,19 @@ def sample_poses(base: Sequence[Pose], spec: PosePerturbSpec) -> list[Pose]:
     return out
 
 
-def _patch_scale(spec: NoiseSpec, m: int) -> np.ndarray:
-    if spec.mode == "per_patch_scaled" and m > 1:
-        return 0.5 + np.arange(m) / (m - 1)
-    return np.ones(m)
+_E_X = np.array([[1.0, 0.0, 0.0]])
+_E_Z = np.array([[0.0, 0.0, 1.0]])
+
+
+def _tilt_rays(d: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Tilt each unit row of d by theta[i] about the tangent axis at angle phi[i]."""
+    # Orthonormal tangent basis per ray; the helper axis avoids the pole.
+    u = _cross_rows(d, np.where(np.abs(d[:, 2:3]) < 0.9, _E_Z, _E_X))
+    u /= _row_norms(u, keepdims=True)
+    v = _cross_rows(d, u)
+    axis = np.cos(phi)[:, np.newaxis] * u + np.sin(phi)[:, np.newaxis] * v
+    # Rodrigues with axis orthogonal to d: d' = d cos(theta) + (axis x d) sin(theta)
+    return d * np.cos(theta)[:, np.newaxis] + _cross_rows(axis, d) * np.sin(theta)[:, np.newaxis]
 
 
 def perturb_representations(
@@ -171,23 +183,12 @@ def perturb_representations(
     phi = rng.uniform(0.0, 2.0 * math.pi, m)
     theta = np.abs(rng.standard_normal(m)) * spec.ray_sigma
     offsets = rng.standard_normal((m, 3)) * spec.point_sigma
-    scale = _patch_scale(spec, m)
-    theta = theta * scale
-    offsets = offsets * scale[:, np.newaxis]
-
-    d = rays.dirs
-    # Orthonormal tangent basis per ray; the helper axis avoids the pole.
-    helper = np.where(np.abs(d[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-    u = np.cross(d, helper)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(d, u)
-    axis = np.cos(phi)[:, np.newaxis] * u + np.sin(phi)[:, np.newaxis] * v
-    # Rodrigues with axis orthogonal to d: d' = d cos(theta) + (axis x d) sin(theta)
-    ct = np.cos(theta)[:, np.newaxis]
-    st = np.sin(theta)[:, np.newaxis]
-    tilted = d * ct + np.cross(axis, d) * st
-
-    return RayBundle(tilted), PointMap(pts.pts + offsets + spec.point_bias)
+    if spec.mode == "per_patch_scaled" and m > 1:  # else every scale is 1 and x * 1.0 == x
+        scale = 0.5 + np.arange(m) / (m - 1)
+        theta *= scale
+        offsets *= scale[:, np.newaxis]
+    return (RayBundle(_tilt_rays(rays.dirs, phi, theta)),
+            PointMap(pts.pts + offsets + spec.point_bias))
 
 
 def _score_frame(
@@ -206,11 +207,12 @@ def _score_frame(
     except DegenerateConfiguration as exc:
         return FrameRecord(idx, math.nan, math.nan, math.nan,
                            f"degenerate:{exc.branch or 'unknown'}")
+    t_err = rec.pose.t - pose.t
     return FrameRecord(
         frame=idx,
         rot_err_rays_deg=math.degrees(geodesic_distance(rec.pose.r, pose.r)),
         rot_err_points_deg=math.degrees(geodesic_distance(rec.rotation_from_points, pose.r)),
-        trans_err=float(np.linalg.norm(rec.pose.t - pose.t)),
+        trans_err=math.sqrt(t_err.dot(t_err)),  # np.linalg.norm's 1-D path
         status="ok",
     )
 

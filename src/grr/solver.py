@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation
+from .geometry import Pose, Rotation, _normalized_rows
 
 __all__ = [
     "DEGENERACY_RTOL",
@@ -40,6 +40,7 @@ __all__ = [
 # this means the correspondences are collinear to working precision and the
 # rotation about that axis is unobservable.
 DEGENERACY_RTOL = 1e-9
+_FLIP_LAST = np.array([1.0, 1.0, -1.0])
 
 
 class DegenerateConfiguration(RuntimeError):
@@ -73,7 +74,7 @@ class AlignmentProblem:
             )
         if src.shape[0] < 3:
             raise ValueError("need at least 3 correspondences")
-        if not (np.all(np.isfinite(src)) and np.all(np.isfinite(tgt))):
+        if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("correspondences contain non-finite entries")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
@@ -81,7 +82,7 @@ class AlignmentProblem:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (src.shape[0],):
                 raise ValueError(f"weights must be ({src.shape[0]},), got {w.shape}")
-            if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+            if not np.isfinite(w).all() or (w < 0.0).any():
                 raise ValueError("weights must be finite and nonnegative")
             if w.sum() <= 0.0:
                 raise ValueError("weights must have a positive sum")
@@ -121,13 +122,6 @@ class PoseRecovery:
     point_diagnostics: SolveDiagnostics
 
 
-def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise ValueError(f"cannot normalize near-zero {what} rows")
-    return arr / norms, norms
-
-
 # H, the rows it was built from and, if renormalized, their (m, 1) norms.
 _CrossCovariance = namedtuple("_CrossCovariance", "h src tgt w src_norms tgt_norms")
 
@@ -141,7 +135,7 @@ def _cross_covariance(problem: AlignmentProblem, normalize: bool) -> _CrossCovar
         src, src_norms = _normalized_rows(src, "source")
         tgt, tgt_norms = _normalized_rows(tgt, "target")
     w = problem.effective_weights()
-    h = (w[:, np.newaxis] * tgt).T @ src
+    h = (tgt if problem.weights is None else w[:, np.newaxis] * tgt).T @ src  # x * 1.0 == x
     return _CrossCovariance(h, src, tgt, w, src_norms, tgt_norms)
 
 
@@ -158,16 +152,13 @@ def _svd_rotation(h: np.ndarray):
             "correspondences are collinear to working precision "
             f"(singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e})"
         )
-    sign = 1.0 if float(np.linalg.det(u) * np.linalg.det(vt)) > 0.0 else -1.0
-    if sign < 0.0:
-        r = (u * np.array([1.0, 1.0, -1.0])) @ vt  # flip the third left vector
-    else:
-        r = u @ vt
-    condition = float(s[0] / s[2]) if s[2] > 0.0 else math.inf
+    det_u, det_vt = np.linalg.det((u, vt))
+    sign = 1.0 if float(det_u * det_vt) > 0.0 else -1.0
+    r = (u * _FLIP_LAST) @ vt if sign < 0.0 else u @ vt  # the flip negates u's third column
     diag = SolveDiagnostics(
-        singular_values=(float(s[0]), float(s[1]), float(s[2])),
+        singular_values=tuple(s.tolist()),
         reflection_corrected=sign < 0.0,
-        condition=condition,
+        condition=float(s[0] / s[2]) if s[2] > 0.0 else math.inf,
     )
     return r, diag, (u, s, vt, sign)
 

@@ -41,6 +41,7 @@ from .losses import (
     _pair_terms,
     _pose_value,
 )
+from .simulator import _tilt_rays
 from .solver import (
     AlignmentProblem,
     kabsch_rotation,
@@ -503,14 +504,7 @@ def random_frame_inputs(seed: Seed, n: int = 4, p: int = 2, noise: float = 0.02)
     # Tilt each ground-truth ray about a random tangent axis.
     phi = rng.uniform(0.0, 2.0 * math.pi, m)
     tilt = noise * (0.75 + np.abs(rng.standard_normal(m)))
-    helper = np.where(
-        np.abs(d_gt[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]
-    )
-    u = np.cross(d_gt, helper)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(d_gt, u)
-    axis = u * np.cos(phi)[:, np.newaxis] + v * np.sin(phi)[:, np.newaxis]
-    rays_pred = d_gt * np.cos(tilt)[:, np.newaxis] + np.cross(axis, d_gt) * np.sin(tilt)[:, np.newaxis]
+    rays_pred = _tilt_rays(d_gt, phi, tilt)
 
     mag = noise * (0.75 + np.abs(rng.standard_normal((m, 3))))
     sgn = np.where(rng.standard_normal((m, 3)) >= 0.0, 1.0, -1.0)

@@ -18,6 +18,7 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
+from grr.geometry import _cross_rows, _row_norms
 
 
 class TestRotation:
@@ -253,3 +254,56 @@ class TestPoseFileIO:
         path.write_text("2 0 0 0 1 0 0 0 1 0 0 0\n")
         with pytest.raises(ValueError):
             load_poses(path)
+
+
+def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    """Same shape, dtype and bytes: catches -0.0 against +0.0 too."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRowHelpers:
+    """The private row-wise cross product and row norm agree bit for bit with
+    np.cross and np.linalg.norm(axis=1), which they replace on the solve path."""
+
+    @staticmethod
+    def rows(seed: int) -> np.ndarray:
+        """Random rows, rows of signed zeros and ones, and rows on both sides
+        of the |z| < 0.9 helper-axis switch of the ray tilt."""
+        rng = Seed(seed).rng()
+        special = np.array([0.0, -0.0, 1.0, -1.0])
+        picks = special[rng.integers(0, 4, size=(64, 3))]
+        z = np.array([0.0, 0.5, 0.8999999999999999, 0.9, 0.95, 1.0])
+        z = np.concatenate([z, -z])
+        pole_side = np.stack([np.sqrt(1.0 - z * z), np.zeros_like(z), z], axis=1)
+        return np.concatenate([rng.standard_normal((200, 3)), picks, pole_side,
+                               rng.standard_normal((8, 3)) * 1e-160])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cross_rows_matches_np_cross(self, seed):
+        a = self.rows(seed)
+        b = self.rows(seed + 100)
+        _assert_bitwise(_cross_rows(a, b), np.cross(a, b))
+        _assert_bitwise(_cross_rows(b, a), np.cross(b, a))
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
+    def test_cross_rows_broadcasts_one_row(self, row):
+        a = self.rows(3)
+        b = np.array([row])
+        _assert_bitwise(_cross_rows(a, b), np.cross(a, b))
+        _assert_bitwise(_cross_rows(b, a), np.cross(b, a))
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_row_norms_match_linalg_norm(self, keepdims):
+        x = np.concatenate([self.rows(4), [[1e200, 1e200, 0.0], [5e-324, -0.0, 0.0]]])
+        with np.errstate(over="ignore"):  # 1e200 squared overflows on both sides
+            _assert_bitwise(_row_norms(x, keepdims=keepdims),
+                            np.linalg.norm(x, axis=1, keepdims=keepdims))
+
+    def test_geodesic_distance_matches_the_norm_form(self):
+        for k in range(20):
+            a, b = random_rotation(Seed(k)), random_rotation(Seed(k + 50))
+            q = a.m.T @ b.m
+            c = 0.5 * (float(np.trace(q)) - 1.0)
+            s = float(np.linalg.norm(q - q.T)) / (2.0 * math.sqrt(2.0))
+            assert geodesic_distance(a, b) == math.atan2(s, max(-1.0, min(1.0, c)))

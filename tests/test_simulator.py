@@ -13,8 +13,10 @@ from grr import (
     Intrinsics,
     NoiseSpec,
     PatchGrid,
+    PointMap,
     Pose,
     PosePerturbSpec,
+    RayBundle,
     Seed,
     TrialReport,
     ablation_sweep,
@@ -22,6 +24,7 @@ from grr import (
     canonical_rays,
     perturb_representations,
     random_rotation,
+    recover_pose,
     run_trial,
     sample_poses,
     write_report_csv,
@@ -123,6 +126,113 @@ class TestPerturbRepresentations:
 
         with pytest.raises(ValueError, match="lengths differ"):
             perturb_representations(rays, PointMap(pts.pts[:-1]), spec())
+
+
+def reference_perturb(rays, pts, noise):
+    """perturb_representations as first written: np.cross, np.linalg.norm,
+    list-literal helper axes and an explicit all-ones scale."""
+    m = len(rays)
+    rng = noise.seed.rng()
+    phi = rng.uniform(0.0, 2.0 * math.pi, m)
+    theta = np.abs(rng.standard_normal(m)) * noise.ray_sigma
+    offsets = rng.standard_normal((m, 3)) * noise.point_sigma
+    if noise.mode == "per_patch_scaled" and m > 1:
+        scale = 0.5 + np.arange(m) / (m - 1)
+    else:
+        scale = np.ones(m)
+    theta = theta * scale
+    offsets = offsets * scale[:, np.newaxis]
+    d = rays.dirs
+    helper = np.where(np.abs(d[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
+    u = np.cross(d, helper)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(d, u)
+    axis = np.cos(phi)[:, np.newaxis] * u + np.sin(phi)[:, np.newaxis] * v
+    ct = np.cos(theta)[:, np.newaxis]
+    st = np.sin(theta)[:, np.newaxis]
+    return d * ct + np.cross(axis, d) * st, pts.pts + offsets + noise.point_bias
+
+
+def reference_kabsch(src, tgt, normalize):
+    """Unit-weight Kabsch with the sign taken from two separate det calls."""
+    if normalize:
+        src = src / np.linalg.norm(src, axis=1, keepdims=True)
+        tgt = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
+    w = np.ones(src.shape[0])
+    u, s, vt = np.linalg.svd((w[:, np.newaxis] * tgt).T @ src)
+    sign = 1.0 if float(np.linalg.det(u) * np.linalg.det(vt)) > 0.0 else -1.0
+    r = (u * np.array([1.0, 1.0, -1.0])) @ vt if sign < 0.0 else u @ vt
+    return r, (float(s[0]), float(s[1]), float(s[2])), sign < 0.0, float(s[0] / s[2])
+
+
+class TestReferenceParity:
+    """The lean per-frame path gives the same bits as the reference forms."""
+
+    @staticmethod
+    def frame(grid, k, mirror=False):
+        rays = canonical_rays(grid)
+        pts = canonical_points(rays)
+        pose = Pose(random_rotation(Seed(700 + k)), Seed(700 + k).rng(1).normal(size=3))
+        wr = RayBundle(rays.dirs @ pose.r.m.T)
+        cam = pts.pts * np.array([1.0, 1.0, -1.0]) if mirror else pts.pts
+        wp = PointMap(cam @ pose.r.m.T + pose.t)
+        return rays, pts, wr, wp
+
+    @staticmethod
+    def check_recovery(rays, pts, d_pred, p_pred):
+        rec = recover_pose(rays, pts, d_pred, p_pred)
+        r_rays, s_rays, refl_rays, cond_rays = reference_kabsch(rays.dirs, d_pred.dirs, True)
+        w = np.ones(len(pts))
+        c_src = (w @ pts.pts) / float(w.sum())
+        c_tgt = (w @ p_pred.pts) / float(w.sum())
+        r_pts, s_pts, refl_pts, cond_pts = reference_kabsch(
+            pts.pts - c_src, p_pred.pts - c_tgt, False
+        )
+        assert rec.pose.r.m.tobytes() == r_rays.tobytes()
+        assert rec.rotation_from_points.m.tobytes() == r_pts.tobytes()
+        assert rec.pose.t.tobytes() == (c_tgt - r_pts @ c_src).tobytes()
+        assert rec.ray_diagnostics.singular_values == s_rays
+        assert rec.point_diagnostics.singular_values == s_pts
+        assert rec.ray_diagnostics.reflection_corrected == refl_rays
+        assert rec.point_diagnostics.reflection_corrected == refl_pts
+        assert rec.ray_diagnostics.condition == cond_rays
+        assert rec.point_diagnostics.condition == cond_pts
+        return rec
+
+    @pytest.mark.parametrize("mode", ["iid_gaussian", "per_patch_scaled"])
+    @pytest.mark.parametrize("bias", [(0.0, 0.0, 0.0), (0.1, -0.05, 0.2)])
+    def test_perturb_and_recover_bitwise(self, grid4, mode, bias):
+        both_sides = set()
+        for k in range(12):
+            rays, pts, wr, wp = self.frame(grid4, k)
+            both_sides |= set(np.abs(wr.dirs[:, 2]) < 0.9)
+            noise = spec(ray=0.02, pt=0.01, bias=bias, mode=mode, seed=k)
+            d_pred, p_pred = perturb_representations(wr, wp, noise)
+            d_ref, p_ref = reference_perturb(wr, wp, noise)
+            assert d_pred.dirs.tobytes() == d_ref.tobytes()
+            assert p_pred.pts.tobytes() == p_ref.tobytes()
+            self.check_recovery(rays, pts, d_pred, p_pred)
+        assert both_sides == {True, False}  # both helper axes were used
+
+    def test_tilt_on_both_sides_of_the_helper_switch(self):
+        z = np.array([1.0, 0.95, 0.9, 0.8999999999999999, 0.5, 0.0])
+        z = np.concatenate([z, -z])
+        rows = np.stack([np.zeros_like(z), np.sqrt(1.0 - z * z), z], axis=1)
+        rays = RayBundle(np.concatenate([rows, rows[:, [2, 0, 1]], rows[:, [1, 2, 0]]]))
+        pts = PointMap(rays.dirs)
+        for mode in ("iid_gaussian", "per_patch_scaled"):
+            noise = spec(ray=0.03, pt=0.01, bias=(0.0, -0.0, 0.5), mode=mode, seed=9)
+            d_pred, p_pred = perturb_representations(rays, pts, noise)
+            d_ref, p_ref = reference_perturb(rays, pts, noise)
+            assert d_pred.dirs.tobytes() == d_ref.tobytes()
+            assert p_pred.pts.tobytes() == p_ref.tobytes()
+
+    def test_reflection_corrected_point_set(self, grid4):
+        for k in range(4):
+            rays, pts, wr, wp = self.frame(grid4, k, mirror=True)
+            d_pred, p_pred = perturb_representations(wr, wp, spec(ray=0.01, pt=0.01, seed=k))
+            rec = self.check_recovery(rays, pts, d_pred, p_pred)
+            assert rec.point_diagnostics.reflection_corrected
 
 
 class TestNoiseSpecValidation:

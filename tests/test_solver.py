@@ -286,3 +286,96 @@ class TestRecoverPose:
         rays4 = canonical_rays(grid4)
         with pytest.raises(ValueError, match="length"):
             recover_pose(rays4, pts16, wr16, wp16)
+
+
+def _raised(fn, *args):
+    """(type, message, branch) of what fn(*args) raises."""
+    with pytest.raises(Exception) as exc_info:
+        fn(*args)
+    exc = exc_info.value
+    return type(exc), str(exc), getattr(exc, "branch", None)
+
+
+def _collinear_message(prefix: str, h: np.ndarray) -> str:
+    s = np.linalg.svd(h, compute_uv=False)
+    return (f"{prefix}correspondences are collinear to working precision "
+            f"(singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e})")
+
+
+class TestFailureParity:
+    """Every check on the solve path fires on the same input with the same
+    exception type, message and branch; the expected messages are built here
+    from the definitions, not read back from the code under test."""
+
+    @staticmethod
+    def frame(grid, seed=60):
+        pose = Pose(random_rotation(Seed(seed)), Seed(seed).rng(1).normal(size=3))
+        rays = canonical_rays(grid)
+        pts = canonical_points(rays)
+        return rays, pts, world_rays(pose, rays), world_points(pose, pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rays(self, grid4, bad):
+        rays, _, wr, _ = self.frame(grid4)
+        d = wr.dirs.copy()
+        d[3, 1] = bad
+        nonfinite = (ValueError, "dirs contains non-finite entries", None)
+        assert _raised(RayBundle, d) == nonfinite
+        with np.errstate(invalid="ignore"):  # inf / inf while normalizing
+            assert _raised(RayBundle.from_array, d, True) == nonfinite
+        assert _raised(AlignmentProblem, rays.dirs, d) == (
+            ValueError, "correspondences contain non-finite entries", None)
+
+    def test_zero_norm_ray_row(self, grid4):
+        rays, _, wr, _ = self.frame(grid4)
+        d = wr.dirs.copy()
+        d[2] = 0.0
+        assert _raised(RayBundle.from_array, d, True) == (
+            ValueError, "cannot normalize near-zero ray rows", None)
+        assert _raised(RayBundle, d) == (
+            ValueError, f"ray norms deviate from 1 by up to {1.0:.3e}", None)
+        assert _raised(kabsch_rotation, AlignmentProblem(rays.dirs, d)) == (
+            ValueError, "cannot normalize near-zero target rows", None)
+        assert _raised(kabsch_rotation, AlignmentProblem(d, rays.dirs)) == (
+            ValueError, "cannot normalize near-zero source rows", None)
+
+    def test_two_correspondences(self, grid4):
+        rays, pts, wr, wp = self.frame(grid4)
+        few = (ValueError, "need at least 3 correspondences", None)
+        assert _raised(AlignmentProblem, rays.dirs[:2], wr.dirs[:2]) == few
+        assert _raised(recover_pose, RayBundle(rays.dirs[:2]), PointMap(pts.pts[:2]),
+                       RayBundle(wr.dirs[:2]), PointMap(wp.pts[:2])) == few
+
+    def test_points_that_overflow_when_centered(self, grid4):
+        rays, pts, wr, _ = self.frame(grid4)
+        huge = np.zeros((len(pts), 3))
+        huge[0, 0] = 1.7e308
+        huge[1:, 0] = -1.7e308
+        overflow = (ValueError, "correspondences contain non-finite entries", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _raised(rigid_align, AlignmentProblem(pts.pts, huge)) == overflow
+            assert _raised(recover_pose, rays, pts, wr, PointMap(huge)) == overflow
+
+    def test_collinear_rays_report_the_ray_branch(self, grid4):
+        rays, pts, _, wp = self.frame(grid4)
+        z = np.tile(np.array([0.0, 0.6, 0.8]), (len(rays), 1))
+        src = rays.dirs / np.linalg.norm(rays.dirs, axis=1, keepdims=True)
+        assert _raised(recover_pose, rays, pts, RayBundle(z), wp) == (
+            DegenerateConfiguration, _collinear_message("ray branch: ", z.T @ src), "rays")
+
+    def test_collinear_points_report_the_point_branch(self, grid4):
+        rays, pts, wr, _ = self.frame(grid4)
+        line = np.outer(np.linspace(-1.0, 2.0, len(pts)), np.array([0.3, -0.4, 0.5]))
+        w = np.ones(len(pts))
+        h = (line - (w @ line) / w.sum()).T @ (pts.pts - (w @ pts.pts) / w.sum())
+        want = (DegenerateConfiguration, _collinear_message("point branch: ", h), "points")
+        assert _raised(recover_pose, rays, pts, wr, PointMap(line)) == want
+
+    def test_non_orthonormal_rotation(self):
+        m = np.eye(3) + 1e-3
+        err = float(np.abs(m.T @ m - np.eye(3)).max())
+        assert _raised(Rotation, m) == (
+            ValueError, f"matrix is not orthonormal (max residual {err:.3e})", None)
+        flip = np.diag([1.0, 1.0, -1.0])
+        assert _raised(Rotation, flip) == (
+            ValueError, f"matrix determinant {np.linalg.det(flip):.17g} is not +1", None)
