@@ -341,7 +341,13 @@ def cmd_loss(args) -> int:
             weights=weights,
             p=p,
         )
-        terms = pipeline_loss(fi)
+        try:
+            terms = pipeline_loss(fi)
+        except DegenerateConfiguration as exc:
+            # One degenerate frame aborts the batch (exit 2); name it.
+            raise DegenerateConfiguration(
+                f"frame {idx} (rays {rf}, points {pf}): {exc}", branch=exc.branch
+            ) from exc
         totals[domains[idx]].append(terms.total)
         frames.append(
             {

@@ -43,9 +43,19 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1) of (..., 3) rows bit for bit, without its reduction setup.
+
+    NumPy adds the three columns in order onto its identity +0.0; the trailing
+    + 0.0 is that identity, which only turns an all -0.0 row's sum into +0.0.
+    """
+    return (x[..., 0] + x[..., 1]) + x[..., 2] + 0.0
+
+
 def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """np.linalg.norm(x, axis=-1, keepdims=keepdims) bit for bit, without its dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+    norms = np.sqrt(_row_sums(x * x))
+    return norms[..., np.newaxis] if keepdims else norms
 
 
 def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:

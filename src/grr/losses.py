@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation, geodesic_distance
+from .geometry import Pose, Rotation, _row_norms, _row_sums, geodesic_distance
 
 __all__ = [
     "LossWeights",
@@ -106,6 +107,17 @@ class NeighborSet:
     def __len__(self) -> int:
         return self.pairs.shape[0]
 
+    @cached_property
+    def _scatter_index(self) -> np.ndarray:
+        """Read-only flat bins (part * n_items + item) * 3 + column of a
+        (2, n_items, 3) array, for (2, 2k, 3) rows that list, in each part,
+        every pair's i, then every pair's j. Cached once from the frozen
+        pairs; not a field, so equality and repr are unchanged."""
+        bins = (self.pairs.T.reshape(-1, 1) * 3 + np.arange(3)).ravel()
+        idx = np.concatenate([bins, bins + 3 * self.n_items])
+        idx.flags.writeable = False
+        return idx
+
     @classmethod
     def grid(cls, n: int, connectivity: int = 4) -> "NeighborSet":
         """Neighbor pairs of an n x n row-major grid; connectivity 4 or 8."""
@@ -153,9 +165,7 @@ def _vec_pnorm(v: np.ndarray, p: int) -> float:
 
 
 def _row_pnorms(a: np.ndarray, p: int) -> np.ndarray:
-    if p == 1:
-        return np.abs(a).sum(axis=1)
-    return np.sqrt((a * a).sum(axis=1))
+    return _row_sums(np.abs(a)) if p == 1 else _row_norms(a)
 
 
 def _scalar_pow(x: np.ndarray, p: int) -> np.ndarray:
@@ -215,7 +225,7 @@ def _geometry_terms(d_hat, d_gt, p_hat, p_gt, weights: LossWeights, p: int):
     """(geometry_loss, 1 - d_hat . d_gt, p_hat - p_gt, ||p_hat - p_gt||_p), per patch."""
     if d_hat.shape != d_gt.shape or p_hat.shape != p_gt.shape:
         raise ValueError("prediction/ground-truth shapes differ")
-    cos_dev = 1.0 - (d_hat * d_gt).sum(axis=1)
+    cos_dev = 1.0 - _row_sums(d_hat * d_gt)
     resid = p_hat - p_gt
     point_norms = _row_pnorms(resid, p)
     cos_term = float(np.clip(cos_dev, 0.0, 2.0).mean())
@@ -242,9 +252,10 @@ def regularization_loss(
     return _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors, weights, p).value
 
 
-# regularization_loss and the per-pair terms its gradient reuses: d_pair = d_hat
-# at (i, j) as (k, 2, 3), delta = p_hat[i] - p_hat[j], dist_dev = |delta| - dist_gt.
-_PairTerms = namedtuple("_PairTerms", "value d_pair ray_dev delta dist_hat dist_dev")
+# regularization_loss and the per-pair terms its gradient reuses: d_ij = d_hat at
+# every pair's i, then at its j, as (2, k, 3), delta = p_hat[i] - p_hat[j],
+# dist_dev = |delta| - dist_gt.
+_PairTerms = namedtuple("_PairTerms", "value d_ij ray_dev delta dist_hat dist_dev")
 
 
 def _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors: NeighborSet, weights: LossWeights, p: int):
@@ -254,17 +265,37 @@ def _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors: NeighborSet, weights: Loss
         raise ValueError(
             f"neighbor set is over {neighbors.n_items} items, bundles have {d_hat.shape[0]}"
         )
-    # Rows i and j of each array in one gather; a[:, 0] is a[i], a[:, 1] is a[j].
-    d_pair, c_pair, p_pair, g_pair = (np.take(a, neighbors.pairs, axis=0)
-                                      for a in (d_hat, d_cam, p_hat, p_gt))
-    ray_dev = (d_pair[:, 0] * d_pair[:, 1]).sum(axis=1) - (c_pair[:, 0] * c_pair[:, 1]).sum(axis=1)
-    delta = p_pair[:, 0] - p_pair[:, 1]
-    dist_hat = np.linalg.norm(delta, axis=1)
-    dist_dev = dist_hat - np.linalg.norm(g_pair[:, 0] - g_pair[:, 1], axis=1)
+    # Rows i and j of each array in one gather, as contiguous halves: a[0] is
+    # a[i], a[1] is a[j]. Row-wise products on strided (k, 2, 3) halves cost
+    # one loop call per pair.
+    d_ij, c_ij, p_ij, g_ij = (np.take(a, neighbors.pairs.T, axis=0)
+                              for a in (d_hat, d_cam, p_hat, p_gt))
+    ray_dev = _row_sums(d_ij[0] * d_ij[1]) - _row_sums(c_ij[0] * c_ij[1])
+    delta = p_ij[0] - p_ij[1]
+    dist_hat = _row_norms(delta)
+    dist_dev = dist_hat - _row_norms(g_ij[0] - g_ij[1])
     per_pair = weights.w_reg_r * _scalar_pow(ray_dev, p) + weights.w_reg_p * _scalar_pow(
         dist_dev, p
     )
-    return _PairTerms(float(per_pair.mean()), d_pair, ray_dev, delta, dist_hat, dist_dev)
+    return _PairTerms(float(per_pair.mean()), d_ij, ray_dev, delta, dist_hat, dist_dev)
+
+
+def _pair_grads(neighbors: NeighborSet, coef, d_ij, pull, delta) -> np.ndarray:
+    """(2, m, 3) pair-term gradients w.r.t. the rays, then the points.
+
+    Pair (i, j) adds coef * d_j to ray i and coef * d_i to ray j, pull * delta
+    to point i and its negation to point j. One np.bincount over the neighbor
+    set's flat bins sums the repeated rows, each bin in pair order, i sides first.
+    """
+    k = len(neighbors)
+    rows = np.empty((2, 2 * k, 3))
+    np.multiply(coef, d_ij[1], out=rows[0, :k])
+    np.multiply(coef, d_ij[0], out=rows[0, k:])
+    np.multiply(pull, delta, out=rows[1, :k])
+    np.negative(rows[1, :k], out=rows[1, k:])
+    summed = np.bincount(neighbors._scatter_index, weights=rows.ravel(),
+                         minlength=6 * neighbors.n_items)
+    return summed.reshape(2, -1, 3)
 
 
 def domain_bce(logit: float, label: int) -> float:

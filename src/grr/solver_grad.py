@@ -32,12 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .camera import Intrinsics, PatchGrid, canonical_points, canonical_rays
-from .geometry import Pose, Seed, geodesic_distance, random_rotation
+from .geometry import Pose, Seed, _row_sums, geodesic_distance, random_rotation
 from .losses import (
     LossWeights,
     NeighborSet,
     _check_p,
     _geometry_terms,
+    _pair_grads,
     _pair_terms,
     _pose_value,
 )
@@ -96,12 +97,12 @@ class VjpRequest:
 
     def __post_init__(self):
         g = np.asarray(self.rotation_grad, dtype=np.float64)
-        if g.shape != (3, 3) or not np.all(np.isfinite(g)):
+        if g.shape != (3, 3) or not np.isfinite(g).all():
             raise ValueError("rotation_grad must be a finite 3x3 array")
         object.__setattr__(self, "rotation_grad", g)
         if self.translation_grad is not None:
             t = np.asarray(self.translation_grad, dtype=np.float64)
-            if t.shape != (3,) or not np.all(np.isfinite(t)):
+            if t.shape != (3,) or not np.isfinite(t).all():
                 raise ValueError("translation_grad must be a finite 3-vector")
             object.__setattr__(self, "translation_grad", t)
 
@@ -145,28 +146,55 @@ def _polar_h_cotangent(k: np.ndarray, s: np.ndarray, sign: float) -> np.ndarray:
 
 def _normalization_chain(unit: np.ndarray, norms: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Pull gradients w.r.t. unit rows back to the raw rows they were divided from."""
-    radial = (grads * unit).sum(axis=1, keepdims=True)
+    radial = _row_sums(grads * unit)[:, np.newaxis]
     return (grads - radial * unit) / norms
 
 
-def _kabsch_backward(fwd: _KabschSolve, rotation_grad: np.ndarray) -> VjpResult:
+def _h_cotangent(fwd: _KabschSolve, rotation_grad: np.ndarray) -> np.ndarray:
+    """Hbar = U Pbar V^T on the forward solve's own SVD factors."""
     u, s, vt, sign = fwd.svd
-    hbar = u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
+    return u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
+
+
+def _side_grad(rows, norms, other, w, hbar) -> np.ndarray:
+    """w_i hbar other_i for each row of one side, through its normalization if any."""
+    grad = w[:, np.newaxis] * (other @ hbar.T)
+    return grad if norms is None else _normalization_chain(rows, norms, grad)
+
+
+def _target_grad(fwd: _KabschSolve, hbar: np.ndarray) -> np.ndarray:
     cov = fwd.cov
-    grad_target = cov.w[:, np.newaxis] * (cov.src @ hbar.T)
-    grad_source = cov.w[:, np.newaxis] * (cov.tgt @ hbar)
-    if cov.src_norms is not None:
-        grad_target = _normalization_chain(cov.tgt, cov.tgt_norms, grad_target)
-        grad_source = _normalization_chain(cov.src, cov.src_norms, grad_source)
-    return VjpResult(target=grad_target, source=grad_source)
+    return _side_grad(cov.tgt, cov.tgt_norms, cov.src, cov.w, hbar)
+
+
+def _source_grad(fwd: _KabschSolve, hbar: np.ndarray) -> np.ndarray:
+    cov = fwd.cov
+    return _side_grad(cov.src, cov.src_norms, cov.tgt, cov.w, hbar.T)
+
+
+def _kabsch_backward(fwd: _KabschSolve, rotation_grad: np.ndarray) -> VjpResult:
+    hbar = _h_cotangent(fwd, rotation_grad)
+    return VjpResult(target=_target_grad(fwd, hbar), source=_source_grad(fwd, hbar))
+
+
+def _rigid_parts(fwd: _RigidSolve, req: VjpRequest):
+    """Hbar of the centered solve, the translation cotangent and each row's
+    share w_i / sum(w) of the centroids."""
+    g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
+    hbar = _h_cotangent(fwd.kabsch, req.rotation_grad - np.outer(g_t, fwd.c_src))
+    return hbar, g_t, fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
+
+
+def _rigid_target_grad(fwd: _RigidSolve, req: VjpRequest) -> np.ndarray:
+    """_rigid_backward(fwd, req).target, without building the source rows."""
+    hbar, g_t, share = _rigid_parts(fwd, req)
+    return _target_grad(fwd.kabsch, hbar) + share * g_t
 
 
 def _rigid_backward(fwd: _RigidSolve, req: VjpRequest) -> VjpResult:
-    g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
-    centered = _kabsch_backward(fwd.kabsch, req.rotation_grad - np.outer(g_t, fwd.c_src))
-    share = fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
-    return VjpResult(target=centered.target + share * g_t,
-                     source=centered.source - share * (fwd.pose.r.m.T @ g_t))
+    hbar, g_t, share = _rigid_parts(fwd, req)
+    return VjpResult(target=_target_grad(fwd.kabsch, hbar) + share * g_t,
+                     source=_source_grad(fwd.kabsch, hbar) - share * (fwd.pose.r.m.T @ g_t))
 
 
 def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
@@ -317,10 +345,12 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
         trans_dir = f.t_resid / nrm
 
     # The VjpRequests check the cotangents as the public VJPs do.
-    grad_rays = _kabsch_backward(f.rays, VjpRequest(f.ray_problem, rot_grad).rotation_grad).target
-    grad_pts = _rigid_backward(
+    # Only the predicted (target) rows are free, so no source gradient is built.
+    ray_req = VjpRequest(f.ray_problem, rot_grad)
+    grad_rays = _target_grad(f.rays, _h_cotangent(f.rays, ray_req.rotation_grad))
+    grad_pts = _rigid_target_grad(
         f.pts, VjpRequest(f.pt_problem, np.zeros((3, 3)), w.w_pose_p * trans_dir)
-    ).target
+    )
 
     # Geometry term, direct paths. The cosine clip only binds at round-off.
     _, cos_dev, point_resid, point_norms = f.geo
@@ -329,27 +359,21 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
     if p == 1:
         point_dir = np.sign(point_resid)
     else:
-        if np.any(point_norms < 1e-12):
+        if (point_norms < 1e-12).any():
             raise NearSingularJacobian("point residual too small for an L2 gradient")
         point_dir = point_resid / point_norms[:, np.newaxis]
     grad_pts += (w.w_geo_p / m) * point_dir
 
-    # Pairwise term: pair (i, j) adds to rows i and j, so one np.bincount per
-    # coordinate over the concatenated (i, j) indices sums the repeated rows.
+    # Pairwise term: pair (i, j) adds to rows i and j of both gradients.
     pr = f.pairs
     k_pairs = len(fi.neighbors)
     coef = ((w.w_reg_r / k_pairs) * _dpow(pr.ray_dev, p))[:, np.newaxis]
-    if np.any(pr.dist_hat < 1e-12):
+    if (pr.dist_hat < 1e-12).any():
         raise NearSingularJacobian("coincident neighbor points; pair distance gradient undefined")
-    pull = ((w.w_reg_p / k_pairs) * _dpow(pr.dist_dev, p) / pr.dist_hat)[:, np.newaxis] * pr.delta
-    rows = np.concatenate([  # per pair: (ray, point) terms at i, then at j
-        np.concatenate([coef * pr.d_pair[:, 1], pull], axis=1),
-        np.concatenate([coef * pr.d_pair[:, 0], -pull], axis=1),
-    ])
-    idx = fi.neighbors.pairs.T.ravel()
-    summed = np.stack([np.bincount(idx, weights=c, minlength=m) for c in rows.T], axis=1)
-    grad_rays += summed[:, :3]
-    grad_pts += summed[:, 3:]
+    pull = ((w.w_reg_p / k_pairs) * _dpow(pr.dist_dev, p) / pr.dist_hat)[:, np.newaxis]
+    pair_rays, pair_pts = _pair_grads(fi.neighbors, coef, pr.d_ij, pull, pr.delta)
+    grad_rays += pair_rays
+    grad_pts += pair_pts
 
     return f.terms, grad_rays, grad_pts
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+import grr
 from grr import geodesic_distance, load_poses, median, read_xyz_csv, write_xyz_csv
 from grr.cli import main
 
@@ -291,6 +292,25 @@ class TestLoss:
             dataset, name="loss_bad3.json", domains=[0, 0, True, 0, 0]
         )
         assert run(["loss", "--config", boolean])[0] == 3
+
+    def test_degenerate_frame_aborts_and_is_named(self, dataset, tmp_path):
+        work = tmp_path / "in"
+        shutil.copytree(dataset, work)
+        rays = work / "world_rays_0001.csv"
+        write_xyz_csv(rays, np.tile([[0.0, 0.0, 1.0]], (len(read_xyz_csv(rays)), 1)))
+        cfg = self.loss_cfg(work, name="loss_degen.json")
+        src = os.path.dirname(os.path.dirname(grr.__file__))
+        r = subprocess.run(
+            [sys.executable, "-m", "grr.cli", "loss", "--config", cfg],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
+        )
+        assert r.returncode == 2
+        assert r.stdout == ""
+        head = (f"ERROR grr: degenerate input: frame 1 (rays {rays}, "
+                f"points {work / 'world_points_0001.csv'}): correspondences are collinear")
+        assert r.stderr.startswith(head), r.stderr
+        assert r.stderr.count("\n") == 1
 
 
 class TestExitCodes:

@@ -18,7 +18,7 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
-from grr.geometry import _cross_rows, _row_norms
+from grr.geometry import _cross_rows, _row_norms, _row_sums
 
 
 class TestRotation:
@@ -263,8 +263,9 @@ def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
 
 
 class TestRowHelpers:
-    """The private row-wise cross product and row norm agree bit for bit with
-    np.cross and np.linalg.norm(axis=1), which they replace on the solve path."""
+    """The private row-wise cross product, row sum and row norm agree bit for
+    bit with np.cross, sum(axis=-1) and np.linalg.norm(axis=-1), which they
+    replace on the solve and training paths."""
 
     @staticmethod
     def rows(seed: int) -> np.ndarray:
@@ -299,6 +300,54 @@ class TestRowHelpers:
         with np.errstate(over="ignore"):  # 1e200 squared overflows on both sides
             _assert_bitwise(_row_norms(x, keepdims=keepdims),
                             np.linalg.norm(x, axis=1, keepdims=keepdims))
+
+    @staticmethod
+    def sum_cases() -> dict:
+        """Row sets for the row-sum and row-norm parity checks."""
+        rng = Seed(7).rng()
+        spread = rng.standard_normal((256, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (256, 3))
+        pairs = rng.standard_normal((40, 2, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (40, 2, 3))
+        # Products of these rows are all -0.0, all +0.0, or mixed zeros.
+        a = np.array([[-0.0, 1.0, -2.0], [0.0, -0.0, 3.0], [-0.0, -0.0, -0.0], [1.0, 0.0, -0.0]])
+        b = np.array([[1.0, -0.0, 0.0], [-1.0, -2.0, -0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])
+        big = np.array([[1e200, 1e200, 0.0], [1e308, 1e308, -1e308], [-1e308, -1e308, 1.0]])
+        inf = np.array([[np.inf, 1.0, 2.0], [np.inf, -np.inf, 0.0], [-np.inf, -np.inf, 5e-324]])
+        nan = np.array([[np.nan, 1.0, 2.0], [0.0, np.nan, -0.0], [1.0, 2.0, np.nan]])
+        return {
+            "spread": spread,
+            "strided": pairs[:, 0],
+            "zero-rows": np.zeros((0, 3)),
+            "one-row": spread[:1],
+            "signed-zero-products": a * b,
+            "overflow": big,
+            "inf": inf,
+            "nan": nan,
+        }
+
+    @pytest.mark.parametrize("case", ["spread", "strided", "zero-rows", "one-row",
+                                      "signed-zero-products", "overflow", "inf", "nan"])
+    def test_row_sums_and_norms_match_numpy(self, case):
+        x = self.sum_cases()[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_bitwise(_row_sums(x), x.sum(axis=-1))
+            for keepdims in (False, True):
+                _assert_bitwise(_row_norms(x, keepdims=keepdims),
+                                np.linalg.norm(x, axis=-1, keepdims=keepdims))
+
+    def test_signed_zero_case_has_negative_zero_products(self):
+        x = self.sum_cases()["signed-zero-products"]
+        assert np.signbit(x[0]).all() and not np.signbit(x[1]).all()
+        assert x.sum(axis=-1)[0] == 0.0 and not np.signbit(x.sum(axis=-1)[0])
+
+    @pytest.mark.parametrize("row,expected", [
+        ([1e16, 1.0, 1.0], 1e16),  # (1e16 + 1) + 1 rounds twice; 1e16 + (1 + 1) would not
+        ([1.0, 1.0, 1e16], 1e16 + 2.0),
+        ([1.0, 1e16, 1.0], 1e16),
+    ])
+    def test_row_sums_add_left_to_right(self, row, expected):
+        x = np.array([row] * 5)
+        assert (_row_sums(x) == expected).all()
+        assert (x.sum(axis=-1) == expected).all()  # the order NumPy's reduction uses
 
     def test_geodesic_distance_matches_the_norm_form(self):
         for k in range(20):

@@ -1,7 +1,7 @@
 """Analytic VJPs vs central finite differences, guard behavior, pipeline grads."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,16 @@ from grr import (
     regularization_loss,
     rigid_align,
     rigid_align_vjp,
+)
+from grr.losses import _pair_grads
+from grr.solver import _kabsch_solve, _rigid_solve
+from grr.solver_grad import (
+    _dpow,
+    _frame_forward,
+    _h_cotangent,
+    _polar_h_cotangent,
+    _rigid_target_grad,
+    _target_grad,
 )
 
 FD_TOL = 1e-4
@@ -433,3 +443,140 @@ class TestFailureParity:
         assert math.isfinite(pipeline_loss(fi).total)
         with pytest.raises(NearSingularJacobian):
             pipeline_loss_grad(fi)
+
+
+def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def previous_kabsch_backward(fwd, rotation_grad):
+    """(target, source) gradients as the backward pass computed them before
+    the target-only split: both sides always, sum(axis=1) for the radial part."""
+    u, s, vt, sign = fwd.svd
+    hbar = u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
+    cov = fwd.cov
+    grad_target = cov.w[:, np.newaxis] * (cov.src @ hbar.T)
+    grad_source = cov.w[:, np.newaxis] * (cov.tgt @ hbar)
+    if cov.src_norms is not None:
+        def chain(unit, norms, grads):
+            return (grads - (grads * unit).sum(axis=1, keepdims=True) * unit) / norms
+
+        grad_target = chain(cov.tgt, cov.tgt_norms, grad_target)
+        grad_source = chain(cov.src, cov.src_norms, grad_source)
+    return grad_target, grad_source
+
+
+def previous_rigid_backward(fwd, rotation_grad, translation_grad):
+    target, source = previous_kabsch_backward(
+        fwd.kabsch, rotation_grad - np.outer(translation_grad, fwd.c_src))
+    share = fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
+    return (target + share * translation_grad,
+            source - share * (fwd.pose.r.m.T @ translation_grad))
+
+
+def weighted(problem: AlignmentProblem, s: int) -> AlignmentProblem:
+    w = Seed(s).rng().uniform(0.0, 2.0, problem.size)
+    w[1] = 0.0
+    return AlignmentProblem(problem.source, problem.target, w)
+
+
+BACKWARD_PROBLEMS = {
+    **{f"rays-seed{s}": (lambda s=s: random_alignment_problem(Seed(s))) for s in range(3)},
+    **{f"points-seed{s}": (lambda s=s: random_rigid_problem(Seed(s))) for s in range(3)},
+    "weighted-rays": lambda: weighted(random_alignment_problem(Seed(5)), 5),
+    "weighted-points": lambda: weighted(random_rigid_problem(Seed(6)), 6),
+    "reflective": lambda: mirrored_slab_problem(7),
+}
+
+SCATTER_CASES = ["default-p1-seed100", "default-p2-seed100", "8-connected-p1",
+                 "8-connected-p2", "2x2-grid-p1", "2x2-grid-p2", "m3-p1", "m3-p2"]
+
+
+def per_column_scatter(neighbors, coef, pull, delta, rays):
+    """The pair gradient as one np.bincount per gradient column, over the
+    concatenated (i, j) indices with (ray, point) rows at i, then at j."""
+    i, j = neighbors.pairs[:, 0], neighbors.pairs[:, 1]
+    rows = np.concatenate([
+        np.concatenate([coef * rays[j], pull * delta], axis=1),
+        np.concatenate([coef * rays[i], -(pull * delta)], axis=1),
+    ])
+    idx = neighbors.pairs.T.ravel()
+    return np.stack([np.bincount(idx, weights=c, minlength=neighbors.n_items)
+                     for c in rows.T], axis=1)
+
+
+class TestBackwardParity:
+    """The target-only backward and the single-bincount pair scatter give the
+    bytes the full backward and the per-column scatter give."""
+
+    @pytest.mark.parametrize("case", sorted(BACKWARD_PROBLEMS))
+    def test_target_only_matches_full_backward(self, case):
+        problem = BACKWARD_PROBLEMS[case]()
+        rng = Seed(11).rng()
+        g_rot, g_t = rng.standard_normal((3, 3)), rng.standard_normal(3)
+
+        rays = _kabsch_solve(problem, normalize=True)
+        want_target, want_source = previous_kabsch_backward(rays, g_rot)
+        _assert_bitwise(_target_grad(rays, _h_cotangent(rays, g_rot)), want_target)
+        full = kabsch_rotation_vjp(VjpRequest(problem, g_rot), normalize=True)
+        _assert_bitwise(full.target, want_target)
+        _assert_bitwise(full.source, want_source)
+
+        points = _rigid_solve(problem)
+        for req in (VjpRequest(problem, g_rot, g_t), VjpRequest(problem, np.zeros((3, 3)), g_t)):
+            want_target, want_source = previous_rigid_backward(
+                points, req.rotation_grad, req.translation_grad)
+            _assert_bitwise(_rigid_target_grad(points, req), want_target)
+            full = rigid_align_vjp(req)
+            _assert_bitwise(full.target, want_target)
+            _assert_bitwise(full.source, want_source)
+
+    @pytest.mark.parametrize("case", SCATTER_CASES)
+    def test_single_bincount_matches_per_column_scatter(self, case):
+        fi = AGREEMENT_CASES[case]()
+        pr, k, w = _frame_forward(fi).pairs, len(fi.neighbors), fi.weights
+        i, j = fi.neighbors.pairs[:, 0], fi.neighbors.pairs[:, 1]
+        _assert_bitwise(pr.d_ij[0], fi.rays_pred[i])
+        _assert_bitwise(pr.d_ij[1], fi.rays_pred[j])
+        _assert_bitwise(pr.delta, fi.pts_pred[i] - fi.pts_pred[j])
+        coef = ((w.w_reg_r / k) * _dpow(pr.ray_dev, fi.p))[:, np.newaxis]
+        pull = ((w.w_reg_p / k) * _dpow(pr.dist_dev, fi.p) / pr.dist_hat)[:, np.newaxis]
+        got = _pair_grads(fi.neighbors, coef, pr.d_ij, pull, pr.delta)
+        _assert_bitwise(np.concatenate(got, axis=1),
+                        per_column_scatter(fi.neighbors, coef, pull, pr.delta, fi.rays_pred))
+
+    def test_scatter_keeps_the_summation_order(self):
+        # Coefficients over 60 decades: a bin summed in another order rounds differently.
+        neighbors = NeighborSet.grid(4, connectivity=8)
+        k, rng = len(neighbors), Seed(12).rng()
+        coef, pull = (rng.standard_normal((k, 1)) * 10.0 ** rng.uniform(-30, 30, (k, 1))
+                      for _ in range(2))
+        rays, delta = rng.standard_normal((16, 3)), rng.standard_normal((k, 3))
+        i, j = neighbors.pairs[:, 0], neighbors.pairs[:, 1]
+        got = _pair_grads(neighbors, coef, np.stack([rays[i], rays[j]]), pull, delta)
+        _assert_bitwise(np.concatenate(got, axis=1),
+                        per_column_scatter(neighbors, coef, pull, delta, rays))
+
+    def test_cached_scatter_index_is_read_only(self):
+        neighbors = NeighborSet.grid(3, connectivity=8)
+        assert neighbors._scatter_index is neighbors._scatter_index
+        assert not neighbors._scatter_index.flags.writeable
+        with pytest.raises(ValueError):
+            neighbors._scatter_index[0] = 1
+        assert not neighbors.pairs.flags.writeable
+
+    def test_neighbor_set_value_semantics_unchanged(self):
+        a = NeighborSet(3, [[0, 1], [1, 2]])
+        fresh_repr = repr(a)
+        a._scatter_index  # fill the cache
+        assert repr(a) == fresh_repr
+        assert repr(a) == "NeighborSet(n_items=3, pairs=array([[0, 1],\n       [1, 2]]))"
+        assert [f.name for f in fields(a)] == ["n_items", "pairs"]
+        assert a == a
+        assert a != NeighborSet(2, [[0, 1]])
+        # Bins (part * n_items + item) * 3 + column; a replaced set builds its own.
+        rays_part = [0, 1, 2, 3, 4, 5, 3, 4, 5, 6, 7, 8]
+        assert a._scatter_index.tolist() == rays_part + [b + 9 for b in rays_part]
+        b = replace(a, n_items=4)
+        assert b._scatter_index.tolist() == rays_part + [b + 12 for b in rays_part]
