@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
@@ -44,15 +43,13 @@ from .config import (
 from .geometry import (
     Pose,
     Seed,
-    geodesic_distance,
     load_poses,
     random_rotation_matrices,
     save_poses,
 )
 from .losses import NeighborSet, domain_bce, total_loss
-from .metrics import pose_errors, summarize_records
+from .metrics import FrameRecord, _score_degenerate, _score_solved, summarize_records
 from .simulator import (
-    FrameRecord,
     ablation_sweep,
     sample_poses,
     write_report_csv,
@@ -195,24 +192,15 @@ def cmd_solve(args) -> int:
             log.warning("frame %d degenerate: %s", idx, exc)
             # Placeholder identity pose keeps the output file frame-aligned.
             poses.append(Pose.identity())
-            records.append(
-                FrameRecord(idx, math.nan, math.nan, math.nan, f"degenerate:{exc.branch}")
-            )
+            records.append(_score_degenerate(idx, exc))
             continue
         poses.append(rec.pose)
-        if gt is not None:
-            rot_deg, trans = pose_errors(rec.pose, gt[idx])
-            pts_deg = math.degrees(
-                geodesic_distance(rec.rotation_from_points, gt[idx].r)
-            )
-            records.append(FrameRecord(idx, rot_deg, pts_deg, trans, "ok"))
-        else:
-            records.append(FrameRecord(idx, math.nan, math.nan, math.nan, "ok"))
+        records.append(_score_solved(idx, rec, None if gt is None else gt[idx]))
 
     save_poses(poses, os.path.join(out, "solved_poses.txt"))
     write_report_csv(records, os.path.join(out, "frames.csv"), have_gt=gt is not None)
-    summary = summarize_records(records, unit_scale=unit_scale, have_gt=gt is not None)
-    _emit(summary.to_json_dict())
+    report = summarize_records(records, unit_scale=unit_scale, have_gt=gt is not None)
+    _emit(report.to_json_dict())
     return EXIT_OK
 
 

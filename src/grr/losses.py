@@ -242,13 +242,20 @@ def regularization_loss(
     toward the canonical camera-frame dot product (a rotation-invariant
     target, so this term never fights the unknown pose), and the predicted
     pairwise point distance toward the ground-truth pairwise distance.
-    Both deviations enter as |x|^p; the sum is averaged over pairs.
+    Both deviations enter as |x|^p; the sum is averaged over pairs. Every
+    array must have one row per neighbor-set item.
     """
     _check_p(p)
     d_hat = _rows(rays_hat, "rays_hat")
     p_hat = _rows(pts_hat, "pts_hat")
     d_cam = _rows(rays_cam, "rays_cam")
     p_gt = _rows(pts_gt, "pts_gt")
+    named = (("rays_hat", d_hat), ("pts_hat", p_hat), ("rays_cam", d_cam), ("pts_gt", p_gt))
+    for name, arr in named:
+        if arr.shape[0] != neighbors.n_items:
+            raise ValueError(
+                f"neighbor set is over {neighbors.n_items} items, {name} has {arr.shape[0]}"
+            )
     return _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors, weights, p).value
 
 

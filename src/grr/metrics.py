@@ -1,4 +1,4 @@
-"""Evaluation metrics shared by the CLI and the simulator reports."""
+"""Per-frame scores and median summaries, shared by the CLI and the simulator reports."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Pose, geodesic_distance
-from .simulator import FrameRecord, median
+from .solver import DegenerateConfiguration, PoseRecovery
 
-__all__ = ["MetricsSummary", "pose_errors", "median", "summarize_records"]
+__all__ = ["FrameRecord", "TrialReport", "pose_errors", "median", "summarize_records"]
 
 
 def pose_errors(est: Pose, gt: Pose) -> tuple[float, float]:
@@ -25,22 +25,68 @@ def pose_errors(est: Pose, gt: Pose) -> tuple[float, float]:
     return rot, trans
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
-    """Medians over solved frames. median_translation is pre-multiplied by
-    unit_scale (e.g. 100 reports centimeters for meter-scale scenes); None
-    when no frame had ground truth or none solved."""
+def median(values: Sequence[float]) -> float:
+    """Median with the even-count convention: mean of the two middle order
+    statistics. NaN for an empty sequence."""
+    if len(values) == 0:
+        return math.nan
+    return float(np.median(np.asarray(values, dtype=np.float64)))
 
-    median_rotation_deg: float | None
-    median_translation: float | None
-    frame_count: int
+
+@dataclass(frozen=True)
+class FrameRecord:
+    """One frame's scores. Errors are NaN when status is not "ok"."""
+
+    frame: int
+    rot_err_rays_deg: float
+    rot_err_points_deg: float
+    trans_err: float
+    status: str
+
+
+def _score_solved(idx: int, rec: PoseRecovery, gt: Pose | None) -> FrameRecord:
+    """An "ok" record for a solved frame; NaN errors without a ground-truth pose."""
+    if gt is None:
+        return FrameRecord(idx, math.nan, math.nan, math.nan, "ok")
+    t_err = rec.pose.t - gt.t
+    return FrameRecord(
+        frame=idx,
+        rot_err_rays_deg=math.degrees(geodesic_distance(rec.pose.r, gt.r)),
+        rot_err_points_deg=math.degrees(geodesic_distance(rec.rotation_from_points, gt.r)),
+        trans_err=math.sqrt(t_err.dot(t_err)),  # np.linalg.norm's 1-D path
+        status="ok",
+    )
+
+
+def _score_degenerate(idx: int, exc: DegenerateConfiguration) -> FrameRecord:
+    """A "degenerate:<branch>" record with NaN errors for a frame that did not solve."""
+    return FrameRecord(idx, math.nan, math.nan, math.nan, f"degenerate:{exc.branch or 'unknown'}")
+
+
+@dataclass(frozen=True)
+class TrialReport:
+    """Per-frame records plus medians over the frames that solved; the
+    medians are NaN when none did or the frames had no ground truth."""
+
+    records: tuple[FrameRecord, ...]
+    median_rot_err_rays_deg: float
+    median_rot_err_points_deg: float
+    median_trans_err: float
     failure_count: int
     unit_scale: float = 1.0
 
+    @property
+    def frame_count(self) -> int:
+        return len(self.records)
+
     def to_json_dict(self) -> dict:
+        """`grr solve`'s summary. median_translation is multiplied by unit_scale
+        (e.g. 100 reports centimeters for meter-scale scenes); both medians are
+        None when no frame had ground truth or none solved."""
+        scored = not math.isnan(self.median_rot_err_rays_deg)
         return {
-            "median_rotation_deg": self.median_rotation_deg,
-            "median_translation": self.median_translation,
+            "median_rotation_deg": self.median_rot_err_rays_deg if scored else None,
+            "median_translation": self.median_trans_err * self.unit_scale if scored else None,
             "frame_count": self.frame_count,
             "failure_count": self.failure_count,
             "unit_scale": self.unit_scale,
@@ -49,15 +95,16 @@ class MetricsSummary:
 
 def summarize_records(
     records: Sequence[FrameRecord], unit_scale: float = 1.0, have_gt: bool = True
-) -> MetricsSummary:
+) -> TrialReport:
+    """The report over `records`; have_gt=False (frames solved without
+    ground-truth poses) leaves every median NaN."""
     ok = [r for r in records if r.status == "ok"]
-    failures = len(records) - len(ok)
-    if not have_gt or not ok:
-        return MetricsSummary(None, None, len(records), failures, unit_scale)
-    return MetricsSummary(
-        median_rotation_deg=median([r.rot_err_rays_deg for r in ok]),
-        median_translation=median([r.trans_err for r in ok]) * unit_scale,
-        frame_count=len(records),
-        failure_count=failures,
+    scored = ok if have_gt else []
+    return TrialReport(
+        records=tuple(records),
+        median_rot_err_rays_deg=median([r.rot_err_rays_deg for r in scored]),
+        median_rot_err_points_deg=median([r.rot_err_points_deg for r in scored]),
+        median_trans_err=median([r.trans_err for r in scored]),
+        failure_count=len(records) - len(ok),
         unit_scale=unit_scale,
     )

@@ -17,14 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .camera import PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays, world_points, world_rays
-from .geometry import Pose, Rotation, Seed, _cross_rows, _row_norms, geodesic_distance
+from .geometry import Pose, Rotation, Seed, _cross_rows, _row_norms
+from .metrics import FrameRecord, TrialReport, _score_degenerate, _score_solved, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
 __all__ = [
     "PosePerturbSpec",
     "NoiseSpec",
-    "FrameRecord",
-    "TrialReport",
     "sample_poses",
     "perturb_representations",
     "run_trial",
@@ -83,51 +82,6 @@ class NoiseSpec:
         bias = bias.copy()
         bias.flags.writeable = False
         object.__setattr__(self, "point_bias", bias)
-
-
-def median(values: Sequence[float]) -> float:
-    """Median with the even-count convention: mean of the two middle order
-    statistics. NaN for an empty sequence."""
-    if len(values) == 0:
-        return math.nan
-    return float(np.median(np.asarray(values, dtype=np.float64)))
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    """One frame's scores. Errors are NaN when status is not "ok"."""
-
-    frame: int
-    rot_err_rays_deg: float
-    rot_err_points_deg: float
-    trans_err: float
-    status: str
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    """Per-frame records plus medians over the frames that solved."""
-
-    records: tuple[FrameRecord, ...]
-    median_rot_err_rays_deg: float
-    median_rot_err_points_deg: float
-    median_trans_err: float
-    failure_count: int
-
-    @classmethod
-    def from_records(cls, records: Sequence[FrameRecord]) -> "TrialReport":
-        ok = [r for r in records if r.status == "ok"]
-        return cls(
-            records=tuple(records),
-            median_rot_err_rays_deg=median([r.rot_err_rays_deg for r in ok]),
-            median_rot_err_points_deg=median([r.rot_err_points_deg for r in ok]),
-            median_trans_err=median([r.trans_err for r in ok]),
-            failure_count=len(records) - len(ok),
-        )
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.records)
 
 
 def sample_poses(base: Sequence[Pose], spec: PosePerturbSpec) -> list[Pose]:
@@ -205,16 +159,8 @@ def _score_frame(
     try:
         rec = recover_pose(rays_cam, pts_cam, d_pred, p_pred)
     except DegenerateConfiguration as exc:
-        return FrameRecord(idx, math.nan, math.nan, math.nan,
-                           f"degenerate:{exc.branch or 'unknown'}")
-    t_err = rec.pose.t - pose.t
-    return FrameRecord(
-        frame=idx,
-        rot_err_rays_deg=math.degrees(geodesic_distance(rec.pose.r, pose.r)),
-        rot_err_points_deg=math.degrees(geodesic_distance(rec.rotation_from_points, pose.r)),
-        trans_err=math.sqrt(t_err.dot(t_err)),  # np.linalg.norm's 1-D path
-        status="ok",
-    )
+        return _score_degenerate(idx, exc)
+    return _score_solved(idx, rec, pose)
 
 
 def run_trial(grid: PatchGrid, poses: Sequence[Pose], noise: NoiseSpec) -> TrialReport:
@@ -226,7 +172,7 @@ def run_trial(grid: PatchGrid, poses: Sequence[Pose], noise: NoiseSpec) -> Trial
     """
     rays_cam = canonical_rays(grid)
     pts_cam = canonical_points(rays_cam)
-    return TrialReport.from_records(
+    return summarize_records(
         [_score_frame(idx, pose, rays_cam, pts_cam, noise) for idx, pose in enumerate(poses)]
     )
 

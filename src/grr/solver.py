@@ -190,6 +190,23 @@ def _rigid_solve(problem: AlignmentProblem) -> _RigidSolve:
     return _RigidSolve(Pose(kabsch.rotation, t), kabsch, c_src, wsum)
 
 
+def _solve_frame(
+    ray_problem: AlignmentProblem, pt_problem: AlignmentProblem
+) -> tuple[_KabschSolve, _RigidSolve]:
+    """Both branches of one frame: the ray Kabsch solve and the rigid point
+    solve. DegenerateConfiguration from either is re-raised with `branch`
+    set to "rays" or "points" and the branch named in the message."""
+    try:
+        rays = _kabsch_solve(ray_problem, normalize=True)
+    except DegenerateConfiguration as exc:
+        raise DegenerateConfiguration(f"ray branch: {exc}", branch="rays") from exc
+    try:
+        pts = _rigid_solve(pt_problem)
+    except DegenerateConfiguration as exc:
+        raise DegenerateConfiguration(f"point branch: {exc}", branch="points") from exc
+    return rays, pts
+
+
 def kabsch_rotation(
     problem: AlignmentProblem, normalize: bool = True
 ) -> tuple[Rotation, SolveDiagnostics]:
@@ -241,21 +258,13 @@ def recover_pose(
         raise ValueError("canonical and predicted ray bundles differ in length")
     if len(pts_cam) != len(pts_pred):
         raise ValueError("canonical and predicted pointmaps differ in length")
-    try:
-        r_hat, ray_diag = kabsch_rotation(
-            AlignmentProblem(rays_cam.dirs, rays_pred.dirs, weights), normalize=True
-        )
-    except DegenerateConfiguration as exc:
-        raise DegenerateConfiguration(f"ray branch: {exc}", branch="rays") from exc
-    try:
-        point_pose, pt_diag = rigid_align(
-            AlignmentProblem(pts_cam.pts, pts_pred.pts, weights)
-        )
-    except DegenerateConfiguration as exc:
-        raise DegenerateConfiguration(f"point branch: {exc}", branch="points") from exc
+    rays, pts = _solve_frame(
+        AlignmentProblem(rays_cam.dirs, rays_pred.dirs, weights),
+        AlignmentProblem(pts_cam.pts, pts_pred.pts, weights),
+    )
     return PoseRecovery(
-        pose=Pose(r_hat, point_pose.t),
-        rotation_from_points=point_pose.r,
-        ray_diagnostics=ray_diag,
-        point_diagnostics=pt_diag,
+        pose=Pose(rays.rotation, pts.pose.t),
+        rotation_from_points=pts.pose.r,
+        ray_diagnostics=rays.diag,
+        point_diagnostics=pts.kabsch.diag,
     )

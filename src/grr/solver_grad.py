@@ -51,6 +51,7 @@ from .solver import (
     _KabschSolve,
     _rigid_solve,
     _RigidSolve,
+    _solve_frame,
 )
 
 __all__ = [
@@ -281,8 +282,7 @@ _FramePass = namedtuple(
 def _frame_forward(fi: FrameInputs) -> _FramePass:
     ray_problem = AlignmentProblem(fi.rays_cam, fi.rays_pred)
     pt_problem = AlignmentProblem(fi.pts_cam, fi.pts_pred)
-    rays = _kabsch_solve(ray_problem, normalize=True)
-    pts = _rigid_solve(pt_problem)
+    rays, pts = _solve_frame(ray_problem, pt_problem)
     d_gt = fi.rays_cam @ fi.gt.r.m.T
     p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
     w, p = fi.weights, _check_p(fi.p)

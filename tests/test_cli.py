@@ -308,7 +308,8 @@ class TestLoss:
         assert r.returncode == 2
         assert r.stdout == ""
         head = (f"ERROR grr: degenerate input: frame 1 (rays {rays}, "
-                f"points {work / 'world_points_0001.csv'}): correspondences are collinear")
+                f"points {work / 'world_points_0001.csv'}): "
+                "ray branch: correspondences are collinear")
         assert r.stderr.startswith(head), r.stderr
         assert r.stderr.count("\n") == 1
 

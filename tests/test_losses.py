@@ -254,6 +254,15 @@ class TestRegularizationLoss:
         with pytest.raises(ValueError, match="neighbor set is over 4 items"):
             regularization_loss(d, pts, d, pts, nb, LossWeights(), 2)
 
+    @pytest.mark.parametrize("short", ["pts_hat", "rays_cam", "pts_gt"])
+    def test_short_array_rejected_by_name(self, short):
+        nb = NeighborSet.grid(4)
+        arrays = {name: np.tile(np.eye(3)[2], (16, 1))
+                  for name in ("rays_hat", "pts_hat", "rays_cam", "pts_gt")}
+        arrays[short] = arrays[short][:4]
+        with pytest.raises(ValueError, match=f"neighbor set is over 16 items, {short} has 4"):
+            regularization_loss(*arrays.values(), nb, LossWeights(), 2)
+
 
 class TestNeighborSet:
     def test_validation(self):

@@ -1,4 +1,4 @@
-"""Evaluation metrics: pose errors, median convention, record summaries."""
+"""Evaluation metrics: pose errors, median convention, frame scoring, record summaries."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 
 from grr import (
     FrameRecord,
-    MetricsSummary,
     Pose,
+    PoseRecovery,
     Rotation,
     Seed,
     median,
@@ -16,6 +16,7 @@ from grr import (
     random_rotation,
     summarize_records,
 )
+from grr.metrics import _score_solved
 
 
 class TestPoseErrors:
@@ -56,42 +57,71 @@ class TestMedian:
 
 
 class TestSummarizeRecords:
+    """The one report type: `grr solve`'s summary and the simulator's trial reports."""
+
     def ok(self, i, rot, trans):
         return FrameRecord(i, rot, rot + 1.0, trans, "ok")
 
     def failed(self, i):
         return FrameRecord(i, math.nan, math.nan, math.nan, "degenerate:rays")
 
+    def test_median_odd_count(self):
+        recs = [FrameRecord(0, 1.0, 9.0, 2.0, "ok"), FrameRecord(1, 2.0, 1.0, 9.0, "ok"),
+                FrameRecord(2, 9.0, 2.0, 1.0, "ok")]
+        rep = summarize_records(recs)
+        assert rep.median_rot_err_rays_deg == 2.0
+        assert rep.median_rot_err_points_deg == 2.0
+        assert rep.median_trans_err == 2.0
+        assert rep.failure_count == 0
+
+    def test_median_even_count_averages(self):
+        rep = summarize_records([self.ok(i, v, v) for i, v in enumerate([4.0, 1.0, 3.0, 2.0])])
+        assert rep.median_rot_err_rays_deg == 2.5
+        assert rep.median_rot_err_points_deg == 3.5
+        assert rep.median_trans_err == 2.5
+
     def test_medians_over_solved_frames_only(self):
         recs = [self.ok(0, 1.0, 0.1), self.failed(1), self.ok(2, 3.0, 0.3)]
-        s = summarize_records(recs)
-        assert s.median_rotation_deg == 2.0
-        assert s.median_translation == pytest.approx(0.2, rel=1e-12)
-        assert s.frame_count == 3
-        assert s.failure_count == 1
+        rep = summarize_records(recs)
+        assert rep.records == tuple(recs)
+        assert rep.median_rot_err_rays_deg == 2.0
+        assert rep.median_rot_err_points_deg == 3.0
+        assert rep.median_trans_err == pytest.approx(0.2, rel=1e-12)
+        assert rep.frame_count == 3
+        assert rep.failure_count == 1
+        d = rep.to_json_dict()
+        assert d["median_rotation_deg"] == 2.0
+        assert d["median_translation"] == rep.median_trans_err
+
+    def test_all_failed_gives_none(self):
+        rep = summarize_records([self.failed(0), self.failed(1)])
+        assert math.isnan(rep.median_rot_err_rays_deg)
+        assert math.isnan(rep.median_rot_err_points_deg)
+        assert math.isnan(rep.median_trans_err)
+        assert rep.failure_count == 2
+        d = rep.to_json_dict()
+        assert d["median_rotation_deg"] is None
+        assert d["median_translation"] is None
+        assert (d["frame_count"], d["failure_count"]) == (2, 2)
+
+    def test_no_ground_truth_gives_none(self):
+        rep = summarize_records([self.ok(0, 1.0, 0.5), self.failed(1)], have_gt=False)
+        d = rep.to_json_dict()
+        assert d["median_rotation_deg"] is None
+        assert d["median_translation"] is None
+        assert (d["frame_count"], d["failure_count"]) == (2, 1)
 
     def test_unit_scale_multiplies_translation_only(self):
         recs = [self.ok(0, 1.0, 0.5)]
-        s = summarize_records(recs, unit_scale=100.0)
-        assert s.median_rotation_deg == 1.0
-        assert s.median_translation == 50.0
-        assert s.unit_scale == 100.0
-
-    def test_no_ground_truth_gives_none(self):
-        recs = [self.ok(0, 1.0, 0.5)]
-        s = summarize_records(recs, have_gt=False)
-        assert s.median_rotation_deg is None
-        assert s.median_translation is None
-        assert s.frame_count == 1
-
-    def test_all_failed_gives_none(self):
-        s = summarize_records([self.failed(0), self.failed(1)])
-        assert s.median_rotation_deg is None
-        assert s.failure_count == 2
+        rep = summarize_records(recs, unit_scale=100.0)
+        assert rep.median_trans_err == 0.5
+        d = rep.to_json_dict()
+        assert d["median_rotation_deg"] == 1.0
+        assert d["median_translation"] == 50.0
+        assert d["unit_scale"] == 100.0
 
     def test_json_dict_shape(self):
-        s = MetricsSummary(1.5, 0.25, 4, 0, unit_scale=2.0)
-        d = s.to_json_dict()
+        d = summarize_records([self.ok(0, 1.5, 0.125)] * 4, unit_scale=2.0).to_json_dict()
         assert d == {
             "median_rotation_deg": 1.5,
             "median_translation": 0.25,
@@ -99,3 +129,18 @@ class TestSummarizeRecords:
             "failure_count": 0,
             "unit_scale": 2.0,
         }
+
+
+class TestScoreSolved:
+    """The scorer `grr solve` and the simulator share."""
+
+    def test_trans_err_bitwise_equals_sqrt_dot_and_linalg_norm(self):
+        rng = Seed(90).rng()
+        for k in range(200):
+            gt = Pose(random_rotation(Seed(91).derive(k)), rng.normal(scale=10.0, size=3))
+            est = Pose(random_rotation(Seed(92).derive(k)), gt.t + rng.normal(size=3))
+            rec = PoseRecovery(est, est.r, None, None)
+            got = _score_solved(k, rec, gt).trans_err
+            t = est.t - gt.t
+            assert got == math.sqrt(t.dot(t))
+            assert got == float(np.linalg.norm(t))

@@ -18,7 +18,6 @@ from grr import (
     PosePerturbSpec,
     RayBundle,
     Seed,
-    TrialReport,
     ablation_sweep,
     canonical_points,
     canonical_rays,
@@ -290,44 +289,6 @@ class TestSamplePoses:
             PosePerturbSpec(0.0, 0.0, count=0, seed=Seed(0))
         with pytest.raises(ValueError, match="nonnegative"):
             PosePerturbSpec(-1.0, 0.0, count=1, seed=Seed(0))
-
-
-class TestTrialReport:
-    def ok(self, i, r1, r2, t):
-        return FrameRecord(i, r1, r2, t, "ok")
-
-    def test_median_odd_count(self):
-        rep = TrialReport.from_records(
-            [self.ok(0, 1.0, 9.0, 2.0), self.ok(1, 2.0, 1.0, 9.0), self.ok(2, 9.0, 2.0, 1.0)]
-        )
-        assert rep.median_rot_err_rays_deg == 2.0
-        assert rep.median_rot_err_points_deg == 2.0
-        assert rep.median_trans_err == 2.0
-        assert rep.failure_count == 0
-
-    def test_median_even_count_averages(self):
-        rep = TrialReport.from_records(
-            [self.ok(i, v, v, v) for i, v in enumerate([4.0, 1.0, 3.0, 2.0])]
-        )
-        assert rep.median_rot_err_rays_deg == 2.5
-
-    def test_failures_excluded_from_medians(self):
-        recs = [
-            self.ok(0, 1.0, 1.0, 1.0),
-            FrameRecord(1, math.nan, math.nan, math.nan, "degenerate:rays"),
-            self.ok(2, 3.0, 3.0, 3.0),
-        ]
-        rep = TrialReport.from_records(recs)
-        assert rep.median_rot_err_rays_deg == 2.0
-        assert rep.failure_count == 1
-        assert rep.frame_count == 3
-
-    def test_all_failed_gives_nan_medians(self):
-        rep = TrialReport.from_records(
-            [FrameRecord(0, math.nan, math.nan, math.nan, "degenerate:points")]
-        )
-        assert math.isnan(rep.median_trans_err)
-        assert rep.failure_count == 1
 
 
 class TestRunTrial:

@@ -8,6 +8,9 @@ import pytest
 from grr import (
     AlignmentProblem,
     DegenerateConfiguration,
+    FrameInputs,
+    LossWeights,
+    NeighborSet,
     PointMap,
     Pose,
     RayBundle,
@@ -17,6 +20,8 @@ from grr import (
     canonical_rays,
     geodesic_distance,
     kabsch_rotation,
+    pipeline_loss,
+    pipeline_loss_grad,
     random_rotation,
     random_rotation_matrices,
     recover_pose,
@@ -314,6 +319,14 @@ class TestFailureParity:
         pts = canonical_points(rays)
         return rays, pts, world_rays(pose, rays), world_points(pose, pts)
 
+    @staticmethod
+    def training_raised(rays, pts, rays_pred, pts_pred):
+        """What pipeline_loss and pipeline_loss_grad raise on the same frame
+        recover_pose gets, wrapped as training inputs."""
+        fi = FrameInputs(rays.dirs, pts.pts, rays_pred.dirs, pts_pred.pts, Pose.identity(),
+                         NeighborSet.grid(math.isqrt(len(rays))), LossWeights(), 2)
+        return _raised(pipeline_loss, fi), _raised(pipeline_loss_grad, fi)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rays(self, grid4, bad):
         rays, _, wr, _ = self.frame(grid4)
@@ -360,8 +373,9 @@ class TestFailureParity:
         rays, pts, _, wp = self.frame(grid4)
         z = np.tile(np.array([0.0, 0.6, 0.8]), (len(rays), 1))
         src = rays.dirs / np.linalg.norm(rays.dirs, axis=1, keepdims=True)
-        assert _raised(recover_pose, rays, pts, RayBundle(z), wp) == (
-            DegenerateConfiguration, _collinear_message("ray branch: ", z.T @ src), "rays")
+        want = (DegenerateConfiguration, _collinear_message("ray branch: ", z.T @ src), "rays")
+        assert _raised(recover_pose, rays, pts, RayBundle(z), wp) == want
+        assert self.training_raised(rays, pts, RayBundle(z), wp) == (want, want)
 
     def test_collinear_points_report_the_point_branch(self, grid4):
         rays, pts, wr, _ = self.frame(grid4)
@@ -370,6 +384,7 @@ class TestFailureParity:
         h = (line - (w @ line) / w.sum()).T @ (pts.pts - (w @ pts.pts) / w.sum())
         want = (DegenerateConfiguration, _collinear_message("point branch: ", h), "points")
         assert _raised(recover_pose, rays, pts, wr, PointMap(line)) == want
+        assert self.training_raised(rays, pts, wr, PointMap(line)) == (want, want)
 
     def test_non_orthonormal_rotation(self):
         m = np.eye(3) + 1e-3
