@@ -18,6 +18,7 @@ from grr import (
     PosePerturbSpec,
     RayBundle,
     Seed,
+    TrialReport,
     ablation_sweep,
     canonical_points,
     canonical_rays,
@@ -26,6 +27,7 @@ from grr import (
     recover_pose,
     run_trial,
     sample_poses,
+    summarize_records,
     write_report_csv,
     write_sweep_csv,
 )
@@ -289,6 +291,33 @@ class TestSamplePoses:
             PosePerturbSpec(0.0, 0.0, count=0, seed=Seed(0))
         with pytest.raises(ValueError, match="nonnegative"):
             PosePerturbSpec(-1.0, 0.0, count=1, seed=Seed(0))
+
+
+class TestTrialReport:
+    """Trial-report medians as the simulator reads them; the full summary
+    contract is in test_metrics.TestSummarizeRecords."""
+
+    def ok(self, i, r1, r2, t):
+        return FrameRecord(i, r1, r2, t, "ok")
+
+    def test_failures_excluded_from_medians(self):
+        recs = [
+            self.ok(0, 1.0, 1.0, 1.0),
+            FrameRecord(1, math.nan, math.nan, math.nan, "degenerate:rays"),
+            self.ok(2, 3.0, 3.0, 3.0),
+        ]
+        rep = summarize_records(recs)
+        assert isinstance(rep, TrialReport)
+        assert rep.median_rot_err_rays_deg == 2.0
+        assert rep.failure_count == 1
+        assert rep.frame_count == 3
+
+    def test_all_failed_gives_nan_medians(self):
+        rep = summarize_records(
+            [FrameRecord(0, math.nan, math.nan, math.nan, "degenerate:points")]
+        )
+        assert math.isnan(rep.median_trans_err)
+        assert rep.failure_count == 1
 
 
 class TestRunTrial:
