@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _row_norms
+from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _read_only, _row_norms
 
 __all__ = [
     "Intrinsics",
@@ -86,7 +86,11 @@ class PatchGrid:
 
 @dataclass(frozen=True)
 class RayBundle:
-    """Row-stack of unit direction vectors, one per patch, row-major order."""
+    """Row-stack of unit direction vectors, one per patch, row-major order.
+
+    `norms` (the (m, 1) row norms validation computed) and `unit` (computed
+    once) are read-only per-instance attributes, not dataclass fields.
+    """
 
     dirs: np.ndarray
 
@@ -96,11 +100,17 @@ class RayBundle:
             raise ValueError(f"dirs must have shape (m, 3), got {d.shape}")
         if not np.isfinite(d).all():
             raise ValueError("dirs contains non-finite entries")
-        norms = _row_norms(d)
+        norms = _row_norms(d, keepdims=True)
         worst = float(np.abs(norms - 1.0).max()) if d.shape[0] else 0.0
         if worst > UNIT_TOL:
             raise ValueError(f"ray norms deviate from 1 by up to {worst:.3e}")
         _freeze(self, "dirs", d)
+        object.__setattr__(self, "norms", _read_only(norms))
+
+    @functools.cached_property
+    def unit(self) -> np.ndarray:
+        """dirs / norms, the unit rows the ray solve aligns."""
+        return _read_only(self.dirs / self.norms)
 
     @classmethod
     def from_array(cls, arr, normalize: bool = False) -> "RayBundle":
@@ -118,7 +128,10 @@ class RayBundle:
 
 @dataclass(frozen=True)
 class PointMap:
-    """Row-stack of 3D points, one per patch, row-major order."""
+    """Row-stack of 3D points, one per patch, row-major order.
+
+    `centroid` and `centred` are computed once, like RayBundle.unit.
+    """
 
     pts: np.ndarray
 
@@ -132,6 +145,16 @@ class PointMap:
 
     def __len__(self) -> int:
         return self.pts.shape[0]
+
+    @functools.cached_property
+    def centroid(self) -> np.ndarray:
+        """(1 @ pts) / m: the rigid solve's centroid under uniform weights."""
+        return _read_only((np.ones(len(self)) @ self.pts) / len(self))
+
+    @functools.cached_property
+    def centred(self) -> np.ndarray:
+        """pts - centroid."""
+        return _read_only(self.pts - self.centroid)
 
 
 def _pixel_rays(intr: Intrinsics) -> np.ndarray:

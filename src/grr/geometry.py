@@ -80,10 +80,13 @@ def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return out
 
 
-def _freeze(obj, field: str, arr: np.ndarray) -> None:
-    arr = arr.copy()
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
-    object.__setattr__(obj, field, arr)
+    return arr
+
+
+def _freeze(obj, field: str, arr: np.ndarray) -> None:
+    object.__setattr__(obj, field, _read_only(arr.copy()))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation, _row_norms, _row_sums, geodesic_distance
+from .geometry import Pose, Rotation, _read_only, _row_norms, _row_sums, geodesic_distance
 
 __all__ = [
     "LossWeights",
@@ -101,8 +101,7 @@ class NeighborSet:
             canon = np.sort(pairs, axis=1)
             if np.unique(canon, axis=0).shape[0] != pairs.shape[0]:
                 raise ValueError("duplicate unordered pair in neighbor set")
-        pairs.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", _read_only(pairs))
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -114,9 +113,7 @@ class NeighborSet:
         every pair's i, then every pair's j. Cached once from the frozen
         pairs; not a field, so equality and repr are unchanged."""
         bins = (self.pairs.T.reshape(-1, 1) * 3 + np.arange(3)).ravel()
-        idx = np.concatenate([bins, bins + 3 * self.n_items])
-        idx.flags.writeable = False
-        return idx
+        return _read_only(np.concatenate([bins, bins + 3 * self.n_items]))
 
     @classmethod
     def grid(cls, n: int, connectivity: int = 4) -> "NeighborSet":

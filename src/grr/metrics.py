@@ -11,18 +11,7 @@ import numpy as np
 from .geometry import Pose, geodesic_distance
 from .solver import DegenerateConfiguration, PoseRecovery
 
-__all__ = ["FrameRecord", "TrialReport", "pose_errors", "median", "summarize_records"]
-
-
-def pose_errors(est: Pose, gt: Pose) -> tuple[float, float]:
-    """(rotation error in degrees, translation error in scene units).
-
-    Rotation error is the SO(3) geodesic between the estimates; translation
-    error is the Euclidean distance between camera centers.
-    """
-    rot = math.degrees(geodesic_distance(est.r, gt.r))
-    trans = float(np.linalg.norm(est.t - gt.t))
-    return rot, trans
+__all__ = ["FrameRecord", "TrialReport", "median", "summarize_records"]
 
 
 def median(values: Sequence[float]) -> float:

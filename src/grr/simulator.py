@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .camera import PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays, world_points, world_rays
-from .geometry import Pose, Rotation, Seed, _cross_rows, _row_norms
+from .geometry import Pose, Rotation, Seed, _cross_rows, _freeze, _row_norms
 from .metrics import FrameRecord, TrialReport, _score_degenerate, _score_solved, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
@@ -79,9 +79,7 @@ class NoiseSpec:
         bias = np.asarray(self.point_bias, dtype=np.float64)
         if bias.shape != (3,) or not np.isfinite(bias).all():
             raise ValueError("point_bias must be a finite 3-vector")
-        bias = bias.copy()
-        bias.flags.writeable = False
-        object.__setattr__(self, "point_bias", bias)
+        _freeze(self, "point_bias", bias)
 
 
 def sample_poses(base: Sequence[Pose], spec: PosePerturbSpec) -> list[Pose]:
@@ -121,9 +119,12 @@ def _tilt_rays(d: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def perturb_representations(
-    rays: RayBundle, pts: PointMap, spec: NoiseSpec
+    rays: RayBundle, pts: PointMap, spec: NoiseSpec, seed: Seed | None = None
 ) -> tuple[RayBundle, PointMap]:
-    """Apply the noise model. Pure function of (rays, pts, spec).
+    """Apply the noise model. Pure function of (rays, pts, spec, seed).
+
+    seed, when given, replaces spec.seed: the result equals that of
+    perturb_representations(rays, pts, dataclasses.replace(spec, seed=seed)).
 
     Draw order per call: tangent direction angles (m), tilt magnitudes (m),
     then point offsets (m, 3). Tilting a unit ray about an orthogonal axis
@@ -133,7 +134,7 @@ def perturb_representations(
     if len(rays) != len(pts):
         raise ValueError("ray bundle and pointmap lengths differ")
     m = len(rays)
-    rng = spec.seed.rng()
+    rng = (spec.seed if seed is None else seed).rng()
     phi = rng.uniform(0.0, 2.0 * math.pi, m)
     theta = np.abs(rng.standard_normal(m)) * spec.ray_sigma
     offsets = rng.standard_normal((m, 3)) * spec.point_sigma
@@ -154,8 +155,7 @@ def _score_frame(
 ) -> FrameRecord:
     d_gt = world_rays(pose, rays_cam)
     p_gt = world_points(pose, pts_cam)
-    frame_noise = replace(noise, seed=noise.seed.derive(idx))
-    d_pred, p_pred = perturb_representations(d_gt, p_gt, frame_noise)
+    d_pred, p_pred = perturb_representations(d_gt, p_gt, noise, seed=noise.seed.derive(idx))
     try:
         rec = recover_pose(rays_cam, pts_cam, d_pred, p_pred)
     except DegenerateConfiguration as exc:

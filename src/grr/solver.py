@@ -78,15 +78,7 @@ class AlignmentProblem:
             raise ValueError("correspondences contain non-finite entries")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (src.shape[0],):
-                raise ValueError(f"weights must be ({src.shape[0]},), got {w.shape}")
-            if not np.isfinite(w).all() or (w < 0.0).any():
-                raise ValueError("weights must be finite and nonnegative")
-            if w.sum() <= 0.0:
-                raise ValueError("weights must have a positive sum")
-            object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _checked_weights(self.weights, src.shape[0]))
 
     @property
     def size(self) -> int:
@@ -122,21 +114,22 @@ class PoseRecovery:
     point_diagnostics: SolveDiagnostics
 
 
+def _checked_weights(weights, m: int) -> np.ndarray | None:
+    """weights as a checked float64 (m,) array; None (uniform) passes through."""
+    if weights is None:
+        return None
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (m,):
+        raise ValueError(f"weights must be ({m},), got {w.shape}")
+    if not np.isfinite(w).all() or (w < 0.0).any():
+        raise ValueError("weights must be finite and nonnegative")
+    if w.sum() <= 0.0:
+        raise ValueError("weights must have a positive sum")
+    return w
+
+
 # H, the rows it was built from and, if renormalized, their (m, 1) norms.
 _CrossCovariance = namedtuple("_CrossCovariance", "h src tgt w src_norms tgt_norms")
-
-
-def _cross_covariance(problem: AlignmentProblem, normalize: bool) -> _CrossCovariance:
-    """H = sum_i w_i target_i source_i^T, optionally on renormalized rows."""
-    src = problem.source
-    tgt = problem.target
-    src_norms = tgt_norms = None
-    if normalize:
-        src, src_norms = _normalized_rows(src, "source")
-        tgt, tgt_norms = _normalized_rows(tgt, "target")
-    w = problem.effective_weights()
-    h = (tgt if problem.weights is None else w[:, np.newaxis] * tgt).T @ src  # x * 1.0 == x
-    return _CrossCovariance(h, src, tgt, w, src_norms, tgt_norms)
 
 
 def _svd_rotation(h: np.ndarray):
@@ -170,38 +163,56 @@ _KabschSolve = namedtuple("_KabschSolve", "rotation diag cov svd")
 _RigidSolve = namedtuple("_RigidSolve", "pose kabsch c_src wsum")
 
 
-def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> _KabschSolve:
-    cov = _cross_covariance(problem, normalize)
-    r, diag, svd = _svd_rotation(cov.h)
+def _kabsch_core(src, tgt, weights, src_norms=None, tgt_norms=None) -> _KabschSolve:
+    """The solve on checked rows; for rays, unit rows and the norms they were divided by."""
+    w = np.ones(src.shape[0]) if weights is None else weights
+    h = (tgt if weights is None else weights[:, np.newaxis] * tgt).T @ src  # x * 1.0 == x
+    r, diag, svd = _svd_rotation(h)
+    cov = _CrossCovariance(h, src, tgt, w, src_norms, tgt_norms)
     return _KabschSolve(Rotation(r), diag, cov, svd)
+
+
+def _centred(rows: np.ndarray, w: np.ndarray, wsum: float) -> tuple[np.ndarray, np.ndarray]:
+    c = (w @ rows) / wsum
+    return c, rows - c
+
+
+def _rigid_core(src, tgt, weights, wsum: float) -> _RigidSolve:
+    """The solve on the (centroid, centred rows) pairs of source and target."""
+    (c_src, src_c), (c_tgt, tgt_c) = src, tgt
+    if not (np.isfinite(src_c).all() and np.isfinite(tgt_c).all()):  # centring can overflow
+        raise ValueError("correspondences contain non-finite entries")
+    kabsch = _kabsch_core(src_c, tgt_c, weights)
+    t = c_tgt - kabsch.rotation.m @ c_src
+    return _RigidSolve(Pose(kabsch.rotation, t), kabsch, c_src, wsum)
+
+
+def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> _KabschSolve:
+    if not normalize:
+        return _kabsch_core(problem.source, problem.target, problem.weights)
+    src, src_norms = _normalized_rows(problem.source, "source")
+    tgt, tgt_norms = _normalized_rows(problem.target, "target")
+    return _kabsch_core(src, tgt, problem.weights, src_norms, tgt_norms)
 
 
 def _rigid_solve(problem: AlignmentProblem) -> _RigidSolve:
     w = problem.effective_weights()
     wsum = float(w.sum())
-    c_src = (w @ problem.source) / wsum
-    c_tgt = (w @ problem.target) / wsum
-    # Validated again: centering can overflow.
-    centered = AlignmentProblem(
-        problem.source - c_src, problem.target - c_tgt, problem.weights
-    )
-    kabsch = _kabsch_solve(centered, normalize=False)
-    t = c_tgt - kabsch.rotation.m @ c_src
-    return _RigidSolve(Pose(kabsch.rotation, t), kabsch, c_src, wsum)
+    return _rigid_core(_centred(problem.source, w, wsum), _centred(problem.target, w, wsum),
+                       problem.weights, wsum)
 
 
-def _solve_frame(
-    ray_problem: AlignmentProblem, pt_problem: AlignmentProblem
-) -> tuple[_KabschSolve, _RigidSolve]:
-    """Both branches of one frame: the ray Kabsch solve and the rigid point
-    solve. DegenerateConfiguration from either is re-raised with `branch`
-    set to "rays" or "points" and the branch named in the message."""
+def _solve_frame(solve_rays, solve_points) -> tuple[_KabschSolve, _RigidSolve]:
+    """Both branches of one frame, each a zero-argument solve: the ray Kabsch
+    solve, then the rigid point solve. DegenerateConfiguration from either is
+    re-raised with `branch` set to "rays" or "points" and the branch named in
+    the message."""
     try:
-        rays = _kabsch_solve(ray_problem, normalize=True)
+        rays = solve_rays()
     except DegenerateConfiguration as exc:
         raise DegenerateConfiguration(f"ray branch: {exc}", branch="rays") from exc
     try:
-        pts = _rigid_solve(pt_problem)
+        pts = solve_points()
     except DegenerateConfiguration as exc:
         raise DegenerateConfiguration(f"point branch: {exc}", branch="points") from exc
     return rays, pts
@@ -258,9 +269,19 @@ def recover_pose(
         raise ValueError("canonical and predicted ray bundles differ in length")
     if len(pts_cam) != len(pts_pred):
         raise ValueError("canonical and predicted pointmaps differ in length")
+    # The value types checked shapes, finiteness and unit ray norms.
+    for m in (len(rays_cam), len(pts_cam)):
+        if m < 3:
+            raise ValueError("need at least 3 correspondences")
+        w = _checked_weights(weights, m)
+    wsum = float(len(pts_cam)) if w is None else float(w.sum())
+
+    def centring(pm: PointMap):  # the cached unweighted centring, else the weighted one
+        return (pm.centroid, pm.centred) if w is None else _centred(pm.pts, w, wsum)
+
     rays, pts = _solve_frame(
-        AlignmentProblem(rays_cam.dirs, rays_pred.dirs, weights),
-        AlignmentProblem(pts_cam.pts, pts_pred.pts, weights),
+        lambda: _kabsch_core(rays_cam.unit, rays_pred.unit, w, rays_cam.norms, rays_pred.norms),
+        lambda: _rigid_core(centring(pts_cam), centring(pts_pred), w, wsum),
     )
     return PoseRecovery(
         pose=Pose(rays.rotation, pts.pose.t),

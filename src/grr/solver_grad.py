@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .camera import Intrinsics, PatchGrid, canonical_points, canonical_rays
-from .geometry import Pose, Seed, _row_sums, geodesic_distance, random_rotation
+from .geometry import Pose, Seed, _read_only, _row_sums, geodesic_distance, random_rotation
 from .losses import (
     LossWeights,
     NeighborSet,
@@ -282,7 +282,9 @@ _FramePass = namedtuple(
 def _frame_forward(fi: FrameInputs) -> _FramePass:
     ray_problem = AlignmentProblem(fi.rays_cam, fi.rays_pred)
     pt_problem = AlignmentProblem(fi.pts_cam, fi.pts_pred)
-    rays, pts = _solve_frame(ray_problem, pt_problem)
+    rays, pts = _solve_frame(
+        lambda: _kabsch_solve(ray_problem, normalize=True), lambda: _rigid_solve(pt_problem)
+    )
     d_gt = fi.rays_cam @ fi.gt.r.m.T
     p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
     w, p = fi.weights, _check_p(fi.p)
@@ -416,14 +418,10 @@ def _compare(op: str, analytic: np.ndarray, numeric: np.ndarray) -> GradReport:
     abs_err = np.abs(analytic - numeric)
     denom = np.maximum(np.abs(analytic), np.abs(numeric))
     rel = np.where(denom > 1e-12, abs_err / np.where(denom > 1e-12, denom, 1.0), 0.0)
-    a = analytic.copy()
-    n = numeric.copy()
-    a.flags.writeable = False
-    n.flags.writeable = False
     return GradReport(
         op=op,
-        analytic=a,
-        numeric=n,
+        analytic=_read_only(analytic.copy()),
+        numeric=_read_only(numeric.copy()),
         max_abs_err=float(abs_err.max()),
         max_rel_err=float(rel.max()),
     )

@@ -5,6 +5,7 @@ the library's vectorized reduction must reproduce it.
 """
 
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -216,6 +217,66 @@ class TestPointMap:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             PointMap(np.array([[np.inf, 0.0, 0.0]]))
+
+
+class TestCachedFactors:
+    """RayBundle.norms/unit and PointMap.centroid/centred: computed once per
+    instance, read-only, and invisible to the dataclass machinery."""
+
+    @staticmethod
+    def values(grid4):
+        rays = canonical_rays(grid4)
+        pts = PointMap(Seed(3).rng().normal(size=(len(rays), 3)))
+        return rays, pts
+
+    def test_values(self, grid4):
+        rays, pts = self.values(grid4)
+        norms = np.linalg.norm(rays.dirs, axis=1, keepdims=True)
+        assert np.array_equal(rays.norms, norms)
+        assert np.array_equal(rays.unit, rays.dirs / norms)
+        centroid = (np.ones(len(pts)) @ pts.pts) / float(len(pts))
+        assert np.array_equal(pts.centroid, centroid)
+        assert np.array_equal(pts.centred, pts.pts - centroid)
+
+    def test_computed_once_per_instance(self, grid4):
+        rays, pts = self.values(grid4)
+        assert rays.unit is rays.unit
+        assert pts.centroid is pts.centroid and pts.centred is pts.centred
+        twin = RayBundle(rays.dirs)
+        assert twin.unit is not rays.unit
+        assert np.array_equal(twin.unit, rays.unit)
+        other = world_rays(Pose(random_rotation(Seed(4)), np.zeros(3)), rays)
+        assert not np.array_equal(other.unit, rays.unit)
+
+    @pytest.mark.parametrize("which", ["rays.norms", "rays.unit", "pts.centroid", "pts.centred"])
+    def test_read_only(self, grid4, which):
+        rays, pts = self.values(grid4)
+        owner, attr = {"rays": rays, "pts": pts}[which.split(".")[0]], which.split(".")[1]
+        arr = getattr(owner, attr)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(owner, attr, arr.copy())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(owner, attr)
+        assert getattr(owner, attr) is arr
+
+    def test_dataclass_surface_unchanged(self, grid4):
+        rays, pts = self.values(grid4)
+        assert [f.name for f in dataclasses.fields(RayBundle)] == ["dirs"]
+        assert [f.name for f in dataclasses.fields(PointMap)] == ["pts"]
+        before = repr(rays), repr(pts)
+        _ = rays.unit, pts.centred  # fill the caches
+        assert (repr(rays), repr(pts)) == before
+        assert before[0] == f"RayBundle(dirs={rays.dirs!r})"
+        assert before[1] == f"PointMap(pts={pts.pts!r})"
+        assert rays == rays and pts == pts
+        # Field-wise equality as before: distinct multi-row arrays have no truth value.
+        with pytest.raises(ValueError, match="ambiguous"):
+            _ = rays == RayBundle(rays.dirs)
+        moved = dataclasses.replace(pts, pts=pts.pts + 1.0)
+        assert np.array_equal(moved.centred, PointMap(pts.pts + 1.0).centred)
 
 
 def csv_writer_bytes(arr: np.ndarray) -> bytes:

@@ -5,9 +5,11 @@ real process boundary via subprocess.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -235,6 +237,53 @@ class TestAblate:
         _, _, out4 = run(["ablate", "--config", cfg, "--out", str(tmp_path / "t4"), "--threads", "4"])
         assert out1 == out4
         assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t4")
+
+
+# The benchmark's 16x16 geometry, seed 3, 20 poses x 2 jitters x the README's three noise specs.
+GOLDEN_ABLATE = {
+    "grid": {"fx": 300.0, "fy": 300.0, "cx": 128.0, "cy": 128.0,
+             "width": 256, "height": 256, "n": 16},
+    "frames": 20,
+    "seed": 3,
+    "perturb": {"sigma_t": 0.05, "sigma_r": 0.01, "count": 2},
+    "noise": [
+        {"ray_sigma": 0.001},
+        {"ray_sigma": 0.01},
+        {"ray_sigma": 0.05, "point_sigma": 0.02, "point_bias": [0.1, 0.0, 0.0],
+         "mode": "per_patch_scaled"},
+    ],
+}
+GOLDEN_SHA256 = {
+    "sweep.csv": "a70abd0ed660aa368991bb2733d2b541344591aaa4a2f17fda39431d4582f9ae",
+    "trial_000.csv": "8c9f21a0858029823e06daa9df853f42d7a573cb63cec7a2ad3b01cfac5dac1c",
+    "trial_001.csv": "2cef9bd8917f804aa55c081bffefff72e9d30f5ab50fd80fcb6de181ec56e88e",
+    "trial_002.csv": "ccc7b2157effd19a5f80a6d8afcfa2351a293a11fd53d747d896b427ff157ef8",
+}
+# The build the hashes were recorded on: NumPy 2.4.6 with its OpenBLAS 0.3.31,
+# x86-64, AVX512_SPR dispatch. Another NumPy, BLAS kernel or SIMD target may
+# round the SVDs, sums or sines differently in the last bit, which %.17g shows.
+GOLDEN_BUILD = ("2.4.6", "x86_64", True)
+
+
+def numpy_build() -> tuple[str, str, bool]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
+    return np.__version__, platform.machine(), bool(cpu.get("AVX512_SPR"))
+
+
+@pytest.mark.skipif(numpy_build() != GOLDEN_BUILD,
+                    reason=f"golden bytes are recorded for the build {GOLDEN_BUILD}")
+def test_ablate_outputs_match_recorded_bytes(run, tmp_path):
+    """grr ablate's files are byte for byte the recorded ones. Running twice
+    shows determinism only; this catches a change in the last bit."""
+    cfg = write_cfg(tmp_path / "ablate.json", **GOLDEN_ABLATE)
+    code, payload, _ = run(["ablate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert (code, payload) == (0, {"frames": 40, "trials": 3})
+    got = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+           for name in sorted(os.listdir(tmp_path / "o"))}
+    assert got == GOLDEN_SHA256
 
 
 class TestLoss:

@@ -1,4 +1,4 @@
-"""Evaluation metrics: pose errors, median convention, frame scoring, record summaries."""
+"""Evaluation metrics: median convention, frame scoring and its pose errors, record summaries."""
 
 import math
 
@@ -12,34 +12,10 @@ from grr import (
     Rotation,
     Seed,
     median,
-    pose_errors,
     random_rotation,
     summarize_records,
 )
 from grr.metrics import _score_solved
-
-
-class TestPoseErrors:
-    def test_identical_poses(self):
-        p = Pose(random_rotation(Seed(1)), np.array([1.0, -2.0, 0.5]))
-        rot, trans = pose_errors(p, p)
-        assert rot == 0.0
-        assert trans == 0.0
-
-    def test_known_rotation_angle_in_degrees(self):
-        r = Rotation.from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
-        gt = Pose(Rotation.identity(), np.zeros(3))
-        rot, trans = pose_errors(Pose(r, np.zeros(3)), gt)
-        assert rot == pytest.approx(math.degrees(0.3), rel=1e-12)
-        assert trans == 0.0
-
-    def test_translation_distance(self):
-        r = random_rotation(Seed(2))
-        a = Pose(r, np.array([3.0, 4.0, 0.0]))
-        b = Pose(r, np.zeros(3))
-        rot, trans = pose_errors(a, b)
-        assert rot == 0.0
-        assert trans == pytest.approx(5.0, rel=1e-15)
 
 
 class TestMedian:
@@ -132,7 +108,34 @@ class TestSummarizeRecords:
 
 
 class TestScoreSolved:
-    """The scorer `grr solve` and the simulator share."""
+    """The scorer `grr solve` and the simulator share: the rotation errors are
+    SO(3) geodesics in degrees, the translation error the distance between
+    camera centres."""
+
+    @staticmethod
+    def score(est: Pose, gt: Pose, rotation_from_points=None):
+        rec = PoseRecovery(est, rotation_from_points or est.r, None, None)
+        return _score_solved(7, rec, gt)
+
+    def test_identical_poses(self):
+        p = Pose(random_rotation(Seed(1)), np.array([1.0, -2.0, 0.5]))
+        rec = self.score(p, p)
+        assert (rec.frame, rec.status) == (7, "ok")
+        assert (rec.rot_err_rays_deg, rec.rot_err_points_deg, rec.trans_err) == (0.0, 0.0, 0.0)
+
+    def test_known_rotation_angle_in_degrees(self):
+        r = Rotation.from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
+        gt = Pose(Rotation.identity(), np.zeros(3))
+        rec = self.score(Pose(r, np.zeros(3)), gt, rotation_from_points=Rotation.identity())
+        assert rec.rot_err_rays_deg == pytest.approx(math.degrees(0.3), rel=1e-12)
+        assert rec.rot_err_points_deg == 0.0
+        assert rec.trans_err == 0.0
+
+    def test_translation_distance(self):
+        r = random_rotation(Seed(2))
+        rec = self.score(Pose(r, np.array([3.0, 4.0, 0.0])), Pose(r, np.zeros(3)))
+        assert rec.rot_err_rays_deg == 0.0
+        assert rec.trans_err == pytest.approx(5.0, rel=1e-15)
 
     def test_trans_err_bitwise_equals_sqrt_dot_and_linalg_norm(self):
         rng = Seed(90).rng()

@@ -1,6 +1,7 @@
 """Perturbation study: noise model exactness, determinism, scoring, CSV I/O."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestPerturbRepresentations:
         off_ramp = ramped[1].pts - pts.pts
         np.testing.assert_allclose(off_ramp, off_iid * scale[:, np.newaxis], atol=1e-12)
         assert scale[0] == 0.5 and scale[-1] == 1.5
+
+    @pytest.mark.parametrize("mode", ["iid_gaussian", "per_patch_scaled"])
+    def test_seed_argument_replaces_spec_seed(self, bundle, mode):
+        rays, pts = bundle
+        noise = spec(ray=0.01, pt=0.02, bias=(0.1, 0.0, 0.0), mode=mode, seed=3)
+        for s in (Seed(0), noise.seed.derive(5), Seed(2**64 - 1)):
+            got = perturb_representations(rays, pts, noise, seed=s)
+            want = perturb_representations(rays, pts, dataclasses.replace(noise, seed=s))
+            assert got[0].dirs.tobytes() == want[0].dirs.tobytes()
+            assert got[1].pts.tobytes() == want[1].pts.tobytes()
 
     def test_length_mismatch_rejected(self, bundle):
         rays, pts = bundle

@@ -11,6 +11,7 @@ from grr import (
     FrameInputs,
     LossWeights,
     NeighborSet,
+    NoiseSpec,
     PointMap,
     Pose,
     RayBundle,
@@ -20,6 +21,7 @@ from grr import (
     canonical_rays,
     geodesic_distance,
     kabsch_rotation,
+    perturb_representations,
     pipeline_loss,
     pipeline_loss_grad,
     random_rotation,
@@ -394,3 +396,78 @@ class TestFailureParity:
         flip = np.diag([1.0, 1.0, -1.0])
         assert _raised(Rotation, flip) == (
             ValueError, f"matrix determinant {np.linalg.det(flip):.17g} is not +1", None)
+
+
+class TestCachedPathParity:
+    """recover_pose solves from the value types' cached factors (unit rays,
+    centred points); the results are bitwise those of kabsch_rotation and
+    rigid_align on AlignmentProblems built from the same arrays."""
+
+    @staticmethod
+    def noisy_frame(grid, seed):
+        rays = canonical_rays(grid)
+        pts = canonical_points(rays)
+        pose = Pose(random_rotation(Seed(seed)), Seed(seed).rng(1).normal(size=3))
+        noise = NoiseSpec(0.01, 0.02, np.array([0.1, 0.0, -0.05]), "iid_gaussian", Seed(seed))
+        pred = perturb_representations(world_rays(pose, rays), world_points(pose, pts), noise)
+        return (rays, pts) + pred
+
+    @staticmethod
+    def assert_parity(rays, pts, rays_pred, pts_pred, weights=None):
+        rec = recover_pose(rays, pts, rays_pred, pts_pred, weights)
+        r, r_diag = kabsch_rotation(AlignmentProblem(rays.dirs, rays_pred.dirs, weights))
+        pose, p_diag = rigid_align(AlignmentProblem(pts.pts, pts_pred.pts, weights))
+        assert rec.pose.r.m.tobytes() == r.m.tobytes()
+        assert rec.pose.t.tobytes() == pose.t.tobytes()
+        assert rec.rotation_from_points.m.tobytes() == pose.r.m.tobytes()
+        assert rec.ray_diagnostics == r_diag
+        assert rec.point_diagnostics == p_diag
+        return rec
+
+    def test_unweighted(self, grid16):
+        for seed in range(5):
+            self.assert_parity(*self.noisy_frame(grid16, 70 + seed))
+
+    def test_weighted_with_zero_weights(self, grid16):
+        rays, pts, rp, pp = self.noisy_frame(grid16, 75)
+        w = Seed(76).rng().uniform(0.0, 2.0, len(rays))
+        w[::7] = 0.0
+        self.assert_parity(rays, pts, rp, pp, w)
+        self.assert_parity(rays, pts, rp, pp, list(w))  # converted like AlignmentProblem does
+
+    def test_reflection_corrected_near_planar(self, grid4):
+        rays = canonical_rays(grid4)
+        rng = Seed(77).rng()
+        flat = rng.normal(size=(len(rays), 3)) * np.array([1.0, 1.0, 1e-6])
+        mirror = np.array([1.0, -1.0, 1.0])
+        rec = self.assert_parity(rays, PointMap(flat), RayBundle(rays.dirs * mirror),
+                                 PointMap(flat * mirror + 0.5))
+        assert rec.ray_diagnostics.reflection_corrected
+        assert rec.point_diagnostics.reflection_corrected
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_degenerate_ray_frame(self, grid16, weighted):
+        rays, pts, _, pp = self.noisy_frame(grid16, 78)
+        z = RayBundle(np.tile(np.array([0.0, 0.6, 0.8]), (len(rays), 1)))
+        w = np.linspace(0.0, 1.0, len(rays)) if weighted else None
+        kind, msg, _ = _raised(kabsch_rotation, AlignmentProblem(rays.dirs, z.dirs, w))
+        assert kind is DegenerateConfiguration
+        assert _raised(recover_pose, rays, pts, z, pp, w) == (
+            DegenerateConfiguration, f"ray branch: {msg}", "rays")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_degenerate_point_frame(self, grid16, weighted):
+        rays, pts, rp, _ = self.noisy_frame(grid16, 79)
+        line = PointMap(np.outer(np.linspace(-1.0, 2.0, len(pts)), np.array([0.3, -0.4, 0.5])))
+        w = np.linspace(0.0, 1.0, len(rays)) if weighted else None
+        kind, msg, _ = _raised(rigid_align, AlignmentProblem(pts.pts, line.pts, w))
+        assert kind is DegenerateConfiguration
+        assert _raised(recover_pose, rays, pts, rp, line, w) == (
+            DegenerateConfiguration, f"point branch: {msg}", "points")
+
+    def test_weight_checks_match_alignment_problem(self, grid4):
+        rays, pts, rp, pp = self.noisy_frame(grid4, 80)
+        m = len(rays)
+        for w in (np.ones(m - 1), np.full(m, -1.0), np.full(m, np.nan), np.zeros(m)):
+            want = _raised(AlignmentProblem, rays.dirs, rp.dirs, w)
+            assert _raised(recover_pose, rays, pts, rp, pp, w) == want
