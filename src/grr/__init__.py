@@ -7,149 +7,63 @@ copies of those representations determine the camera pose in closed form
 registration). Everything downstream of that solve - analytic gradients,
 the training loss stack, a perturbation simulator, and median-error
 metrics - lives here too, behind the `grr` command-line tool.
+
+Public names resolve on first use (PEP 562): `import grr` loads no
+submodule, and `grr.X` imports only the module that defines X.
 """
 
-from .camera import (
-    Intrinsics,
-    PatchGrid,
-    PointMap,
-    RayBundle,
-    canonical_points,
-    canonical_rays,
-    read_xyz_csv,
-    world_points,
-    world_rays,
-    write_xyz_csv,
-)
-from .config import ConfigError
-from .geometry import (
-    Pose,
-    Rotation,
-    Seed,
-    UnitVec3,
-    compose,
-    geodesic_distance,
-    inverse,
-    load_poses,
-    random_rotation,
-    random_rotation_matrices,
-    save_poses,
-)
-from .losses import (
-    EmptyNeighborSet,
-    LossWeights,
-    NeighborSet,
-    NormSchedule,
-    domain_bce,
-    geometry_loss,
-    pose_loss,
-    regularization_loss,
-    total_loss,
-)
-from .metrics import FrameRecord, TrialReport, median, summarize_records
-from .simulator import (
-    NoiseSpec,
-    PosePerturbSpec,
-    ablation_sweep,
-    perturb_representations,
-    run_trial,
-    sample_poses,
-    write_report_csv,
-    write_sweep_csv,
-)
-from .solver import (
-    AlignmentProblem,
-    DegenerateConfiguration,
-    PoseRecovery,
-    SolveDiagnostics,
-    kabsch_rotation,
-    recover_pose,
-    rigid_align,
-)
-from .solver_grad import (
-    FrameInputs,
-    FrameLossTerms,
-    GradReport,
-    NearSingularJacobian,
-    VjpRequest,
-    VjpResult,
-    finite_diff_check,
-    kabsch_rotation_vjp,
-    near_collinear_problem,
-    pipeline_loss,
-    pipeline_loss_grad,
-    random_alignment_problem,
-    random_frame_inputs,
-    random_rigid_problem,
-    rigid_align_vjp,
-)
+import importlib
 
-__all__ = [
-    "AlignmentProblem",
-    "ConfigError",
-    "DegenerateConfiguration",
-    "EmptyNeighborSet",
-    "FrameInputs",
-    "FrameLossTerms",
-    "FrameRecord",
-    "GradReport",
-    "Intrinsics",
-    "LossWeights",
-    "NearSingularJacobian",
-    "NeighborSet",
-    "NoiseSpec",
-    "NormSchedule",
-    "PatchGrid",
-    "PointMap",
-    "Pose",
-    "PosePerturbSpec",
-    "PoseRecovery",
-    "RayBundle",
-    "Rotation",
-    "Seed",
-    "SolveDiagnostics",
-    "TrialReport",
-    "UnitVec3",
-    "VjpRequest",
-    "VjpResult",
-    "ablation_sweep",
-    "canonical_points",
-    "canonical_rays",
-    "compose",
-    "domain_bce",
-    "finite_diff_check",
-    "geodesic_distance",
-    "geometry_loss",
-    "inverse",
-    "kabsch_rotation",
-    "kabsch_rotation_vjp",
-    "load_poses",
-    "median",
-    "near_collinear_problem",
-    "perturb_representations",
-    "pipeline_loss",
-    "pipeline_loss_grad",
-    "pose_loss",
-    "random_alignment_problem",
-    "random_frame_inputs",
-    "random_rigid_problem",
-    "random_rotation",
-    "random_rotation_matrices",
-    "read_xyz_csv",
-    "recover_pose",
-    "regularization_loss",
-    "rigid_align",
-    "rigid_align_vjp",
-    "run_trial",
-    "sample_poses",
-    "save_poses",
-    "summarize_records",
-    "total_loss",
-    "world_points",
-    "world_rays",
-    "write_report_csv",
-    "write_sweep_csv",
-    "write_xyz_csv",
-]
+# Defining module -> the public names it exports through the package.
+_EXPORTS = {
+    "camera": (
+        "Intrinsics", "PatchGrid", "PointMap", "RayBundle", "canonical_points",
+        "canonical_rays", "read_xyz_csv", "world_points", "world_rays",
+        "write_xyz_csv",
+    ),
+    "config": ("ConfigError",),
+    "geometry": (
+        "Pose", "Rotation", "Seed", "UnitVec3", "compose", "geodesic_distance",
+        "inverse", "load_poses", "random_rotation", "random_rotation_matrices",
+        "save_poses",
+    ),
+    "losses": (
+        "EmptyNeighborSet", "LossWeights", "NeighborSet", "NormSchedule",
+        "domain_bce", "geometry_loss", "pose_loss", "regularization_loss",
+        "total_loss",
+    ),
+    "metrics": ("FrameRecord", "TrialReport", "median", "summarize_records"),
+    "simulator": (
+        "NoiseSpec", "PosePerturbSpec", "ablation_sweep", "perturb_representations",
+        "run_trial", "sample_poses", "write_report_csv", "write_sweep_csv",
+    ),
+    "solver": (
+        "AlignmentProblem", "DegenerateConfiguration", "PoseRecovery",
+        "SolveDiagnostics", "kabsch_rotation", "recover_pose", "rigid_align",
+    ),
+    "solver_grad": (
+        "FrameInputs", "FrameLossTerms", "GradReport", "NearSingularJacobian",
+        "VjpRequest", "VjpResult", "finite_diff_check", "kabsch_rotation_vjp",
+        "near_collinear_problem", "pipeline_loss", "pipeline_loss_grad",
+        "random_alignment_problem", "random_frame_inputs", "random_rigid_problem",
+        "rigid_align_vjp",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not cached here: a name rebound in its defining module (a tracer, a
+    # monkeypatch) is what `grr.X` returns next time too.
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -19,6 +19,9 @@ import sys
 
 import numpy as np
 
+# camera and geometry load with config anyway; every other grr module is
+# imported inside the command that runs it, so `grr gen` never loads the
+# solver and only `loss` and `gradcheck` load the training stack.
 from .camera import (
     PointMap,
     RayBundle,
@@ -46,25 +49,6 @@ from .geometry import (
     load_poses,
     random_rotation_matrices,
     save_poses,
-)
-from .losses import NeighborSet, domain_bce, total_loss
-from .metrics import FrameRecord, _score_degenerate, _score_solved, summarize_records
-from .simulator import (
-    ablation_sweep,
-    sample_poses,
-    write_report_csv,
-    write_sweep_csv,
-)
-from .solver import DegenerateConfiguration, recover_pose
-from .solver_grad import (
-    FrameInputs,
-    NearSingularJacobian,
-    finite_diff_check,
-    near_collinear_problem,
-    pipeline_loss,
-    random_alignment_problem,
-    random_frame_inputs,
-    random_rigid_problem,
 )
 
 EXIT_OK = 0
@@ -160,6 +144,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .metrics import FrameRecord, _score_degenerate, _score_solved, summarize_records
+    from .simulator import write_report_csv
+    from .solver import DegenerateConfiguration, recover_pose
+
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out = _out_dir(args)
@@ -208,6 +196,16 @@ _GRADCHECK_SIZES = {"rotation": 12, "rigid": 16, "loss_total": 4}
 
 
 def cmd_gradcheck(args) -> int:
+    from .solver import DegenerateConfiguration
+    from .solver_grad import (
+        NearSingularJacobian,
+        finite_diff_check,
+        near_collinear_problem,
+        random_alignment_problem,
+        random_frame_inputs,
+        random_rigid_problem,
+    )
+
     cfg = load_json(args.config)
     seed = _run_seed(args, cfg)
 
@@ -257,6 +255,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .simulator import ablation_sweep, sample_poses, write_report_csv, write_sweep_csv
+
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = _run_seed(args, cfg)
@@ -282,6 +282,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_loss(args) -> int:
+    from .losses import NeighborSet, domain_bce, total_loss
+    from .solver import DegenerateConfiguration
+    from .solver_grad import FrameInputs, pipeline_loss
+
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
 
@@ -302,7 +306,7 @@ def cmd_loss(args) -> int:
     connectivity = _get(cfg, "connectivity", int, "config", default=4)
     domains = _get(cfg, "domains", list, "config", default=[0] * len(gt))
     if len(domains) != len(gt) or any(
-        isinstance(d, bool) or d not in (0, 1) for d in domains
+        type(d) is not int or d not in (0, 1) for d in domains
     ):
         raise ConfigError("'domains' must give 0 or 1 per frame")
     logits = _get(cfg, "domain_logits", list, "config", default=None)
@@ -412,12 +416,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DegenerateConfiguration, NearSingularJacobian) as exc:
-        log.error("degenerate input: %s", exc)
-        return EXIT_DEGENERATE
     except (ConfigError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        # Both classes are RuntimeErrors; import them only once one is raised.
+        from .solver import DegenerateConfiguration
+        from .solver_grad import NearSingularJacobian
+
+        if not isinstance(exc, (DegenerateConfiguration, NearSingularJacobian)):
+            raise
+        log.error("degenerate input: %s", exc)
+        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

@@ -10,12 +10,14 @@ from __future__ import annotations
 import glob
 import json
 import os
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .camera import Intrinsics, PatchGrid
 from .geometry import Seed
-from .losses import LossWeights, NormSchedule
-from .simulator import NoiseSpec, PosePerturbSpec
+
+if TYPE_CHECKING:  # imported by the builders that use them, so `grr gen` loads neither
+    from .losses import LossWeights, NormSchedule
+    from .simulator import NoiseSpec, PosePerturbSpec
 
 __all__ = [
     "ConfigError",
@@ -82,6 +84,8 @@ def grid_from_config(d: Any) -> PatchGrid:
 
 def weights_from_config(d: Any) -> LossWeights:
     """All keys optional; defaults are the LossWeights defaults."""
+    from .losses import LossWeights
+
     if d is None:
         return LossWeights()
     if not isinstance(d, dict):
@@ -98,6 +102,8 @@ def weights_from_config(d: Any) -> LossWeights:
 
 def schedule_from_config(d: Any) -> NormSchedule:
     """All keys optional; the default schedule is past warmup (p = 2)."""
+    from .losses import NormSchedule
+
     if d is None:
         return NormSchedule()
     if not isinstance(d, dict):
@@ -122,10 +128,16 @@ def _seed_from(d: dict, key: str, fallback: Seed, where: str) -> Seed:
 
 
 def noise_spec_from_config(d: Any, fallback_seed: Seed, index: int) -> NoiseSpec:
+    from .simulator import NoiseSpec
+
     if not isinstance(d, dict):
         raise ConfigError(f"noise entry {index} must be an object")
     where = f"noise[{index}]"
     bias = _get(d, "point_bias", list, where, default=[0.0, 0.0, 0.0])
+    # type(), not isinstance: a JSON true is a bool, and bool is an int.
+    # NoiseSpec checks that there are three and that they are finite.
+    if any(type(b) not in (int, float) for b in bias):
+        raise ConfigError(f"invalid {where}: point_bias entries must be numbers")
     try:
         return NoiseSpec(
             ray_sigma=_get(d, "ray_sigma", float, where, default=0.0),
@@ -139,6 +151,8 @@ def noise_spec_from_config(d: Any, fallback_seed: Seed, index: int) -> NoiseSpec
 
 
 def perturb_spec_from_config(d: Any, fallback_seed: Seed) -> PosePerturbSpec:
+    from .simulator import PosePerturbSpec
+
     if not isinstance(d, dict):
         raise ConfigError("perturb section must be an object")
     try:

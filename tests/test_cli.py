@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import grr
-from grr import geodesic_distance, load_poses, median, read_xyz_csv, write_xyz_csv
+from grr import ConfigError, Seed, geodesic_distance, load_poses, median, read_xyz_csv, write_xyz_csv
 from grr.cli import main
+from grr.config import noise_spec_from_config
 
 GRID = {"fx": 48.0, "fy": 48.0, "cx": 32.0, "cy": 32.0, "width": 64, "height": 64, "n": 4}
 
@@ -231,6 +232,17 @@ class TestAblate:
         assert code == 0
         assert payload["frames"] == 18
 
+    @pytest.mark.parametrize("bias", [[True, False, 0], [0, "0.1", 0], [None, 0, 0]])
+    def test_point_bias_entries_must_be_numbers(self, run, tmp_path, bias):
+        noise = [{"ray_sigma": 0.01}, {"point_bias": bias}]
+        with pytest.raises(ConfigError, match=r"invalid noise\[1\]: point_bias"):
+            noise_spec_from_config(noise[1], Seed(0), 1)
+        cfg = write_cfg(tmp_path / "ablate.json", grid=GRID, frames=2, noise=noise)
+        code, payload, _ = run(["ablate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert payload is None
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
     def test_threads_do_not_change_outputs(self, run, tmp_path):
         cfg = self.ablate_cfg(tmp_path)
         _, _, out1 = run(["ablate", "--config", cfg, "--out", str(tmp_path / "t1"), "--threads", "1"])
@@ -341,6 +353,9 @@ class TestLoss:
             dataset, name="loss_bad3.json", domains=[0, 0, True, 0, 0]
         )
         assert run(["loss", "--config", boolean])[0] == 3
+        # 1.0 == 1, but the README labels frames with the integers 0 and 1.
+        floating = self.loss_cfg(dataset, name="loss_bad4.json", domains=[0, 1.0, 0, 1, 0])
+        assert run(["loss", "--config", floating]) == (3, None, "")
 
     def test_degenerate_frame_aborts_and_is_named(self, dataset, tmp_path):
         work = tmp_path / "in"

@@ -1,8 +1,14 @@
 """Import direction between grr modules: the solver sits below scoring, and
-scoring below the simulator and the CLI."""
+scoring below the simulator and the CLI. And import cost: `import grr` loads
+no submodule, and each CLI command loads only the modules it runs."""
 
 import ast
+import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +44,111 @@ def test_no_upward_imports(module):
     imported = grr_imports(module)
     assert "geometry" in imported  # the parser sees the imports that are allowed
     assert imported & FORBIDDEN[module] == set()
+
+
+# -- lazy loading: `import grr` and each command load only what they run --
+
+HEAVY = {"grr.solver", "grr.metrics", "grr.simulator", "grr.losses", "grr.solver_grad"}
+GRID = {"fx": 48.0, "fy": 48.0, "cx": 32.0, "cy": 32.0, "width": 64, "height": 64, "n": 4}
+
+
+def loaded_after(code: str) -> set[str]:
+    """grr modules in sys.modules after running code in a fresh interpreter."""
+    probe = (f"{code}\nimport sys\n"
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'grr'))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(SRC.parent), "GRR_LOG": "warn"})
+    assert r.returncode == 0, r.stderr
+    return set(r.stdout.splitlines()[-1].split())
+
+
+def after_command(argv) -> set[str]:
+    return loaded_after(f"from grr.cli import main\nassert main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("code, allowed", [
+    ("import grr", {"grr"}),
+    ("import grr.cli, grr", {"grr", "grr.cli", "grr.config", "grr.camera", "grr.geometry"}),
+])
+def test_import_loads_only_the_cli_core(code, allowed):
+    loaded = loaded_after(code)
+    assert "grr" in loaded
+    assert loaded <= allowed
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    d = tmp_path_factory.mktemp("lazy")
+    (d / "gen.json").write_text(json.dumps({"grid": GRID, "frames": 2, "seed": 1}))
+    (d / "solve.json").write_text(json.dumps({
+        "grid": GRID, "rays": "world_rays_*.csv", "points": "world_points_*.csv",
+        "gt_poses": "gt_poses.txt"}))
+    (d / "ablate.json").write_text(json.dumps({
+        "grid": GRID, "frames": 2, "perturb": {"sigma_t": 0.01, "count": 2},
+        "noise": [{"ray_sigma": 0.01, "point_bias": [0.1, 0, 0]}]}))
+    loaded = after_command(["gen", "--config", str(d / "gen.json"), "--out", str(d)])
+    return d, loaded
+
+
+def test_gen_loads_no_solver_or_training_module(tiny_dataset):
+    _, loaded = tiny_dataset
+    assert "grr.cli" in loaded
+    assert loaded & HEAVY == set()
+
+
+@pytest.mark.parametrize("command", ["solve", "ablate"])
+def test_solve_and_ablate_load_no_training_module(tiny_dataset, tmp_path, command):
+    d, _ = tiny_dataset
+    loaded = after_command([command, "--config", str(d / f"{command}.json"),
+                            "--out", str(tmp_path)])
+    assert {"grr.solver", "grr.metrics", "grr.simulator"} <= loaded
+    assert loaded & {"grr.losses", "grr.solver_grad"} == set()
+
+
+class TestPackageSurface:
+    def test_names_are_the_defining_modules_objects(self):
+        for name in grr.__all__:
+            obj = getattr(grr, name)
+            assert obj.__module__.startswith("grr."), name
+            assert obj is getattr(importlib.import_module(obj.__module__), name), name
+
+    def test_dir_covers_all(self):
+        assert set(grr.__all__) <= set(dir(grr))
+        assert "__version__" in dir(grr)
+
+    def test_star_import_binds_all(self):
+        ns = {}
+        exec("from grr import *", ns)
+        assert set(grr.__all__) <= set(ns)
+        assert all(ns[name] is getattr(grr, name) for name in grr.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            grr.not_a_name
+        with pytest.raises(ImportError):
+            exec("from grr import not_a_name", {})
+
+
+def test_lazy_name_follows_a_rebinding_in_its_module():
+    # The benchmark's tracer rebinds functions in their defining modules: a
+    # call through the package must reach the wrapper, and once the wrappers
+    # are removed the package must not hold on to one.
+    sys.path.insert(0, str(SRC.parent.parent / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.pop(0)
+    from grr.solver_grad import pipeline_loss_grad, random_frame_inputs
+
+    fi = random_frame_inputs(grr.Seed(4), n=4)
+    rec = spans.SpanRecorder()
+    rec.install()
+    try:
+        with rec.root("train.loop"):
+            for _ in range(3):
+                grr.pipeline_loss_grad(fi)
+    finally:
+        rec.remove()
+    assert rec.summary()["calls"]["solver_grad.pipeline_loss_grad"] == 3
+    assert grr.pipeline_loss_grad is pipeline_loss_grad
+    assert "pipeline_loss_grad" not in vars(grr)
