@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _read_only, _row_norms
+from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _read_only, _row_norms, _tangent_basis
 
 __all__ = [
     "Intrinsics",
@@ -88,8 +88,8 @@ class PatchGrid:
 class RayBundle:
     """Row-stack of unit direction vectors, one per patch, row-major order.
 
-    `norms` (the (m, 1) row norms validation computed) and `unit` (computed
-    once) are read-only per-instance attributes, not dataclass fields.
+    `norms` (the (m, 1) row norms validation computed), `unit` and `tangents`
+    (computed once) are read-only per-instance attributes, not dataclass fields.
     """
 
     dirs: np.ndarray
@@ -111,6 +111,11 @@ class RayBundle:
     def unit(self) -> np.ndarray:
         """dirs / norms, the unit rows the ray solve aligns."""
         return _read_only(self.dirs / self.norms)
+
+    @functools.cached_property
+    def tangents(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v): per-row unit tangents orthogonal to dirs, the frame the noise tilts in."""
+        return tuple(_read_only(t) for t in _tangent_basis(self.dirs))
 
     @classmethod
     def from_array(cls, arr, normalize: bool = False) -> "RayBundle":

@@ -41,6 +41,7 @@ from .config import (
     resolve_paths,
     schedule_from_config,
     weights_from_config,
+    _finite_float,
     _get,
 )
 from .geometry import (
@@ -358,10 +359,10 @@ def cmd_loss(args) -> int:
         dom_syn = dom_real = 0.0
     else:
         by_label = {0: [], 1: []}
-        for lab, logit in zip(domains, logits):
+        for k, (lab, logit) in enumerate(zip(domains, logits)):
             if not isinstance(logit, (int, float)) or isinstance(logit, bool):
                 raise ConfigError("'domain_logits' entries must be numbers")
-            by_label[lab].append(domain_bce(float(logit), lab))
+            by_label[lab].append(domain_bce(_finite_float(logit, f"domain_logits[{k}]"), lab))
         dom_syn = float(np.mean(by_label[0])) if by_label[0] else 0.0
         dom_real = float(np.mean(by_label[1])) if by_label[1] else 0.0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 from typing import TYPE_CHECKING, Any
 
@@ -58,11 +59,23 @@ def _get(d: dict, key: str, types, where: str, default=_REQUIRED):
         return default
     v = d[key]
     # JSON integers are acceptable wherever a float is expected.
-    if types is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
+    if types is float and isinstance(v, (int, float)) and not isinstance(v, bool):
+        return _finite_float(v, f"key {key!r} in {where}")
     if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
         raise ConfigError(f"key {key!r} in {where} has wrong type {type(v).__name__}")
     return v
+
+
+def _finite_float(v: int | float, what: str) -> float:
+    """v as a finite float. json parses NaN, Infinity and integers beyond the
+    float range; no config value accepts them."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ConfigError(f"{what} must be a finite number, got {f}")
+    return f
 
 
 def grid_from_config(d: Any) -> PatchGrid:

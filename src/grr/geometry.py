@@ -41,6 +41,8 @@ _EYE3 = np.eye(3)
 # Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
+_E_X = np.array([[1.0, 0.0, 0.0]])
+_E_Z = np.array([[0.0, 0.0, 1.0]])
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -69,6 +71,13 @@ def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.cross of (..., 3) rows bit for bit, without its axis handling."""
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _tangent_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent pair (u, v) per unit row of d; the helper axis avoids the pole."""
+    u = _cross_rows(d, np.where(np.abs(d[:, 2:3]) < 0.9, _E_Z, _E_X))
+    u /= _row_norms(u, keepdims=True)
+    return u, _cross_rows(d, u)
 
 
 def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:

@@ -5,6 +5,9 @@ derive one child seed per frame from (seed, frame index), so results are
 independent of execution order, and two runs with the same seed produce
 byte-identical reports. Frames run in the calling thread: the solve is short
 numpy calls that hold the interpreter lock, so a thread pool only slowed it.
+A sweep runs pose-major on that contract: each pose's ground-truth bundles
+and tangent frame are built once and shared by every noise spec, and only
+one pose's are held at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .camera import PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays, world_points, world_rays
-from .geometry import Pose, Rotation, Seed, _cross_rows, _freeze, _row_norms
+from .geometry import Pose, Rotation, Seed, _cross_rows, _freeze
 from .metrics import FrameRecord, TrialReport, _score_degenerate, _score_solved, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
@@ -103,16 +106,9 @@ def sample_poses(base: Sequence[Pose], spec: PosePerturbSpec) -> list[Pose]:
     return out
 
 
-_E_X = np.array([[1.0, 0.0, 0.0]])
-_E_Z = np.array([[0.0, 0.0, 1.0]])
-
-
-def _tilt_rays(d: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Tilt each unit row of d by theta[i] about the tangent axis at angle phi[i]."""
-    # Orthonormal tangent basis per ray; the helper axis avoids the pole.
-    u = _cross_rows(d, np.where(np.abs(d[:, 2:3]) < 0.9, _E_Z, _E_X))
-    u /= _row_norms(u, keepdims=True)
-    v = _cross_rows(d, u)
+def _tilt_rays(d: np.ndarray, phi: np.ndarray, theta: np.ndarray, basis: tuple) -> np.ndarray:
+    """Tilt each unit row of d by theta[i] about the axis at angle phi[i] in its tangent basis (u, v)."""
+    u, v = basis
     axis = np.cos(phi)[:, np.newaxis] * u + np.sin(phi)[:, np.newaxis] * v
     # Rodrigues with axis orthogonal to d: d' = d cos(theta) + (axis x d) sin(theta)
     return d * np.cos(theta)[:, np.newaxis] + _cross_rows(axis, d) * np.sin(theta)[:, np.newaxis]
@@ -142,7 +138,7 @@ def perturb_representations(
         scale = 0.5 + np.arange(m) / (m - 1)
         theta *= scale
         offsets *= scale[:, np.newaxis]
-    return (RayBundle(_tilt_rays(rays.dirs, phi, theta)),
+    return (RayBundle(_tilt_rays(rays.dirs, phi, theta, rays.tangents)),
             PointMap(pts.pts + offsets + spec.point_bias))
 
 
@@ -151,11 +147,10 @@ def _score_frame(
     pose: Pose,
     rays_cam: RayBundle,
     pts_cam: PointMap,
+    gt: tuple[RayBundle, PointMap],
     noise: NoiseSpec,
 ) -> FrameRecord:
-    d_gt = world_rays(pose, rays_cam)
-    p_gt = world_points(pose, pts_cam)
-    d_pred, p_pred = perturb_representations(d_gt, p_gt, noise, seed=noise.seed.derive(idx))
+    d_pred, p_pred = perturb_representations(*gt, noise, seed=noise.seed.derive(idx))
     try:
         rec = recover_pose(rays_cam, pts_cam, d_pred, p_pred)
     except DegenerateConfiguration as exc:
@@ -170,18 +165,21 @@ def run_trial(grid: PatchGrid, poses: Sequence[Pose], noise: NoiseSpec) -> Trial
     Degenerate frames are recorded with a status tag and NaN errors, never
     raised.
     """
-    rays_cam = canonical_rays(grid)
-    pts_cam = canonical_points(rays_cam)
-    return summarize_records(
-        [_score_frame(idx, pose, rays_cam, pts_cam, noise) for idx, pose in enumerate(poses)]
-    )
+    return ablation_sweep(grid, poses, [noise])[0]
 
 
 def ablation_sweep(
     grid: PatchGrid, poses: Sequence[Pose], specs: Sequence[NoiseSpec]
 ) -> list[TrialReport]:
-    """run_trial once per noise spec, in order."""
-    return [run_trial(grid, poses, spec) for spec in specs]
+    """run_trial once per noise spec, in order, computed pose-major (module docstring)."""
+    rays_cam = canonical_rays(grid)
+    pts_cam = canonical_points(rays_cam)
+    records: list[list[FrameRecord]] = [[] for _ in specs]
+    for idx, pose in enumerate(poses):
+        gt = world_rays(pose, rays_cam), world_points(pose, pts_cam)
+        for noise, out in zip(specs, records):
+            out.append(_score_frame(idx, pose, rays_cam, pts_cam, gt, noise))
+    return [summarize_records(r) for r in records]
 
 
 def _fmt(x: float) -> str:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .camera import Intrinsics, PatchGrid, canonical_points, canonical_rays
-from .geometry import Pose, Seed, _read_only, _row_sums, geodesic_distance, random_rotation
+from .geometry import Pose, Seed, _read_only, _row_sums, _tangent_basis, geodesic_distance, random_rotation
 from .losses import (
     LossWeights,
     NeighborSet,
@@ -526,7 +526,7 @@ def random_frame_inputs(seed: Seed, n: int = 4, p: int = 2, noise: float = 0.02)
     # Tilt each ground-truth ray about a random tangent axis.
     phi = rng.uniform(0.0, 2.0 * math.pi, m)
     tilt = noise * (0.75 + np.abs(rng.standard_normal(m)))
-    rays_pred = _tilt_rays(d_gt, phi, tilt)
+    rays_pred = _tilt_rays(d_gt, phi, tilt, _tangent_basis(d_gt))
 
     mag = noise * (0.75 + np.abs(rng.standard_normal((m, 3))))
     sgn = np.where(rng.standard_normal((m, 3)) >= 0.0, 1.0, -1.0)

@@ -29,6 +29,7 @@ from grr import (
     world_rays,
     write_xyz_csv,
 )
+from grr.geometry import _cross_rows, _row_norms
 
 
 def loop_canonical_rays(grid: PatchGrid) -> np.ndarray:
@@ -267,7 +268,7 @@ class TestCachedFactors:
         assert [f.name for f in dataclasses.fields(RayBundle)] == ["dirs"]
         assert [f.name for f in dataclasses.fields(PointMap)] == ["pts"]
         before = repr(rays), repr(pts)
-        _ = rays.unit, pts.centred  # fill the caches
+        _ = rays.unit, rays.tangents, pts.centred  # fill the caches
         assert (repr(rays), repr(pts)) == before
         assert before[0] == f"RayBundle(dirs={rays.dirs!r})"
         assert before[1] == f"PointMap(pts={pts.pts!r})"
@@ -277,6 +278,72 @@ class TestCachedFactors:
             _ = rays == RayBundle(rays.dirs)
         moved = dataclasses.replace(pts, pts=pts.pts + 1.0)
         assert np.array_equal(moved.centred, PointMap(pts.pts + 1.0).centred)
+
+
+def inline_tangent_basis(d):
+    """The per-ray tangent basis as the ray-tilt noise first built it inline."""
+    u = _cross_rows(d, np.where(np.abs(d[:, 2:3]) < 0.9, np.array([[0.0, 0.0, 1.0]]),
+                                np.array([[1.0, 0.0, 0.0]])))
+    u /= _row_norms(u, keepdims=True)
+    v = _cross_rows(d, u)
+    return u, v
+
+
+class TestTangents:
+    """RayBundle.tangents: the (u, v) pair the ray noise tilts in, cached like unit."""
+
+    @staticmethod
+    def switch_rows():
+        """Unit rows with |z| on both sides of the 0.9 helper switch, and on it."""
+        z = np.array([1.0, 0.95, 0.9, 0.8999999999999999, 0.5, 0.0])
+        z = np.concatenate([z, -z])
+        rows = np.stack([np.zeros_like(z), np.sqrt(1.0 - z * z), z], axis=1)
+        return RayBundle(np.concatenate([rows, rows[:, [2, 0, 1]], rows[:, [1, 2, 0]]]))
+
+    def bundles(self, grid4):
+        rays = canonical_rays(grid4)
+        turned = [world_rays(Pose(random_rotation(Seed(60 + k)), np.zeros(3)), rays)
+                  for k in range(8)]
+        return [self.switch_rows(), rays, *turned]
+
+    def test_bitwise_equal_to_inline_basis(self, grid4):
+        sides = set()
+        for rays in self.bundles(grid4):
+            sides |= set(np.abs(rays.dirs[:, 2]) < 0.9)
+            u, v = rays.tangents
+            ref_u, ref_v = inline_tangent_basis(rays.dirs)
+            assert u.tobytes() == ref_u.tobytes()
+            assert v.tobytes() == ref_v.tobytes()
+        assert sides == {True, False}
+
+    def test_orthonormal_to_dirs(self, grid4):
+        for rays in self.bundles(grid4):
+            d = rays.dirs
+            u, v = rays.tangents
+            for a, b in ((u, d), (v, d), (u, v)):
+                assert np.abs((a * b).sum(axis=1)).max() <= 1e-15
+            for a in (u, v):
+                assert np.abs(np.linalg.norm(a, axis=1) - 1.0).max() <= 1e-15
+
+    def test_computed_once_per_instance(self, grid4):
+        rays = canonical_rays(grid4)
+        first = rays.tangents
+        assert rays.tangents is first
+        assert RayBundle(rays.dirs).tangents is not first
+
+    def test_read_only(self, grid4):
+        rays = canonical_rays(grid4)
+        pair = rays.tangents
+        assert isinstance(pair, tuple) and len(pair) == 2
+        for arr in pair:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rays.tangents = (pair[0].copy(), pair[1].copy())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rays.tangents
+        assert rays.tangents is pair
 
 
 def csv_writer_bytes(arr: np.ndarray) -> bytes:

@@ -378,6 +378,49 @@ class TestLoss:
         assert r.stderr.count("\n") == 1
 
 
+class TestNonFiniteConfigFloats:
+    """json reads NaN, Infinity and integers past the float range; no float
+    key accepts them, and the error names the key and its section."""
+
+    CASES = {
+        "gen grid.fx NaN": ("gen", {"grid": {**GRID, "fx": math.nan}, "frames": 2},
+                            "key 'fx' in grid"),
+        "gen grid.fy huge": ("gen", {"grid": {**GRID, "fy": 10**400}, "frames": 2},
+                             "key 'fy' in grid"),
+        "solve unit_scale NaN": ("solve", {"unit_scale": math.nan}, "key 'unit_scale' in config"),
+        "loss domain_logits NaN": ("loss", {"domain_logits": [0.0, math.nan, 0.0, 1.0, 0.0]},
+                                   "domain_logits[1]"),
+        "ablate ray_sigma Infinity": (
+            "ablate", {"grid": GRID, "frames": 2, "noise": [{"ray_sigma": math.inf}]},
+            "key 'ray_sigma' in noise[0]"),
+        "ablate perturb.sigma_t Infinity": (
+            "ablate", {"grid": GRID, "frames": 2, "noise": [{"ray_sigma": 0.01}],
+                       "perturb": {"sigma_t": math.inf}},
+            "key 'sigma_t' in perturb"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_3_names_the_key(self, dataset, tmp_path, case):
+        command, cfg, key = self.CASES[case]
+        if command in ("solve", "loss"):  # the dataset's frames, so only the bad key can fail
+            cfg = {"grid": GRID, "rays": str(dataset / "world_rays_*.csv"),
+                   "points": str(dataset / "world_points_*.csv"),
+                   "gt_poses": str(dataset / "gt_poses.txt"), **cfg}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        src = os.path.dirname(os.path.dirname(grr.__file__))
+        r = subprocess.run(
+            [sys.executable, "-m", "grr.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
+        )
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        assert f"{key} must be a finite number" in r.stderr, r.stderr
+        assert r.stderr.count("\n") == 1
+
+
 class TestExitCodes:
     def test_missing_config_file(self, run, tmp_path):
         assert run(["gen", "--config", str(tmp_path / "nope.json")])[0] == 3

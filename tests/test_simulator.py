@@ -29,9 +29,12 @@ from grr import (
     run_trial,
     sample_poses,
     summarize_records,
+    world_points,
+    world_rays,
     write_report_csv,
     write_sweep_csv,
 )
+from grr.metrics import _score_degenerate, _score_solved
 
 
 def spec(ray=0.0, pt=0.0, bias=(0.0, 0.0, 0.0), mode="iid_gaussian", seed=0):
@@ -389,6 +392,109 @@ class TestRunTrial:
         meds = [r.median_rot_err_rays_deg for r in reports]
         assert meds[0] <= meds[1] <= meds[2]
         assert meds[2] > meds[0]
+
+
+def spec_major_sweep(grid, poses, specs):
+    """ablation_sweep as first written: one trial per spec, each rebuilding
+    every pose's ground-truth bundles."""
+    rays_cam = canonical_rays(grid)
+    pts_cam = canonical_points(rays_cam)
+    reports = []
+    for noise in specs:
+        records = []
+        for idx, pose in enumerate(poses):
+            d_gt, p_gt = world_rays(pose, rays_cam), world_points(pose, pts_cam)
+            d_pred, p_pred = perturb_representations(d_gt, p_gt, noise, seed=noise.seed.derive(idx))
+            try:
+                rec = recover_pose(rays_cam, pts_cam, d_pred, p_pred)
+            except DegenerateConfiguration as exc:
+                records.append(_score_degenerate(idx, exc))
+                continue
+            records.append(_score_solved(idx, rec, pose))
+        reports.append(summarize_records(records))
+    return reports
+
+
+def report_bits(rep):
+    """A TrialReport as exact bytes: NaN-safe, and -0.0 differs from 0.0."""
+    floats = [v for r in rep.records for v in (r.rot_err_rays_deg, r.rot_err_points_deg, r.trans_err)]
+    medians = [rep.median_rot_err_rays_deg, rep.median_rot_err_points_deg, rep.median_trans_err]
+    return (np.array(floats + medians).tobytes(), [(r.frame, r.status) for r in rep.records],
+            rep.failure_count, rep.unit_scale)
+
+
+class TestSweepParity:
+    """The pose-major sweep gives the spec-major loop's reports bit for bit."""
+
+    SPECS = [
+        spec(ray=0.001, seed=40),
+        spec(ray=0.02, pt=0.01, bias=(0.1, -0.05, 0.2), seed=41),
+        spec(ray=0.05, pt=0.02, bias=(0.1, 0.0, 0.0), mode="per_patch_scaled", seed=42),
+    ]
+
+    @staticmethod
+    def poses(count):
+        base = [Pose(random_rotation(Seed(90).derive(i)), Seed(91).rng(i).uniform(-2, 2, 3))
+                for i in range(3)]
+        return sample_poses(base, PosePerturbSpec(0.05, 0.01, count, Seed(92)))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_matches_spec_major_loop(self, grid4, count):
+        poses = self.poses(count)
+        got = ablation_sweep(grid4, poses, self.SPECS)
+        want = spec_major_sweep(grid4, poses, self.SPECS)
+        assert len(got) == len(want) == len(self.SPECS)
+        assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
+        for k, noise in enumerate(self.SPECS):
+            assert report_bits(run_trial(grid4, poses, noise)) == report_bits(got[k])
+
+    def test_empty_inputs(self, grid4):
+        assert ablation_sweep(grid4, self.poses(1), []) == []
+        assert [r.frame_count for r in ablation_sweep(grid4, [], self.SPECS)] == [0, 0, 0]
+
+    def test_calls_per_pose_and_frame(self, grid4, monkeypatch):
+        counts = {"recover_pose": 0, "perturb_representations": 0, "world_rays": 0, "world_points": 0}
+        for name in counts:
+            real = getattr(grr.simulator, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(grr.simulator, name, counted)
+        poses = self.poses(2)
+        ablation_sweep(grid4, poses, self.SPECS)
+        frames = len(poses) * len(self.SPECS)
+        assert counts == {"recover_pose": frames, "perturb_representations": frames,
+                          "world_rays": len(poses), "world_points": len(poses)}
+
+    def test_degenerate_frame_lands_in_its_own_report(self, grid4, monkeypatch):
+        poses = self.poses(1)
+        target = self.SPECS[2]
+        real_perturb = grr.simulator.perturb_representations
+        real_recover = grr.simulator.recover_pose
+        current = {}
+
+        def perturb(rays, pts, noise, seed=None):
+            current.update(noise=noise, seed=seed)
+            return real_perturb(rays, pts, noise, seed=seed)
+
+        def recover(*args):
+            if current["noise"] is target and current["seed"] == target.seed.derive(1):
+                raise DegenerateConfiguration("collapsed", branch="points")
+            return real_recover(*args)
+
+        monkeypatch.setattr(grr.simulator, "perturb_representations", perturb)
+        monkeypatch.setattr(grr.simulator, "recover_pose", recover)
+        reports = ablation_sweep(grid4, poses, self.SPECS)
+        assert [r.failure_count for r in reports] == [0, 0, 1]
+        assert [r.status for r in reports[2].records] == ["ok", "degenerate:points", "ok"]
+        assert math.isnan(reports[2].records[1].trans_err)
+        monkeypatch.undo()
+        clean = ablation_sweep(grid4, poses, self.SPECS)
+        assert [report_bits(r) for r in reports[:2]] == [report_bits(r) for r in clean[:2]]
+        for k in (0, 2):
+            assert reports[2].records[k] == clean[2].records[k]
 
 
 class TestCsvRoundTrip:
