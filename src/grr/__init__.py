@@ -23,9 +23,8 @@ _EXPORTS = {
     ),
     "config": ("ConfigError",),
     "geometry": (
-        "Pose", "Rotation", "Seed", "UnitVec3", "compose", "geodesic_distance",
-        "inverse", "load_poses", "random_rotation", "random_rotation_matrices",
-        "save_poses",
+        "Pose", "Rotation", "Seed", "geodesic_distance", "load_poses",
+        "random_rotation", "random_rotation_matrices", "save_poses",
     ),
     "losses": (
         "EmptyNeighborSet", "LossWeights", "NeighborSet", "NormSchedule",

@@ -174,15 +174,12 @@ def _pixel_rays(intr: Intrinsics) -> np.ndarray:
     return rays
 
 
-def canonical_rays(grid: PatchGrid, method: str = "mean") -> RayBundle:
+def canonical_rays(grid: PatchGrid) -> RayBundle:
     """Canonical camera-frame ray bundle for a patch grid.
 
-    method="mean" (the reference definition): each patch direction is the
-    mean of the normalized per-pixel rays inside the patch, renormalized.
-    method="center" is a cheaper opt-in shortcut: the single ray through the
-    patch center. The two agree only approximately; tests pin the mean form.
+    Each patch direction is the mean of the normalized per-pixel rays inside
+    the patch, renormalized.
     """
-    intr = grid.intrinsics
     rbounds = grid.row_bounds()
     cbounds = grid.col_bounds()
     row_counts = np.diff(rbounds)
@@ -190,24 +187,12 @@ def canonical_rays(grid: PatchGrid, method: str = "mean") -> RayBundle:
     if np.any(row_counts < 1) or np.any(col_counts < 1):
         raise ValueError("patch grid has empty patches")
 
-    if method == "mean":
-        rays = _pixel_rays(intr)
-        band_sums = np.add.reduceat(rays, rbounds[:-1], axis=0)
-        patch_sums = np.add.reduceat(band_sums, cbounds[:-1], axis=1)
-        counts = np.multiply.outer(row_counts, col_counts).astype(np.float64)
-        means = patch_sums / counts[:, :, np.newaxis]
-        flat = means.reshape(grid.patch_count, 3)
-    elif method == "center":
-        # Patch center in pixel coordinates: mean of the member pixel centers.
-        uc = (cbounds[:-1] + cbounds[1:]) / 2.0
-        vc = (rbounds[:-1] + rbounds[1:]) / 2.0
-        flat = np.empty((grid.patch_count, 3))
-        flat[:, 0] = np.tile((uc - intr.cx) / intr.fx, grid.n)
-        flat[:, 1] = np.repeat((vc - intr.cy) / intr.fy, grid.n)
-        flat[:, 2] = 1.0
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'mean' or 'center'")
-
+    rays = _pixel_rays(grid.intrinsics)
+    band_sums = np.add.reduceat(rays, rbounds[:-1], axis=0)
+    patch_sums = np.add.reduceat(band_sums, cbounds[:-1], axis=1)
+    counts = np.multiply.outer(row_counts, col_counts).astype(np.float64)
+    means = patch_sums / counts[:, :, np.newaxis]
+    flat = means.reshape(grid.patch_count, 3)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     # A pinhole ray bundle always has positive z, so the mean cannot vanish.
     return RayBundle(flat / norms)

@@ -23,6 +23,7 @@ import numpy as np
 # imported inside the command that runs it, so `grr gen` never loads the
 # solver and only `loss` and `gradcheck` load the training stack.
 from .camera import (
+    PatchGrid,
     PointMap,
     RayBundle,
     canonical_points,
@@ -119,18 +120,27 @@ def _base_poses(cfg: dict, base_dir: str, seed: Seed) -> list[Pose]:
     return _random_poses(seed.derive(0), frames)
 
 
+def _canonical(cfg: dict) -> tuple[PatchGrid, RayBundle, PointMap]:
+    """The config's patch grid with its canonical rays and unit-distance points."""
+    grid = grid_from_config(_get(cfg, "grid", dict, "config"))
+    # Canonical rays are always patch means; the key stays readable so an old
+    # config that asks for anything else fails instead of being ignored.
+    method = _get(cfg, "method", str, "config", default="mean")
+    if method != "mean":
+        raise ConfigError(f"key 'method' in config must be 'mean', got {method!r}")
+    rays = canonical_rays(grid)
+    return grid, rays, canonical_points(rays)
+
+
 def cmd_gen(args) -> int:
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = _run_seed(args, cfg)
     out = _out_dir(args)
 
-    grid = grid_from_config(_get(cfg, "grid", dict, "config"))
-    method = _get(cfg, "method", str, "config", default="mean")
+    grid, rays, pts = _canonical(cfg)
     poses = _base_poses(cfg, base_dir, seed)
 
-    rays = canonical_rays(grid, method=method)
-    pts = canonical_points(rays)
     write_xyz_csv(os.path.join(out, "canonical_rays.csv"), rays.dirs)
     write_xyz_csv(os.path.join(out, "canonical_points.csv"), pts.pts)
     save_poses(poses, os.path.join(out, "gt_poses.txt"))
@@ -153,8 +163,7 @@ def cmd_solve(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out = _out_dir(args)
 
-    grid = grid_from_config(_get(cfg, "grid", dict, "config"))
-    method = _get(cfg, "method", str, "config", default="mean")
+    _, rays_cam, pts_cam = _canonical(cfg)
     ray_files = resolve_paths(_get(cfg, "rays", (str, list), "config"), base_dir, "rays")
     pt_files = resolve_paths(_get(cfg, "points", (str, list), "config"), base_dir, "points")
     if len(ray_files) != len(pt_files):
@@ -162,13 +171,12 @@ def cmd_solve(args) -> int:
             f"{len(ray_files)} ray files vs {len(pt_files)} point files"
         )
     unit_scale = _get(cfg, "unit_scale", float, "config", default=1.0)
+    if unit_scale <= 0.0:
+        raise ConfigError(f"key 'unit_scale' in config must be positive, got {unit_scale}")
     gt_path = _get(cfg, "gt_poses", str, "config", default=None)
     gt = load_poses(os.path.join(base_dir, gt_path)) if gt_path else None
     if gt is not None and len(gt) != len(ray_files):
         raise ConfigError(f"{len(gt)} GT poses vs {len(ray_files)} frames")
-
-    rays_cam = canonical_rays(grid, method=method)
-    pts_cam = canonical_points(rays_cam)
 
     poses: list[Pose] = []
     records: list[FrameRecord] = []
@@ -290,8 +298,7 @@ def cmd_loss(args) -> int:
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
 
-    grid = grid_from_config(_get(cfg, "grid", dict, "config"))
-    method = _get(cfg, "method", str, "config", default="mean")
+    grid, rays_cam, pts_cam = _canonical(cfg)
     ray_files = resolve_paths(_get(cfg, "rays", (str, list), "config"), base_dir, "rays")
     pt_files = resolve_paths(_get(cfg, "points", (str, list), "config"), base_dir, "points")
     gt = load_poses(os.path.join(base_dir, _get(cfg, "gt_poses", str, "config")))
@@ -314,8 +321,6 @@ def cmd_loss(args) -> int:
     if logits is not None and len(logits) != len(gt):
         raise ConfigError("'domain_logits' must give one logit per frame")
 
-    rays_cam = canonical_rays(grid, method=method)
-    pts_cam = canonical_points(rays_cam)
     try:
         neighbors = NeighborSet.grid(grid.n, connectivity=connectivity)
     except ValueError as exc:

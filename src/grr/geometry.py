@@ -21,10 +21,7 @@ __all__ = [
     "Rotation",
     "Pose",
     "Seed",
-    "UnitVec3",
     "geodesic_distance",
-    "compose",
-    "inverse",
     "random_rotation",
     "random_rotation_matrices",
     "save_poses",
@@ -147,46 +144,6 @@ class Rotation:
             raise ValueError(f"quaternion norm {n:.17g} is not 1")
         return cls(_quat_to_matrix(arr[np.newaxis, :])[0])
 
-    def to_quaternion(self) -> np.ndarray:
-        """Matrix to unit quaternion (w, x, y, z), w >= 0. I/O convenience only."""
-        m = self.m
-        tr = float(np.trace(m))
-        if tr > 0.0:
-            s = math.sqrt(tr + 1.0) * 2.0
-            q = np.array([
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            ])
-        elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            q = np.array([
-                (m[2, 1] - m[1, 2]) / s,
-                0.25 * s,
-                (m[0, 1] + m[1, 0]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-            ])
-        elif m[1, 1] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            q = np.array([
-                (m[0, 2] - m[2, 0]) / s,
-                (m[0, 1] + m[1, 0]) / s,
-                0.25 * s,
-                (m[1, 2] + m[2, 1]) / s,
-            ])
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            q = np.array([
-                (m[1, 0] - m[0, 1]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-                (m[1, 2] + m[2, 1]) / s,
-                0.25 * s,
-            ])
-        if q[0] < 0.0:
-            q = -q
-        return q / np.linalg.norm(q)
-
     def apply(self, vectors) -> np.ndarray:
         """Rotate a (3,) vector or (m, 3) row-stack of vectors."""
         v = np.asarray(vectors, dtype=np.float64)
@@ -219,40 +176,11 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(Rotation.identity(), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.r.m
-        m[:3, 3] = self.t
-        return m
-
     def apply(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64)
         if p.ndim == 1:
             return self.r.m @ p + self.t
         return p @ self.r.m.T + self.t
-
-
-@dataclass(frozen=True)
-class UnitVec3:
-    """Unit-norm 3-vector value type."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = _as_float_array(self.v, (3,), "vector")
-        n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > UNIT_TOL:
-            raise ValueError(f"vector norm {n:.17g} is not 1 within {UNIT_TOL}")
-        _freeze(self, "v", v)
-
-    @classmethod
-    def normalize(cls, v) -> "UnitVec3":
-        arr = _as_float_array(v, (3,), "vector")
-        n = float(np.linalg.norm(arr))
-        if n < 1e-12:
-            raise ValueError("cannot normalize a near-zero vector")
-        return cls(arr / n)
 
 
 @dataclass(frozen=True)
@@ -298,16 +226,6 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
     anti = (q - q.T).ravel(order="K")  # np.linalg.norm's Frobenius path, unwrapped
     s = math.sqrt(anti.dot(anti)) / _SQRT8
     return math.atan2(s, max(-1.0, min(1.0, c)))
-
-
-def compose(p: Pose, q: Pose) -> Pose:
-    """Composition p then-applied-after q: (p . q).apply(x) == p.apply(q.apply(x))."""
-    return Pose(p.r @ q.r, p.r.m @ q.t + p.t)
-
-
-def inverse(p: Pose) -> Pose:
-    r_inv = p.r.inverse()
-    return Pose(r_inv, -(r_inv.m @ p.t))
 
 
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:

@@ -170,36 +170,21 @@ def _scalar_pow(x: np.ndarray, p: int) -> np.ndarray:
     return np.abs(x) if p == 1 else x * x
 
 
-def pose_loss(
-    r_hat: Rotation,
-    t_hat,
-    gt: Pose,
-    weights: LossWeights,
-    p: int,
-    squared_translation: bool = False,
-) -> float:
+def pose_loss(r_hat: Rotation, t_hat, gt: Pose, weights: LossWeights, p: int) -> float:
     """Supervision on the recovered pose against the ground-truth pose.
 
     w_pose_r * d_g(r_hat, gt.r)^p + w_pose_p * ||t_hat - gt.t||_p, with d_g
     the SO(3) geodesic distance. The translation term is the literal vector
-    p-norm; squared_translation=True squares it for trainers that prefer a
-    smooth quadratic.
+    p-norm, not its p-th power.
     """
     _check_p(p)
     t_hat = np.asarray(t_hat, dtype=np.float64).reshape(3)
-    return _pose_value(
-        geodesic_distance(r_hat, gt.r), t_hat - gt.t, weights, p, squared_translation
-    )
+    return _pose_value(geodesic_distance(r_hat, gt.r), t_hat - gt.t, weights, p)
 
 
-def _pose_value(
-    dist: float, t_resid, weights: LossWeights, p: int, squared_translation: bool = False
-) -> float:
+def _pose_value(dist: float, t_resid, weights: LossWeights, p: int) -> float:
     """pose_loss from the geodesic distance and the translation residual."""
-    trans_term = _vec_pnorm(t_resid, p)
-    if squared_translation:
-        trans_term *= trans_term
-    return weights.w_pose_r * dist ** p + weights.w_pose_p * trans_term
+    return weights.w_pose_r * dist ** p + weights.w_pose_p * _vec_pnorm(t_resid, p)
 
 
 def geometry_loss(rays_hat, rays_gt, pts_hat, pts_gt, weights: LossWeights, p: int) -> float:

@@ -131,18 +131,6 @@ class TestCanonicalRays:
         flipped = d[:, ::-1, :] * np.array([-1.0, 1.0, 1.0])
         np.testing.assert_allclose(d, flipped, atol=1e-12)
 
-    def test_center_method_hits_patch_center_pixel_ray(self):
-        intr = Intrinsics(fx=10.0, fy=10.0, cx=8.0, cy=8.0, width=16, height=16)
-        grid = PatchGrid(intr, n=2)
-        dirs = canonical_rays(grid, method="center").dirs
-        # Patch (0, 0) spans pixels [0, 8); its center is at u = v = 4.
-        d = np.array([(4.0 - 8.0) / 10.0, (4.0 - 8.0) / 10.0, 1.0])
-        np.testing.assert_allclose(dirs[0], d / np.linalg.norm(d), atol=1e-15)
-
-    def test_unknown_method_rejected(self, grid4):
-        with pytest.raises(ValueError, match="method"):
-            canonical_rays(grid4, method="median")
-
     def test_fov_angles_shrink_toward_center(self, grid16):
         # Corner patches look further off-axis than the central ones.
         dirs = canonical_rays(grid16).dirs.reshape(16, 16, 3)

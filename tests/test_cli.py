@@ -380,45 +380,72 @@ class TestLoss:
 
 class TestNonFiniteConfigFloats:
     """json reads NaN, Infinity and integers past the float range; no float
-    key accepts them, and the error names the key and its section."""
+    key accepts them. The table also holds values that are finite but out of
+    range. Each case exits 3 with one stderr line that names the key."""
 
+    FINITE = " must be a finite number"
+    # case id -> (command, config, expected stderr fragment)
     CASES = {
         "gen grid.fx NaN": ("gen", {"grid": {**GRID, "fx": math.nan}, "frames": 2},
-                            "key 'fx' in grid"),
+                            "key 'fx' in grid" + FINITE),
         "gen grid.fy huge": ("gen", {"grid": {**GRID, "fy": 10**400}, "frames": 2},
-                             "key 'fy' in grid"),
-        "solve unit_scale NaN": ("solve", {"unit_scale": math.nan}, "key 'unit_scale' in config"),
+                             "key 'fy' in grid" + FINITE),
+        "solve unit_scale NaN": ("solve", {"unit_scale": math.nan},
+                                 "key 'unit_scale' in config" + FINITE),
+        "solve unit_scale 0": ("solve", {"unit_scale": 0},
+                               "key 'unit_scale' in config must be positive"),
+        "solve unit_scale -100": ("solve", {"unit_scale": -100},
+                                  "key 'unit_scale' in config must be positive"),
+        "gen method center": ("gen", {"grid": GRID, "frames": 2, "method": "center"},
+                              "key 'method' in config must be 'mean', got 'center'"),
+        "solve method center": ("solve", {"method": "center"},
+                                "key 'method' in config must be 'mean', got 'center'"),
+        "loss method center": ("loss", {"method": "center"},
+                               "key 'method' in config must be 'mean', got 'center'"),
         "loss domain_logits NaN": ("loss", {"domain_logits": [0.0, math.nan, 0.0, 1.0, 0.0]},
-                                   "domain_logits[1]"),
+                                   "domain_logits[1]" + FINITE),
         "ablate ray_sigma Infinity": (
             "ablate", {"grid": GRID, "frames": 2, "noise": [{"ray_sigma": math.inf}]},
-            "key 'ray_sigma' in noise[0]"),
+            "key 'ray_sigma' in noise[0]" + FINITE),
         "ablate perturb.sigma_t Infinity": (
             "ablate", {"grid": GRID, "frames": 2, "noise": [{"ray_sigma": 0.01}],
                        "perturb": {"sigma_t": math.inf}},
-            "key 'sigma_t' in perturb"),
+            "key 'sigma_t' in perturb" + FINITE),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exit_3_names_the_key(self, dataset, tmp_path, case):
-        command, cfg, key = self.CASES[case]
+    @staticmethod
+    def run_cli(dataset, tmp_path, command, cfg):
         if command in ("solve", "loss"):  # the dataset's frames, so only the bad key can fail
             cfg = {"grid": GRID, "rays": str(dataset / "world_rays_*.csv"),
                    "points": str(dataset / "world_points_*.csv"),
                    "gt_poses": str(dataset / "gt_poses.txt"), **cfg}
-        path = tmp_path / "bad.json"
+        tmp_path.mkdir(exist_ok=True)
+        path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         src = os.path.dirname(os.path.dirname(grr.__file__))
-        r = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "grr.cli", command, "--config", str(path),
              "--out", str(tmp_path / "o")],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
         )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_3_names_the_key(self, dataset, tmp_path, case):
+        command, cfg, fragment = self.CASES[case]
+        r = self.run_cli(dataset, tmp_path, command, cfg)
         assert r.returncode == 3, r.stderr
         assert r.stdout == ""
-        assert f"{key} must be a finite number" in r.stderr, r.stderr
+        assert fragment in r.stderr, r.stderr
         assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "loss"])
+    def test_method_mean_is_the_default(self, dataset, tmp_path, command):
+        cfg = {"grid": GRID, "frames": 2} if command == "gen" else {}
+        plain = self.run_cli(dataset, tmp_path / "plain", command, cfg)
+        mean = self.run_cli(dataset, tmp_path / "mean", command, {**cfg, "method": "mean"})
+        assert plain.returncode == mean.returncode == 0, mean.stderr
+        assert mean.stdout == plain.stdout != ""
 
 
 class TestExitCodes:

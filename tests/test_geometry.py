@@ -9,10 +9,7 @@ from grr import (
     Pose,
     Rotation,
     Seed,
-    UnitVec3,
-    compose,
     geodesic_distance,
-    inverse,
     load_poses,
     random_rotation,
     random_rotation_matrices,
@@ -80,27 +77,22 @@ class TestRotation:
 
 
 class TestQuaternion:
-    # One rotation per branch of the conversion: trace-positive plus each
-    # dominant diagonal element.
-    BRANCHY = [
-        Rotation.from_axis_angle([1, 2, 3], 0.4),
-        Rotation.from_axis_angle([1, 0, 0], math.pi),
-        Rotation.from_axis_angle([0, 1, 0], math.pi),
-        Rotation.from_axis_angle([0, 0, 1], math.pi),
-    ]
+    # A generic rotation plus a half turn about each axis, where the scalar
+    # part w vanishes and only the vector part carries the rotation.
+    AXIS_ANGLES = [([1, 2, 3], 0.4), ([1, 0, 0], math.pi), ([0, 1, 0], math.pi),
+                   ([0, 0, 1], math.pi)]
 
-    @pytest.mark.parametrize("r", BRANCHY, ids=["generic", "x180", "y180", "z180"])
-    def test_roundtrip(self, r: Rotation):
-        q = r.to_quaternion()
-        assert q[0] >= 0.0
-        assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-        back = Rotation.from_quaternion(q)
-        assert geodesic_distance(r, back) < 1e-12
+    @pytest.mark.parametrize("axis, angle", AXIS_ANGLES, ids=["generic", "x180", "y180", "z180"])
+    def test_roundtrip(self, axis, angle):
+        """Axis-angle to quaternion (half-angle form) to matrix gives back
+        the Rodrigues matrix of the same axis-angle."""
+        a = np.array(axis, dtype=np.float64) / np.linalg.norm(axis)
+        q = np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * a])
+        r = Rotation.from_quaternion(q)
+        np.testing.assert_allclose(r.m, Rotation.from_axis_angle(axis, angle).m, atol=1e-15)
 
     def test_identity_quaternion(self):
-        np.testing.assert_allclose(
-            Rotation.identity().to_quaternion(), [1.0, 0.0, 0.0, 0.0], atol=1e-15
-        )
+        assert np.array_equal(Rotation.from_quaternion([1.0, 0.0, 0.0, 0.0]).m, np.eye(3))
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="norm"):
@@ -110,30 +102,14 @@ class TestQuaternion:
 class TestPose:
     def test_apply_matches_homogeneous_matrix(self, rng):
         p = Pose(random_rotation(Seed(4)), np.array([1.0, -2.0, 0.5]))
+        hom = np.eye(4)
+        hom[:3, :3] = p.r.m
+        hom[:3, 3] = p.t
         x = rng.normal(size=3)
-        hom = p.matrix() @ np.append(x, 1.0)
-        np.testing.assert_allclose(p.apply(x), hom[:3], atol=1e-15)
-
-    def test_compose_matches_homogeneous_product(self):
-        # Axis-aligned pair checked against the brute-force 4x4 product.
-        p = Pose(Rotation.from_axis_angle([0, 0, 1], math.pi / 2), [1.0, 2.0, 3.0])
-        q = Pose(Rotation.from_axis_angle([1, 0, 0], math.pi), [-1.0, 0.0, 5.0])
-        np.testing.assert_allclose(
-            compose(p, q).matrix(), p.matrix() @ q.matrix(), atol=1e-15
-        )
-
-    def test_compose_application_order(self, rng, make_poses):
-        p, q = make_poses(21, 2)
-        x = rng.normal(size=3)
-        np.testing.assert_allclose(
-            compose(p, q).apply(x), p.apply(q.apply(x)), atol=1e-12
-        )
-
-    def test_inverse(self, make_poses):
-        (p,) = make_poses(22, 1)
-        rt = compose(p, inverse(p))
-        assert geodesic_distance(rt.r, Rotation.identity()) < 1e-15
-        np.testing.assert_allclose(rt.t, np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(p.apply(x), (hom @ np.append(x, 1.0))[:3], atol=1e-15)
+        rows = rng.normal(size=(5, 3))
+        expected = (np.hstack([rows, np.ones((5, 1))]) @ hom.T)[:, :3]
+        np.testing.assert_allclose(p.apply(rows), expected, atol=1e-15)
 
     def test_accepts_raw_matrix(self):
         p = Pose(np.eye(3), np.zeros(3))
@@ -141,7 +117,8 @@ class TestPose:
 
     def test_identity(self):
         p = Pose.identity()
-        assert np.array_equal(p.matrix(), np.eye(4))
+        assert np.array_equal(p.r.m, np.eye(3))
+        assert np.array_equal(p.t, np.zeros(3))
 
 
 class TestGeodesicDistance:
@@ -216,20 +193,6 @@ class TestSeed:
         a = Seed(9).rng(1).normal(size=4)
         b = Seed(9).rng(1).normal(size=4)
         assert np.array_equal(a, b)
-
-
-class TestUnitVec3:
-    def test_normalize(self):
-        u = UnitVec3.normalize([3.0, 0.0, 4.0])
-        np.testing.assert_allclose(u.v, [0.6, 0.0, 0.8], atol=1e-15)
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            UnitVec3([1.0, 1.0, 0.0])
-
-    def test_rejects_near_zero(self):
-        with pytest.raises(ValueError):
-            UnitVec3.normalize([0.0, 0.0, 1e-15])
 
 
 class TestPoseFileIO:

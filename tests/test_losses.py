@@ -85,13 +85,6 @@ class TestPoseLoss:
         assert pose_loss(r, t_hat, gt, LossWeights(), 2) == pytest.approx(5.0, abs=1e-12)
         assert pose_loss(r, t_hat, gt, LossWeights(), 1) == pytest.approx(7.0, abs=1e-12)
 
-    def test_squared_translation_option(self):
-        r = random_rotation(Seed(5))
-        gt = Pose(r, np.zeros(3))
-        t_hat = np.array([3.0, 4.0, 0.0])
-        v = pose_loss(r, t_hat, gt, LossWeights(), 2, squared_translation=True)
-        assert v == pytest.approx(25.0, abs=1e-10)
-
     def test_half_turn_rotation_term(self):
         gt = Pose(Rotation.identity(), np.zeros(3))
         assert pose_loss(half_turn_z(), np.zeros(3), gt, LossWeights(), 1) == math.pi

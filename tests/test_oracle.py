@@ -1,0 +1,156 @@
+"""Independent oracles for the rotation core.
+
+scipy's rotation code checks the quaternion map, the geodesic metric and
+both Wahba solvers; central differences check the Kabsch VJP. No reference
+here derives from grr's own code, so a defect shared by a fast form and the
+form it replaced still fails. Every problem is drawn from a `Seed`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.spatial.transform import Rotation as SciRotation
+
+from grr import (
+    AlignmentProblem,
+    Rotation,
+    Seed,
+    VjpRequest,
+    geodesic_distance,
+    kabsch_rotation,
+    kabsch_rotation_vjp,
+    random_rotation_matrices,
+    rigid_align,
+)
+
+EPS = np.finfo(np.float64).eps
+# The quaternion map and the geodesic metric read <= 1.1e-15 against scipy.
+MAP_TOL = 1e-13
+# A solve's rotation moves by about eps * sigma_1 / sigma_2 under rounding;
+# 2000 seeded problems per regime below read at most ~20 of those units.
+SOLVE_UNITS = 64
+
+
+def solve_tol(diag) -> float:
+    s1, s2, _ = diag.singular_values
+    return SOLVE_UNITS * EPS * s1 / s2
+
+
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+class TestQuaternionMap:
+    def test_from_quaternion_matches_scipy(self):
+        q = Seed(1).rng().normal(size=(2000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        for row in q:
+            ours = Rotation.from_quaternion(row).m
+            # grr is scalar-first (w, x, y, z); scipy is scalar-last.
+            ref = SciRotation.from_quat(row[[1, 2, 3, 0]]).as_matrix()
+            assert np.abs(ours - ref).max() <= MAP_TOL
+
+
+class TestGeodesicDistance:
+    def test_random_pairs_match_scipy(self):
+        mats = random_rotation_matrices(Seed(2), 4000).reshape(2000, 2, 3, 3)
+        for a, b in mats:
+            ref = (SciRotation.from_matrix(a).inv() * SciRotation.from_matrix(b)).magnitude()
+            assert abs(geodesic_distance(Rotation(a), Rotation(b)) - ref) <= MAP_TOL
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-6, 1.0, math.pi - 1e-8, math.pi])
+    def test_relative_angle_matches_scipy(self, angle):
+        rng = Seed(3).rng()
+        for a in random_rotation_matrices(Seed(4), 200):
+            b = a @ Rotation.from_axis_angle(rng.normal(size=3), angle).m
+            ours = geodesic_distance(Rotation(a), Rotation(b))
+            ref = (SciRotation.from_matrix(a).inv() * SciRotation.from_matrix(b)).magnitude()
+            assert abs(ours - ref) <= MAP_TOL
+            assert abs(ours - angle) <= MAP_TOL
+
+
+REGIMES = ["generic", "m3", "zero_weights", "planar_mirrored", "offset_1e3"]
+
+
+def wahba_problem(rng, regime: str):
+    """(source, target, weights): noisy rotated copies of a random point set."""
+    m = 3 if regime == "m3" else int(rng.integers(4, 300))
+    r = random_rotation_matrices(Seed(int(rng.integers(2**63))), 1)[0]
+    w = rng.uniform(0.1, 2.0, m)
+    if regime == "zero_weights":
+        w[3:][rng.random(m - 3) < 0.5] = 0.0
+    src = rng.normal(size=(m, 3))
+    if regime == "planar_mirrored":
+        # A thin slab mirrored through its plane: the best orthogonal map is
+        # a reflection, so the determinant correction must fire.
+        src[:, 2] *= 1e-3
+        tgt = (src * np.array([1.0, 1.0, -1.0])) @ r.T + 1e-5 * rng.normal(size=(m, 3))
+    else:
+        tgt = src @ r.T + 0.05 * rng.normal(size=(m, 3))
+    if regime == "offset_1e3":
+        src += 1e3 * rng.normal(size=3)
+        tgt += 1e3 * rng.normal(size=3)
+    return src, tgt, w
+
+
+class TestWahbaSolvers:
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_kabsch_rotation_matches_align_vectors(self, regime):
+        rng = Seed(5).rng(REGIMES.index(regime))
+        for _ in range(300):
+            src, tgt, w = wahba_problem(rng, regime)
+            rot, diag = kabsch_rotation(AlignmentProblem(src, tgt, w))
+            ref = SciRotation.align_vectors(unit_rows(tgt), unit_rows(src), weights=w)[0]
+            assert np.abs(rot.m - ref.as_matrix()).max() <= solve_tol(diag)
+            if regime == "planar_mirrored":
+                assert diag.reflection_corrected
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_rigid_align_matches_align_vectors(self, regime):
+        rng = Seed(6).rng(REGIMES.index(regime))
+        for _ in range(300):
+            src, tgt, w = wahba_problem(rng, regime)
+            pose, diag = rigid_align(AlignmentProblem(src, tgt, w))
+            c_src = np.average(src, axis=0, weights=w)
+            c_tgt = np.average(tgt, axis=0, weights=w)
+            ref = SciRotation.align_vectors(tgt - c_tgt, src - c_src, weights=w)[0].as_matrix()
+            tol = solve_tol(diag)
+            assert np.abs(pose.r.m - ref).max() <= tol
+            # t = c_tgt - R c_src: the rotation's error scales with the offsets.
+            scale = 1.0 + np.abs(c_src).max() + np.abs(c_tgt).max()
+            assert np.abs(pose.t - (c_tgt - ref @ c_src)).max() <= tol * scale
+            if regime == "planar_mirrored":
+                assert diag.reflection_corrected
+
+
+def central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
+    out = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[idx] = h
+        out[idx] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return out
+
+
+class TestKabschVjp:
+    @pytest.mark.parametrize("regime", ["generic", "planar_mirrored"])
+    def test_raw_rows_match_central_differences(self, regime):
+        """normalize=False: the gradient of <G, R> with respect to the raw rows."""
+        rng = Seed(7).rng(0 if regime == "generic" else 1)
+        for _ in range(40):
+            src, tgt, w = (a[:8] for a in wahba_problem(rng, regime))
+            g = rng.normal(size=(3, 3))
+            vjp = kabsch_rotation_vjp(VjpRequest(AlignmentProblem(src, tgt, w), g), normalize=False)
+
+            def objective(s, t):
+                rot, _ = kabsch_rotation(AlignmentProblem(s, t, w), normalize=False)
+                return float(np.sum(g * rot.m))
+
+            analytic = np.concatenate([vjp.source, vjp.target])
+            numeric = np.concatenate([
+                central_differences(lambda s: objective(s, tgt), src, 1e-6),
+                central_differences(lambda t: objective(src, t), tgt, 1e-6),
+            ])
+            # Truncation (h^2) and rounding (eps / h) read ~2e-8 relative here.
+            assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(analytic).max()
