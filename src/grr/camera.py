@@ -118,14 +118,12 @@ class RayBundle:
         return tuple(_read_only(t) for t in _tangent_basis(self.dirs))
 
     @classmethod
-    def from_array(cls, arr, normalize: bool = False) -> "RayBundle":
-        """Wrap an (m, 3) array; normalize=True renormalizes rows first."""
+    def from_array(cls, arr) -> "RayBundle":
+        """Wrap an (m, 3) array of directions, renormalizing its rows first."""
         d = np.asarray(arr, dtype=np.float64)
-        if normalize:
-            if d.ndim != 2 or d.shape[1] != 3:
-                raise ValueError(f"expected (m, 3) array, got {d.shape}")
-            d = _normalized_rows(d, "ray")[0]
-        return cls(d)
+        if d.ndim != 2 or d.shape[1] != 3:
+            raise ValueError(f"expected (m, 3) array, got {d.shape}")
+        return cls(_normalized_rows(d, "ray")[0])
 
     def __len__(self) -> int:
         return self.dirs.shape[0]

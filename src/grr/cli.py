@@ -95,6 +95,7 @@ def _run_seed(args, cfg: dict) -> Seed:
 
 
 def _out_dir(args) -> str:
+    """--out, created on first use: call it only once the config is accepted."""
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
@@ -120,27 +121,42 @@ def _base_poses(cfg: dict, base_dir: str, seed: Seed) -> list[Pose]:
     return _random_poses(seed.derive(0), frames)
 
 
-def _canonical(cfg: dict) -> tuple[PatchGrid, RayBundle, PointMap]:
-    """The config's patch grid with its canonical rays and unit-distance points."""
+def _grid(cfg: dict) -> PatchGrid:
+    """The config's patch grid."""
     grid = grid_from_config(_get(cfg, "grid", dict, "config"))
     # Canonical rays are always patch means; the key stays readable so an old
     # config that asks for anything else fails instead of being ignored.
     method = _get(cfg, "method", str, "config", default="mean")
     if method != "mean":
         raise ConfigError(f"key 'method' in config must be 'mean', got {method!r}")
+    return grid
+
+
+def _canonical(cfg: dict) -> tuple[PatchGrid, RayBundle, PointMap]:
+    """The config's patch grid with its canonical rays and unit-distance points."""
+    grid = _grid(cfg)
     rays = canonical_rays(grid)
     return grid, rays, canonical_points(rays)
+
+
+def _frame_files(cfg: dict, base_dir: str) -> list[tuple[str, str]]:
+    """The config's (ray file, point file) pair for each frame."""
+    ray_files = resolve_paths(_get(cfg, "rays", (str, list), "config"), base_dir, "rays")
+    pt_files = resolve_paths(_get(cfg, "points", (str, list), "config"), base_dir, "points")
+    if len(ray_files) != len(pt_files):
+        raise ConfigError(f"{len(ray_files)} ray files vs {len(pt_files)} point files")
+    return list(zip(ray_files, pt_files))
 
 
 def cmd_gen(args) -> int:
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = _run_seed(args, cfg)
-    out = _out_dir(args)
 
     grid, rays, pts = _canonical(cfg)
     poses = _base_poses(cfg, base_dir, seed)
 
+    out = _out_dir(args)
     write_xyz_csv(os.path.join(out, "canonical_rays.csv"), rays.dirs)
     write_xyz_csv(os.path.join(out, "canonical_points.csv"), pts.pts)
     save_poses(poses, os.path.join(out, "gt_poses.txt"))
@@ -161,27 +177,21 @@ def cmd_solve(args) -> int:
 
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    out = _out_dir(args)
 
     _, rays_cam, pts_cam = _canonical(cfg)
-    ray_files = resolve_paths(_get(cfg, "rays", (str, list), "config"), base_dir, "rays")
-    pt_files = resolve_paths(_get(cfg, "points", (str, list), "config"), base_dir, "points")
-    if len(ray_files) != len(pt_files):
-        raise ConfigError(
-            f"{len(ray_files)} ray files vs {len(pt_files)} point files"
-        )
+    files = _frame_files(cfg, base_dir)
     unit_scale = _get(cfg, "unit_scale", float, "config", default=1.0)
     if unit_scale <= 0.0:
         raise ConfigError(f"key 'unit_scale' in config must be positive, got {unit_scale}")
     gt_path = _get(cfg, "gt_poses", str, "config", default=None)
     gt = load_poses(os.path.join(base_dir, gt_path)) if gt_path else None
-    if gt is not None and len(gt) != len(ray_files):
-        raise ConfigError(f"{len(gt)} GT poses vs {len(ray_files)} frames")
+    if gt is not None and len(gt) != len(files):
+        raise ConfigError(f"{len(gt)} GT poses vs {len(files)} frames")
 
     poses: list[Pose] = []
     records: list[FrameRecord] = []
-    for idx, (rf, pf) in enumerate(zip(ray_files, pt_files)):
-        rays = RayBundle.from_array(read_xyz_csv(rf), normalize=True)
+    for idx, (rf, pf) in enumerate(files):
+        rays = RayBundle.from_array(read_xyz_csv(rf))
         pts = PointMap(read_xyz_csv(pf))
         try:
             rec = recover_pose(rays_cam, pts_cam, rays, pts)
@@ -194,6 +204,7 @@ def cmd_solve(args) -> int:
         poses.append(rec.pose)
         records.append(_score_solved(idx, rec, None if gt is None else gt[idx]))
 
+    out = _out_dir(args)
     save_poses(poses, os.path.join(out, "solved_poses.txt"))
     write_report_csv(records, os.path.join(out, "frames.csv"), have_gt=gt is not None)
     report = summarize_records(records, unit_scale=unit_scale, have_gt=gt is not None)
@@ -269,9 +280,8 @@ def cmd_ablate(args) -> int:
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = _run_seed(args, cfg)
-    out = _out_dir(args)
 
-    grid = grid_from_config(_get(cfg, "grid", dict, "config"))
+    grid = _grid(cfg)
     poses = _base_poses(cfg, base_dir, seed)
     if "perturb" in cfg:
         poses = sample_poses(poses, perturb_spec_from_config(cfg["perturb"], seed))
@@ -282,6 +292,7 @@ def cmd_ablate(args) -> int:
     specs = [noise_spec_from_config(d, seed, i) for i, d in enumerate(noise_cfgs)]
 
     reports = ablation_sweep(grid, poses, specs)
+    out = _out_dir(args)
     write_sweep_csv(specs, reports, os.path.join(out, "sweep.csv"))
     for i, report in enumerate(reports):
         write_report_csv(report.records, os.path.join(out, f"trial_{i:03d}.csv"))
@@ -299,14 +310,10 @@ def cmd_loss(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
 
     grid, rays_cam, pts_cam = _canonical(cfg)
-    ray_files = resolve_paths(_get(cfg, "rays", (str, list), "config"), base_dir, "rays")
-    pt_files = resolve_paths(_get(cfg, "points", (str, list), "config"), base_dir, "points")
+    files = _frame_files(cfg, base_dir)
     gt = load_poses(os.path.join(base_dir, _get(cfg, "gt_poses", str, "config")))
-    if not len(ray_files) == len(pt_files) == len(gt):
-        raise ConfigError(
-            f"counts differ: {len(ray_files)} ray files, "
-            f"{len(pt_files)} point files, {len(gt)} poses"
-        )
+    if len(gt) != len(files):
+        raise ConfigError(f"{len(gt)} GT poses vs {len(files)} frames")
 
     weights = weights_from_config(cfg.get("weights"))
     schedule = schedule_from_config(cfg.get("schedule"))
@@ -318,8 +325,12 @@ def cmd_loss(args) -> int:
     ):
         raise ConfigError("'domains' must give 0 or 1 per frame")
     logits = _get(cfg, "domain_logits", list, "config", default=None)
-    if logits is not None and len(logits) != len(gt):
-        raise ConfigError("'domain_logits' must give one logit per frame")
+    if logits is not None:
+        if len(logits) != len(gt):
+            raise ConfigError("'domain_logits' must give one logit per frame")
+        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in logits):
+            raise ConfigError("'domain_logits' entries must be numbers")
+        logits = [_finite_float(x, f"domain_logits[{k}]") for k, x in enumerate(logits)]
 
     try:
         neighbors = NeighborSet.grid(grid.n, connectivity=connectivity)
@@ -328,7 +339,7 @@ def cmd_loss(args) -> int:
 
     frames = []
     totals = {0: [], 1: []}
-    for idx, (rf, pf) in enumerate(zip(ray_files, pt_files)):
+    for idx, (rf, pf) in enumerate(files):
         fi = FrameInputs(
             rays_cam=rays_cam.dirs,
             pts_cam=pts_cam.pts,
@@ -364,10 +375,8 @@ def cmd_loss(args) -> int:
         dom_syn = dom_real = 0.0
     else:
         by_label = {0: [], 1: []}
-        for k, (lab, logit) in enumerate(zip(domains, logits)):
-            if not isinstance(logit, (int, float)) or isinstance(logit, bool):
-                raise ConfigError("'domain_logits' entries must be numbers")
-            by_label[lab].append(domain_bce(_finite_float(logit, f"domain_logits[{k}]"), lab))
+        for lab, logit in zip(domains, logits):
+            by_label[lab].append(domain_bce(logit, lab))
         dom_syn = float(np.mean(by_label[0])) if by_label[0] else 0.0
         dom_real = float(np.mean(by_label[1])) if by_label[1] else 0.0
 

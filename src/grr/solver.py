@@ -78,7 +78,15 @@ class AlignmentProblem:
             raise ValueError("correspondences contain non-finite entries")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
-        object.__setattr__(self, "weights", _checked_weights(self.weights, src.shape[0]))
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=np.float64)
+            if w.shape != (src.shape[0],):
+                raise ValueError(f"weights must be ({src.shape[0]},), got {w.shape}")
+            if not np.isfinite(w).all() or (w < 0.0).any():
+                raise ValueError("weights must be finite and nonnegative")
+            if w.sum() <= 0.0:
+                raise ValueError("weights must have a positive sum")
+            object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
@@ -114,22 +122,8 @@ class PoseRecovery:
     point_diagnostics: SolveDiagnostics
 
 
-def _checked_weights(weights, m: int) -> np.ndarray | None:
-    """weights as a checked float64 (m,) array; None (uniform) passes through."""
-    if weights is None:
-        return None
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (m,):
-        raise ValueError(f"weights must be ({m},), got {w.shape}")
-    if not np.isfinite(w).all() or (w < 0.0).any():
-        raise ValueError("weights must be finite and nonnegative")
-    if w.sum() <= 0.0:
-        raise ValueError("weights must have a positive sum")
-    return w
-
-
-# H, the rows it was built from and, if renormalized, their (m, 1) norms.
-_CrossCovariance = namedtuple("_CrossCovariance", "h src tgt w src_norms tgt_norms")
+# The rows H was built from, their weights and, if renormalized, their (m, 1) norms.
+_CrossCovariance = namedtuple("_CrossCovariance", "src tgt w src_norms tgt_norms")
 
 
 def _svd_rotation(h: np.ndarray):
@@ -168,13 +162,8 @@ def _kabsch_core(src, tgt, weights, src_norms=None, tgt_norms=None) -> _KabschSo
     w = np.ones(src.shape[0]) if weights is None else weights
     h = (tgt if weights is None else weights[:, np.newaxis] * tgt).T @ src  # x * 1.0 == x
     r, diag, svd = _svd_rotation(h)
-    cov = _CrossCovariance(h, src, tgt, w, src_norms, tgt_norms)
+    cov = _CrossCovariance(src, tgt, w, src_norms, tgt_norms)
     return _KabschSolve(Rotation(r), diag, cov, svd)
-
-
-def _centred(rows: np.ndarray, w: np.ndarray, wsum: float) -> tuple[np.ndarray, np.ndarray]:
-    c = (w @ rows) / wsum
-    return c, rows - c
 
 
 def _rigid_core(src, tgt, weights, wsum: float) -> _RigidSolve:
@@ -198,7 +187,8 @@ def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> _KabschSolve:
 def _rigid_solve(problem: AlignmentProblem) -> _RigidSolve:
     w = problem.effective_weights()
     wsum = float(w.sum())
-    return _rigid_core(_centred(problem.source, w, wsum), _centred(problem.target, w, wsum),
+    c_src, c_tgt = (w @ problem.source) / wsum, (w @ problem.target) / wsum
+    return _rigid_core((c_src, problem.source - c_src), (c_tgt, problem.target - c_tgt),
                        problem.weights, wsum)
 
 
@@ -253,14 +243,14 @@ def recover_pose(
     pts_cam: PointMap,
     rays_pred: RayBundle,
     pts_pred: PointMap,
-    weights: np.ndarray | None = None,
 ) -> PoseRecovery:
     """Decoupled pose recovery from predicted world-frame representations.
 
     The returned pose takes its rotation from the ray-bundle alignment and
     its translation from the rigid point registration. The rotation the
     point branch produced as a side effect is returned separately so
-    ablations can compare the two.
+    ablations can compare the two. Every patch weighs the same; a weighted
+    solve goes through an AlignmentProblem.
 
     DegenerateConfiguration from either branch propagates with its `branch`
     attribute set to "rays" or "points".
@@ -270,18 +260,12 @@ def recover_pose(
     if len(pts_cam) != len(pts_pred):
         raise ValueError("canonical and predicted pointmaps differ in length")
     # The value types checked shapes, finiteness and unit ray norms.
-    for m in (len(rays_cam), len(pts_cam)):
-        if m < 3:
-            raise ValueError("need at least 3 correspondences")
-        w = _checked_weights(weights, m)
-    wsum = float(len(pts_cam)) if w is None else float(w.sum())
-
-    def centring(pm: PointMap):  # the cached unweighted centring, else the weighted one
-        return (pm.centroid, pm.centred) if w is None else _centred(pm.pts, w, wsum)
-
+    if min(len(rays_cam), len(pts_cam)) < 3:
+        raise ValueError("need at least 3 correspondences")
     rays, pts = _solve_frame(
-        lambda: _kabsch_core(rays_cam.unit, rays_pred.unit, w, rays_cam.norms, rays_pred.norms),
-        lambda: _rigid_core(centring(pts_cam), centring(pts_pred), w, wsum),
+        lambda: _kabsch_core(rays_cam.unit, rays_pred.unit, None, rays_cam.norms, rays_pred.norms),
+        lambda: _rigid_core((pts_cam.centroid, pts_cam.centred),
+                            (pts_pred.centroid, pts_pred.centred), None, float(len(pts_cam))),
     )
     return PoseRecovery(
         pose=Pose(rays.rotation, pts.pose.t),

@@ -110,10 +110,10 @@ class VjpRequest:
 
 @dataclass(frozen=True)
 class VjpResult:
-    """Gradients with respect to the problem rows."""
+    """Gradients with respect to the problem rows (source None when not asked for)."""
 
     target: np.ndarray
-    source: np.ndarray
+    source: np.ndarray | None
 
 
 def _polar_h_cotangent(k: np.ndarray, s: np.ndarray, sign: float) -> np.ndarray:
@@ -151,51 +151,34 @@ def _normalization_chain(unit: np.ndarray, norms: np.ndarray, grads: np.ndarray)
     return (grads - radial * unit) / norms
 
 
-def _h_cotangent(fwd: _KabschSolve, rotation_grad: np.ndarray) -> np.ndarray:
-    """Hbar = U Pbar V^T on the forward solve's own SVD factors."""
-    u, s, vt, sign = fwd.svd
-    return u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
-
-
 def _side_grad(rows, norms, other, w, hbar) -> np.ndarray:
     """w_i hbar other_i for each row of one side, through its normalization if any."""
     grad = w[:, np.newaxis] * (other @ hbar.T)
     return grad if norms is None else _normalization_chain(rows, norms, grad)
 
 
-def _target_grad(fwd: _KabschSolve, hbar: np.ndarray) -> np.ndarray:
+def _kabsch_backward(fwd: _KabschSolve, rotation_grad: np.ndarray, source: bool = True) -> VjpResult:
+    """Row gradients through Hbar = U Pbar V^T on the forward solve's own SVD
+    factors; source=False leaves the source side None, for constant sources."""
+    u, s, vt, sign = fwd.svd
+    hbar = u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
     cov = fwd.cov
-    return _side_grad(cov.tgt, cov.tgt_norms, cov.src, cov.w, hbar)
+    return VjpResult(
+        target=_side_grad(cov.tgt, cov.tgt_norms, cov.src, cov.w, hbar),
+        source=_side_grad(cov.src, cov.src_norms, cov.tgt, cov.w, hbar.T) if source else None,
+    )
 
 
-def _source_grad(fwd: _KabschSolve, hbar: np.ndarray) -> np.ndarray:
-    cov = fwd.cov
-    return _side_grad(cov.src, cov.src_norms, cov.tgt, cov.w, hbar.T)
-
-
-def _kabsch_backward(fwd: _KabschSolve, rotation_grad: np.ndarray) -> VjpResult:
-    hbar = _h_cotangent(fwd, rotation_grad)
-    return VjpResult(target=_target_grad(fwd, hbar), source=_source_grad(fwd, hbar))
-
-
-def _rigid_parts(fwd: _RigidSolve, req: VjpRequest):
-    """Hbar of the centered solve, the translation cotangent and each row's
-    share w_i / sum(w) of the centroids."""
+def _rigid_backward(fwd: _RigidSolve, req: VjpRequest, source: bool = True) -> VjpResult:
+    """The centred solve's backward plus each row's share w_i / sum(w) of the
+    translation cotangent through the centroids."""
     g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
-    hbar = _h_cotangent(fwd.kabsch, req.rotation_grad - np.outer(g_t, fwd.c_src))
-    return hbar, g_t, fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
-
-
-def _rigid_target_grad(fwd: _RigidSolve, req: VjpRequest) -> np.ndarray:
-    """_rigid_backward(fwd, req).target, without building the source rows."""
-    hbar, g_t, share = _rigid_parts(fwd, req)
-    return _target_grad(fwd.kabsch, hbar) + share * g_t
-
-
-def _rigid_backward(fwd: _RigidSolve, req: VjpRequest) -> VjpResult:
-    hbar, g_t, share = _rigid_parts(fwd, req)
-    return VjpResult(target=_target_grad(fwd.kabsch, hbar) + share * g_t,
-                     source=_source_grad(fwd.kabsch, hbar) - share * (fwd.pose.r.m.T @ g_t))
+    grads = _kabsch_backward(fwd.kabsch, req.rotation_grad - np.outer(g_t, fwd.c_src), source)
+    share = fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
+    return VjpResult(
+        target=grads.target + share * g_t,
+        source=grads.source - share * (fwd.pose.r.m.T @ g_t) if source else None,
+    )
 
 
 def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
@@ -349,10 +332,9 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
     # The VjpRequests check the cotangents as the public VJPs do.
     # Only the predicted (target) rows are free, so no source gradient is built.
     ray_req = VjpRequest(f.ray_problem, rot_grad)
-    grad_rays = _target_grad(f.rays, _h_cotangent(f.rays, ray_req.rotation_grad))
-    grad_pts = _rigid_target_grad(
-        f.pts, VjpRequest(f.pt_problem, np.zeros((3, 3)), w.w_pose_p * trans_dir)
-    )
+    grad_rays = _kabsch_backward(f.rays, ray_req.rotation_grad, source=False).target
+    pt_req = VjpRequest(f.pt_problem, np.zeros((3, 3)), w.w_pose_p * trans_dir)
+    grad_pts = _rigid_backward(f.pts, pt_req, source=False).target
 
     # Geometry term, direct paths. The cosine clip only binds at round-off.
     _, cos_dev, point_resid, point_norms = f.geo

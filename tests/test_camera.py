@@ -181,12 +181,12 @@ class TestRayBundle:
             RayBundle(np.array([[1.0, 1.0, 0.0]]))
 
     def test_from_array_normalize(self):
-        rb = RayBundle.from_array(np.array([[3.0, 0.0, 4.0]]), normalize=True)
+        rb = RayBundle.from_array(np.array([[3.0, 0.0, 4.0]]))
         np.testing.assert_allclose(rb.dirs, [[0.6, 0.0, 0.8]], atol=1e-15)
 
     def test_from_array_rejects_zero_row(self):
         with pytest.raises(ValueError, match="near-zero"):
-            RayBundle.from_array(np.zeros((2, 3)), normalize=True)
+            RayBundle.from_array(np.zeros((2, 3)))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

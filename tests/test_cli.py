@@ -357,18 +357,27 @@ class TestLoss:
         floating = self.loss_cfg(dataset, name="loss_bad4.json", domains=[0, 1.0, 0, 1, 0])
         assert run(["loss", "--config", floating]) == (3, None, "")
 
-    def test_degenerate_frame_aborts_and_is_named(self, dataset, tmp_path):
+    @staticmethod
+    def degenerate_frame_1(dataset, tmp_path):
+        """A copy of the dataset whose frame 1 has collinear rays: (its directory, that rays file)."""
         work = tmp_path / "in"
         shutil.copytree(dataset, work)
         rays = work / "world_rays_0001.csv"
         write_xyz_csv(rays, np.tile([[0.0, 0.0, 1.0]], (len(read_xyz_csv(rays)), 1)))
-        cfg = self.loss_cfg(work, name="loss_degen.json")
+        return work, rays
+
+    @staticmethod
+    def run_loss(cfg):
         src = os.path.dirname(os.path.dirname(grr.__file__))
-        r = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "grr.cli", "loss", "--config", cfg],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
         )
+
+    def test_degenerate_frame_aborts_and_is_named(self, dataset, tmp_path):
+        work, rays = self.degenerate_frame_1(dataset, tmp_path)
+        r = self.run_loss(self.loss_cfg(work, name="loss_degen.json"))
         assert r.returncode == 2
         assert r.stdout == ""
         head = (f"ERROR grr: degenerate input: frame 1 (rays {rays}, "
@@ -377,11 +386,22 @@ class TestLoss:
         assert r.stderr.startswith(head), r.stderr
         assert r.stderr.count("\n") == 1
 
+    def test_domain_logits_checked_before_any_frame(self, dataset, tmp_path):
+        """A bad logit is a config error even when a frame is degenerate too:
+        the config is checked whole before the first frame is read."""
+        work, _ = self.degenerate_frame_1(dataset, tmp_path)
+        cfg = self.loss_cfg(work, name="loss_logits.json", domain_logits=[0.1, "x", 0.3, 0.0, 0.0])
+        r = self.run_loss(cfg)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == "ERROR grr: 'domain_logits' entries must be numbers\n"
+
 
 class TestNonFiniteConfigFloats:
     """json reads NaN, Infinity and integers past the float range; no float
     key accepts them. The table also holds values that are finite but out of
-    range. Each case exits 3 with one stderr line that names the key."""
+    range. Each case exits 3 with one stderr line that names the key, and
+    leaves no --out directory behind."""
 
     FINITE = " must be a finite number"
     # case id -> (command, config, expected stderr fragment)
@@ -402,6 +422,10 @@ class TestNonFiniteConfigFloats:
                                 "key 'method' in config must be 'mean', got 'center'"),
         "loss method center": ("loss", {"method": "center"},
                                "key 'method' in config must be 'mean', got 'center'"),
+        "ablate method center": (
+            "ablate", {"grid": GRID, "frames": 2, "noise": [{"ray_sigma": 0.01}],
+                       "method": "center"},
+            "key 'method' in config must be 'mean', got 'center'"),
         "loss domain_logits NaN": ("loss", {"domain_logits": [0.0, math.nan, 0.0, 1.0, 0.0]},
                                    "domain_logits[1]" + FINITE),
         "ablate ray_sigma Infinity": (
@@ -438,10 +462,13 @@ class TestNonFiniteConfigFloats:
         assert r.stdout == ""
         assert fragment in r.stderr, r.stderr
         assert r.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["gen", "solve", "loss"])
+    @pytest.mark.parametrize("command", ["gen", "solve", "loss", "ablate"])
     def test_method_mean_is_the_default(self, dataset, tmp_path, command):
-        cfg = {"grid": GRID, "frames": 2} if command == "gen" else {}
+        cfg = {"gen": {"grid": GRID, "frames": 2},
+               "ablate": {"grid": GRID, "frames": 2, "noise": [{"ray_sigma": 0.01}]}
+               }.get(command, {})
         plain = self.run_cli(dataset, tmp_path / "plain", command, cfg)
         mean = self.run_cli(dataset, tmp_path / "mean", command, {**cfg, "method": "mean"})
         assert plain.returncode == mean.returncode == 0, mean.stderr

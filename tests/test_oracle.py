@@ -1,7 +1,7 @@
 """Independent oracles for the rotation core.
 
 scipy's rotation code checks the quaternion map, the geodesic metric and
-both Wahba solvers; central differences check the Kabsch VJP. No reference
+both Wahba solvers; central differences check the Kabsch and rigid VJPs. No reference
 here derives from grr's own code, so a defect shared by a fast form and the
 form it replaced still fails. Every problem is drawn from a `Seed`.
 """
@@ -22,6 +22,7 @@ from grr import (
     kabsch_rotation_vjp,
     random_rotation_matrices,
     rigid_align,
+    rigid_align_vjp,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -70,13 +71,17 @@ class TestGeodesicDistance:
             assert abs(ours - angle) <= MAP_TOL
 
 
-REGIMES = ["generic", "m3", "zero_weights", "planar_mirrored", "offset_1e3"]
+REGIMES = ["generic", "m3", "zero_weights", "planar_mirrored", "offset_1e3", "near_pi"]
 
 
 def wahba_problem(rng, regime: str):
     """(source, target, weights): noisy rotated copies of a random point set."""
     m = 3 if regime == "m3" else int(rng.integers(4, 300))
     r = random_rotation_matrices(Seed(int(rng.integers(2**63))), 1)[0]
+    if regime == "near_pi":
+        # A half turn, or within 1e-12..1e-3 rad of one, about a random axis.
+        gap = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-12, -3)
+        r = Rotation.from_axis_angle(rng.normal(size=3), math.pi - gap).m
     w = rng.uniform(0.1, 2.0, m)
     if regime == "zero_weights":
         w[3:][rng.random(m - 3) < 0.5] = 0.0
@@ -133,11 +138,27 @@ def central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def assert_matches_central_differences(analytic, objective, rows):
+    """analytic gradients (one per array in rows) against central differences
+    of objective(*rows); truncation (h^2) and rounding (eps / h) read ~2e-8
+    relative on these problems."""
+    numeric = []
+    for k, x in enumerate(rows):
+        def along(v, k=k):
+            return objective(*(v if i == k else r for i, r in enumerate(rows)))
+        numeric.append(central_differences(along, x, 1e-6))
+    analytic, numeric = np.concatenate(analytic), np.concatenate(numeric)
+    assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(analytic).max()
+
+
+VJP_REGIMES = ["generic", "planar_mirrored"]
+
+
 class TestKabschVjp:
-    @pytest.mark.parametrize("regime", ["generic", "planar_mirrored"])
+    @pytest.mark.parametrize("regime", VJP_REGIMES)
     def test_raw_rows_match_central_differences(self, regime):
         """normalize=False: the gradient of <G, R> with respect to the raw rows."""
-        rng = Seed(7).rng(0 if regime == "generic" else 1)
+        rng = Seed(7).rng(VJP_REGIMES.index(regime))
         for _ in range(40):
             src, tgt, w = (a[:8] for a in wahba_problem(rng, regime))
             g = rng.normal(size=(3, 3))
@@ -147,10 +168,40 @@ class TestKabschVjp:
                 rot, _ = kabsch_rotation(AlignmentProblem(s, t, w), normalize=False)
                 return float(np.sum(g * rot.m))
 
-            analytic = np.concatenate([vjp.source, vjp.target])
-            numeric = np.concatenate([
-                central_differences(lambda s: objective(s, tgt), src, 1e-6),
-                central_differences(lambda t: objective(src, t), tgt, 1e-6),
-            ])
-            # Truncation (h^2) and rounding (eps / h) read ~2e-8 relative here.
-            assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(analytic).max()
+            assert_matches_central_differences((vjp.source, vjp.target), objective, (src, tgt))
+
+    @pytest.mark.parametrize("regime", VJP_REGIMES)
+    def test_normalized_rows_match_central_differences(self, regime):
+        """normalize=True: the chain through the row renormalization, with
+        respect to the raw rows, whose norms are not 1 here."""
+        rng = Seed(8).rng(VJP_REGIMES.index(regime))
+        for _ in range(40):
+            src, tgt, w = (a[:8] for a in wahba_problem(rng, regime))
+            g = rng.normal(size=(3, 3))
+            vjp = kabsch_rotation_vjp(VjpRequest(AlignmentProblem(src, tgt, w), g), normalize=True)
+
+            def objective(s, t):
+                rot, _ = kabsch_rotation(AlignmentProblem(s, t, w), normalize=True)
+                return float(np.sum(g * rot.m))
+
+            assert_matches_central_differences((vjp.source, vjp.target), objective, (src, tgt))
+
+
+class TestRigidVjp:
+    @pytest.mark.parametrize("regime", VJP_REGIMES)
+    @pytest.mark.parametrize("cotangents", ["rotation", "translation", "both"])
+    def test_rows_match_central_differences(self, regime, cotangents):
+        """The gradient of <G, R> + <g, t> for rigid_align, with either
+        cotangent zero or both drawn."""
+        rng = Seed(9).rng(VJP_REGIMES.index(regime))
+        for _ in range(40):
+            src, tgt, w = (a[:8] for a in wahba_problem(rng, regime))
+            g = rng.normal(size=(3, 3)) if cotangents != "translation" else np.zeros((3, 3))
+            g_t = rng.normal(size=3) if cotangents != "rotation" else np.zeros(3)
+            vjp = rigid_align_vjp(VjpRequest(AlignmentProblem(src, tgt, w), g, g_t))
+
+            def objective(s, t):
+                pose, _ = rigid_align(AlignmentProblem(s, t, w))
+                return float(np.sum(g * pose.r.m) + g_t @ pose.t)
+
+            assert_matches_central_differences((vjp.source, vjp.target), objective, (src, tgt))

@@ -59,9 +59,17 @@ class TestAlignmentProblem:
         with pytest.raises(ValueError, match="shape"):
             AlignmentProblem(np.zeros((3, 3)), np.zeros((4, 3)))
 
+    def test_rejects_weights_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"weights must be \(3,\), got \(2,\)"):
+            AlignmentProblem(np.eye(3), np.eye(3), weights=np.ones(2))
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="nonnegative"):
             AlignmentProblem(np.eye(3), np.eye(3), weights=np.array([1.0, -1.0, 1.0]))
+
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            AlignmentProblem(np.eye(3), np.eye(3), weights=np.array([1.0, np.nan, 1.0]))
 
     def test_rejects_zero_weight_sum(self):
         with pytest.raises(ValueError, match="positive sum"):
@@ -337,7 +345,7 @@ class TestFailureParity:
         nonfinite = (ValueError, "dirs contains non-finite entries", None)
         assert _raised(RayBundle, d) == nonfinite
         with np.errstate(invalid="ignore"):  # inf / inf while normalizing
-            assert _raised(RayBundle.from_array, d, True) == nonfinite
+            assert _raised(RayBundle.from_array, d) == nonfinite
         assert _raised(AlignmentProblem, rays.dirs, d) == (
             ValueError, "correspondences contain non-finite entries", None)
 
@@ -345,7 +353,7 @@ class TestFailureParity:
         rays, _, wr, _ = self.frame(grid4)
         d = wr.dirs.copy()
         d[2] = 0.0
-        assert _raised(RayBundle.from_array, d, True) == (
+        assert _raised(RayBundle.from_array, d) == (
             ValueError, "cannot normalize near-zero ray rows", None)
         assert _raised(RayBundle, d) == (
             ValueError, f"ray norms deviate from 1 by up to {1.0:.3e}", None)
@@ -413,10 +421,10 @@ class TestCachedPathParity:
         return (rays, pts) + pred
 
     @staticmethod
-    def assert_parity(rays, pts, rays_pred, pts_pred, weights=None):
-        rec = recover_pose(rays, pts, rays_pred, pts_pred, weights)
-        r, r_diag = kabsch_rotation(AlignmentProblem(rays.dirs, rays_pred.dirs, weights))
-        pose, p_diag = rigid_align(AlignmentProblem(pts.pts, pts_pred.pts, weights))
+    def assert_parity(rays, pts, rays_pred, pts_pred):
+        rec = recover_pose(rays, pts, rays_pred, pts_pred)
+        r, r_diag = kabsch_rotation(AlignmentProblem(rays.dirs, rays_pred.dirs))
+        pose, p_diag = rigid_align(AlignmentProblem(pts.pts, pts_pred.pts))
         assert rec.pose.r.m.tobytes() == r.m.tobytes()
         assert rec.pose.t.tobytes() == pose.t.tobytes()
         assert rec.rotation_from_points.m.tobytes() == pose.r.m.tobytes()
@@ -428,13 +436,6 @@ class TestCachedPathParity:
         for seed in range(5):
             self.assert_parity(*self.noisy_frame(grid16, 70 + seed))
 
-    def test_weighted_with_zero_weights(self, grid16):
-        rays, pts, rp, pp = self.noisy_frame(grid16, 75)
-        w = Seed(76).rng().uniform(0.0, 2.0, len(rays))
-        w[::7] = 0.0
-        self.assert_parity(rays, pts, rp, pp, w)
-        self.assert_parity(rays, pts, rp, pp, list(w))  # converted like AlignmentProblem does
-
     def test_reflection_corrected_near_planar(self, grid4):
         rays = canonical_rays(grid4)
         rng = Seed(77).rng()
@@ -445,29 +446,18 @@ class TestCachedPathParity:
         assert rec.ray_diagnostics.reflection_corrected
         assert rec.point_diagnostics.reflection_corrected
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_degenerate_ray_frame(self, grid16, weighted):
+    def test_degenerate_ray_frame(self, grid16):
         rays, pts, _, pp = self.noisy_frame(grid16, 78)
         z = RayBundle(np.tile(np.array([0.0, 0.6, 0.8]), (len(rays), 1)))
-        w = np.linspace(0.0, 1.0, len(rays)) if weighted else None
-        kind, msg, _ = _raised(kabsch_rotation, AlignmentProblem(rays.dirs, z.dirs, w))
+        kind, msg, _ = _raised(kabsch_rotation, AlignmentProblem(rays.dirs, z.dirs))
         assert kind is DegenerateConfiguration
-        assert _raised(recover_pose, rays, pts, z, pp, w) == (
+        assert _raised(recover_pose, rays, pts, z, pp) == (
             DegenerateConfiguration, f"ray branch: {msg}", "rays")
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_degenerate_point_frame(self, grid16, weighted):
+    def test_degenerate_point_frame(self, grid16):
         rays, pts, rp, _ = self.noisy_frame(grid16, 79)
         line = PointMap(np.outer(np.linspace(-1.0, 2.0, len(pts)), np.array([0.3, -0.4, 0.5])))
-        w = np.linspace(0.0, 1.0, len(rays)) if weighted else None
-        kind, msg, _ = _raised(rigid_align, AlignmentProblem(pts.pts, line.pts, w))
+        kind, msg, _ = _raised(rigid_align, AlignmentProblem(pts.pts, line.pts))
         assert kind is DegenerateConfiguration
-        assert _raised(recover_pose, rays, pts, rp, line, w) == (
+        assert _raised(recover_pose, rays, pts, rp, line) == (
             DegenerateConfiguration, f"point branch: {msg}", "points")
-
-    def test_weight_checks_match_alignment_problem(self, grid4):
-        rays, pts, rp, pp = self.noisy_frame(grid4, 80)
-        m = len(rays)
-        for w in (np.ones(m - 1), np.full(m, -1.0), np.full(m, np.nan), np.zeros(m)):
-            want = _raised(AlignmentProblem, rays.dirs, rp.dirs, w)
-            assert _raised(recover_pose, rays, pts, rp, pp, w) == want

@@ -37,10 +37,9 @@ from grr.solver import _kabsch_solve, _rigid_solve
 from grr.solver_grad import (
     _dpow,
     _frame_forward,
-    _h_cotangent,
+    _kabsch_backward,
     _polar_h_cotangent,
-    _rigid_target_grad,
-    _target_grad,
+    _rigid_backward,
 )
 
 FD_TOL = 1e-4
@@ -507,8 +506,8 @@ def per_column_scatter(neighbors, coef, pull, delta, rays):
 
 
 class TestBackwardParity:
-    """The target-only backward and the single-bincount pair scatter give the
-    bytes the full backward and the per-column scatter give."""
+    """The backward with source=False and the single-bincount pair scatter give
+    the bytes the full backward and the per-column scatter give."""
 
     @pytest.mark.parametrize("case", sorted(BACKWARD_PROBLEMS))
     def test_target_only_matches_full_backward(self, case):
@@ -518,7 +517,9 @@ class TestBackwardParity:
 
         rays = _kabsch_solve(problem, normalize=True)
         want_target, want_source = previous_kabsch_backward(rays, g_rot)
-        _assert_bitwise(_target_grad(rays, _h_cotangent(rays, g_rot)), want_target)
+        target_only = _kabsch_backward(rays, g_rot, source=False)
+        assert target_only.source is None
+        _assert_bitwise(target_only.target, want_target)
         full = kabsch_rotation_vjp(VjpRequest(problem, g_rot), normalize=True)
         _assert_bitwise(full.target, want_target)
         _assert_bitwise(full.source, want_source)
@@ -527,7 +528,9 @@ class TestBackwardParity:
         for req in (VjpRequest(problem, g_rot, g_t), VjpRequest(problem, np.zeros((3, 3)), g_t)):
             want_target, want_source = previous_rigid_backward(
                 points, req.rotation_grad, req.translation_grad)
-            _assert_bitwise(_rigid_target_grad(points, req), want_target)
+            target_only = _rigid_backward(points, req, source=False)
+            assert target_only.source is None
+            _assert_bitwise(target_only.target, want_target)
             full = rigid_align_vjp(req)
             _assert_bitwise(full.target, want_target)
             _assert_bitwise(full.source, want_source)
