@@ -94,6 +94,12 @@ def _run_seed(args, cfg: dict) -> Seed:
     return Seed(raw)
 
 
+def _check_out(args) -> None:
+    """Reject an --out that names an existing file before any work is done."""
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out!r} exists and is not a directory")
+
+
 def _out_dir(args) -> str:
     """--out, created on first use: call it only once the config is accepted."""
     os.makedirs(args.out, exist_ok=True)
@@ -149,6 +155,7 @@ def _frame_files(cfg: dict, base_dir: str) -> list[tuple[str, str]]:
 
 
 def cmd_gen(args) -> int:
+    _check_out(args)
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = _run_seed(args, cfg)
@@ -175,6 +182,7 @@ def cmd_solve(args) -> int:
     from .simulator import write_report_csv
     from .solver import DegenerateConfiguration, recover_pose
 
+    _check_out(args)
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
 
@@ -277,6 +285,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     from .simulator import ablation_sweep, sample_poses, write_report_csv, write_sweep_csv
 
+    _check_out(args)
     cfg = load_json(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = _run_seed(args, cfg)

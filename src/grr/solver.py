@@ -133,6 +133,8 @@ def _svd_rotation(h: np.ndarray):
     feed the analytic gradient code, which must reuse the exact same
     decomposition as the forward pass.
     """
+    if not np.isfinite(h).all():  # rows past ~1e154 overflow the products
+        raise ValueError("cross-covariance overflows: correspondences too large")
     u, s, vt = np.linalg.svd(h)
     if s[0] <= 0.0 or s[1] < DEGENERACY_RTOL * s[0]:
         raise DegenerateConfiguration(
@@ -192,17 +194,21 @@ def _rigid_solve(problem: AlignmentProblem) -> _RigidSolve:
                        problem.weights, wsum)
 
 
-def _solve_frame(solve_rays, solve_points) -> tuple[_KabschSolve, _RigidSolve]:
-    """Both branches of one frame, each a zero-argument solve: the ray Kabsch
-    solve, then the rigid point solve. DegenerateConfiguration from either is
-    re-raised with `branch` set to "rays" or "points" and the branch named in
-    the message."""
+def _solve_frame(rays_cam: RayBundle, pts_cam: PointMap, pred_unit: np.ndarray,
+                 pred_norms: np.ndarray, pts_pred: PointMap) -> tuple[_KabschSolve, _RigidSolve]:
+    """Both branches of one frame on cached factors: the ray solve on unit rows
+    (pred_unit = predicted rows / pred_norms), then the rigid solve on centred
+    points. DegenerateConfiguration from either is re-raised with `branch` set
+    to "rays" or "points" and the branch named in the message."""
+    if min(len(rays_cam), len(pts_cam)) < 3:
+        raise ValueError("need at least 3 correspondences")
     try:
-        rays = solve_rays()
+        rays = _kabsch_core(rays_cam.unit, pred_unit, None, rays_cam.norms, pred_norms)
     except DegenerateConfiguration as exc:
         raise DegenerateConfiguration(f"ray branch: {exc}", branch="rays") from exc
     try:
-        pts = solve_points()
+        pts = _rigid_core((pts_cam.centroid, pts_cam.centred),
+                          (pts_pred.centroid, pts_pred.centred), None, float(len(pts_cam)))
     except DegenerateConfiguration as exc:
         raise DegenerateConfiguration(f"point branch: {exc}", branch="points") from exc
     return rays, pts
@@ -220,7 +226,8 @@ def kabsch_rotation(
 
     Raises DegenerateConfiguration when the inputs are collinear
     (sigma_2 / sigma_1 < DEGENERACY_RTOL): the component of the rotation
-    about the common axis is unobservable.
+    about the common axis is unobservable. Raises ValueError when the
+    cross-covariance overflows (every solve checks it before the SVD).
     """
     solve = _kabsch_solve(problem, normalize)
     return solve.rotation, solve.diag
@@ -260,13 +267,7 @@ def recover_pose(
     if len(pts_cam) != len(pts_pred):
         raise ValueError("canonical and predicted pointmaps differ in length")
     # The value types checked shapes, finiteness and unit ray norms.
-    if min(len(rays_cam), len(pts_cam)) < 3:
-        raise ValueError("need at least 3 correspondences")
-    rays, pts = _solve_frame(
-        lambda: _kabsch_core(rays_cam.unit, rays_pred.unit, None, rays_cam.norms, rays_pred.norms),
-        lambda: _rigid_core((pts_cam.centroid, pts_cam.centred),
-                            (pts_pred.centroid, pts_pred.centred), None, float(len(pts_cam))),
-    )
+    rays, pts = _solve_frame(rays_cam, pts_cam, rays_pred.unit, rays_pred.norms, pts_pred)
     return PoseRecovery(
         pose=Pose(rays.rotation, pts.pose.t),
         rotation_from_points=pts.pose.r,

@@ -31,8 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .camera import Intrinsics, PatchGrid, canonical_points, canonical_rays
-from .geometry import Pose, Seed, _read_only, _row_sums, _tangent_basis, geodesic_distance, random_rotation
+from .camera import Intrinsics, PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays
+from .geometry import (Pose, Seed, _normalized_rows, _read_only, _row_sums, _tangent_basis,
+                       geodesic_distance, random_rotation)
 from .losses import (
     LossWeights,
     NeighborSet,
@@ -97,15 +98,19 @@ class VjpRequest:
     translation_grad: np.ndarray | None = None
 
     def __post_init__(self):
-        g = np.asarray(self.rotation_grad, dtype=np.float64)
-        if g.shape != (3, 3) or not np.isfinite(g).all():
-            raise ValueError("rotation_grad must be a finite 3x3 array")
+        g = _cotangent(self.rotation_grad, "rotation_grad")
         object.__setattr__(self, "rotation_grad", g)
         if self.translation_grad is not None:
-            t = np.asarray(self.translation_grad, dtype=np.float64)
-            if t.shape != (3,) or not np.isfinite(t).all():
-                raise ValueError("translation_grad must be a finite 3-vector")
+            t = _cotangent(self.translation_grad, "translation_grad")
             object.__setattr__(self, "translation_grad", t)
+
+
+def _cotangent(value, name: str) -> np.ndarray:
+    shape, kind = ((3, 3), "3x3 array") if name == "rotation_grad" else ((3,), "3-vector")
+    g = np.asarray(value, dtype=np.float64)
+    if g.shape != shape or not np.isfinite(g).all():
+        raise ValueError(f"{name} must be a finite {kind}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -169,11 +174,11 @@ def _kabsch_backward(fwd: _KabschSolve, rotation_grad: np.ndarray, source: bool 
     )
 
 
-def _rigid_backward(fwd: _RigidSolve, req: VjpRequest, source: bool = True) -> VjpResult:
+def _rigid_backward(fwd: _RigidSolve, rotation_grad, translation_grad, source: bool = True) -> VjpResult:
     """The centred solve's backward plus each row's share w_i / sum(w) of the
     translation cotangent through the centroids."""
-    g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
-    grads = _kabsch_backward(fwd.kabsch, req.rotation_grad - np.outer(g_t, fwd.c_src), source)
+    g_t = translation_grad if translation_grad is not None else np.zeros(3)
+    grads = _kabsch_backward(fwd.kabsch, rotation_grad - np.outer(g_t, fwd.c_src), source)
     share = fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
     return VjpResult(
         target=grads.target + share * g_t,
@@ -203,7 +208,7 @@ def rigid_align_vjp(req: VjpRequest) -> VjpResult:
     centroid; the centered-set terms need no centroid correction because the
     centered rows sum to zero.
     """
-    return _rigid_backward(_rigid_solve(req.problem), req)
+    return _rigid_backward(_rigid_solve(req.problem), req.rotation_grad, req.translation_grad)
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,8 @@ class FrameInputs:
 
     rays_pred / pts_pred are the free variables the gradient is taken with
     respect to; the canonical sets, ground-truth pose, neighbor pairs,
-    weights, and norm order are constants of the frame.
+    weights, and norm order are constants of the frame. rays_cam must be unit
+    rows, as canonical_rays gives them.
     """
 
     rays_cam: np.ndarray
@@ -257,17 +263,14 @@ class FrameInputs:
 
 
 # One frame's forward pass: both solves and every loss intermediate the gradient reuses.
-_FramePass = namedtuple(
-    "_FramePass", "terms ray_problem pt_problem rays pts d_gt dist t_resid geo pairs"
-)
+_FramePass = namedtuple("_FramePass", "terms rays pts d_gt dist t_resid geo pairs")
 
 
 def _frame_forward(fi: FrameInputs) -> _FramePass:
-    ray_problem = AlignmentProblem(fi.rays_cam, fi.rays_pred)
-    pt_problem = AlignmentProblem(fi.pts_cam, fi.pts_pred)
-    rays, pts = _solve_frame(
-        lambda: _kabsch_solve(ray_problem, normalize=True), lambda: _rigid_solve(pt_problem)
-    )
+    if not np.isfinite(fi.rays_pred).all():  # a NaN row would pass the near-zero check
+        raise ValueError("rays_pred contains non-finite entries")
+    rays, pts = _solve_frame(RayBundle(fi.rays_cam), PointMap(fi.pts_cam),
+                             *_normalized_rows(fi.rays_pred, "target"), PointMap(fi.pts_pred))
     d_gt = fi.rays_cam @ fi.gt.r.m.T
     p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
     w, p = fi.weights, _check_p(fi.p)
@@ -276,7 +279,7 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
     pairs = _pair_terms(fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p)
     terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
-    return _FramePass(terms, ray_problem, pt_problem, rays, pts, d_gt, dist, t_resid, geo, pairs)
+    return _FramePass(terms, rays, pts, d_gt, dist, t_resid, geo, pairs)
 
 
 def pipeline_loss(fi: FrameInputs) -> FrameLossTerms:
@@ -329,12 +332,11 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
             raise NearSingularJacobian("translation residual too small for an L2 gradient")
         trans_dir = f.t_resid / nrm
 
-    # The VjpRequests check the cotangents as the public VJPs do.
+    # The cotangents are checked as VjpRequest checks them for the public VJPs.
     # Only the predicted (target) rows are free, so no source gradient is built.
-    ray_req = VjpRequest(f.ray_problem, rot_grad)
-    grad_rays = _kabsch_backward(f.rays, ray_req.rotation_grad, source=False).target
-    pt_req = VjpRequest(f.pt_problem, np.zeros((3, 3)), w.w_pose_p * trans_dir)
-    grad_pts = _rigid_backward(f.pts, pt_req, source=False).target
+    grad_rays = _kabsch_backward(f.rays, _cotangent(rot_grad, "rotation_grad"), source=False).target
+    g_t = _cotangent(w.w_pose_p * trans_dir, "translation_grad")
+    grad_pts = _rigid_backward(f.pts, np.zeros((3, 3)), g_t, source=False).target
 
     # Geometry term, direct paths. The cosine clip only binds at round-off.
     _, cos_dev, point_resid, point_norms = f.geo

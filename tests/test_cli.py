@@ -475,6 +475,28 @@ class TestNonFiniteConfigFloats:
         assert mean.stdout == plain.stdout != ""
 
 
+class TestOutNamingAFile:
+    """An --out that names an existing file is rejected before any work:
+    exit 3, nothing on stdout, one stderr line naming --out, the file as it was."""
+
+    CONFIGS = {
+        "gen": {"grid": GRID, "frames": 3},
+        "solve": {},
+        "ablate": {"grid": GRID, "frames": 3, "noise": [{"ray_sigma": 0.01}]},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_exit_3_and_file_untouched(self, dataset, tmp_path, command):
+        out = tmp_path / "o"
+        out.write_bytes(b"not a directory\n")
+        r = TestNonFiniteConfigFloats.run_cli(dataset, tmp_path, command, self.CONFIGS[command])
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        assert f"--out {str(out)!r} exists and is not a directory" in r.stderr
+        assert r.stderr.count("\n") == 1
+        assert out.read_bytes() == b"not a directory\n"
+
+
 class TestExitCodes:
     def test_missing_config_file(self, run, tmp_path):
         assert run(["gen", "--config", str(tmp_path / "nope.json")])[0] == 3

@@ -152,3 +152,16 @@ def test_lazy_name_follows_a_rebinding_in_its_module():
     assert rec.summary()["calls"]["solver_grad.pipeline_loss_grad"] == 3
     assert grr.pipeline_loss_grad is pipeline_loss_grad
     assert "pipeline_loss_grad" not in vars(grr)
+
+
+def test_benchmark_workloads_load_every_traced_module():
+    # The benchmark's tracer looks up sys.modules["grr.<name>"] for each traced
+    # module; in some jobs only the workloads module's imports load them.
+    perfbench = SRC.parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        import spans
+    finally:
+        sys.path.pop(0)
+    loaded = loaded_after(f"import sys\nsys.path.insert(0, {str(perfbench)!r})\nimport workloads")
+    assert {f"grr.{name}" for name in spans.TRACED_MODULES} <= loaded

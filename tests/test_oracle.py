@@ -71,7 +71,8 @@ class TestGeodesicDistance:
             assert abs(ours - angle) <= MAP_TOL
 
 
-REGIMES = ["generic", "m3", "zero_weights", "planar_mirrored", "offset_1e3", "near_pi"]
+REGIMES = ["generic", "m3", "zero_weights", "planar_mirrored", "offset_1e3", "near_pi",
+           "offset_huge"]
 
 
 def wahba_problem(rng, regime: str):
@@ -93,9 +94,15 @@ def wahba_problem(rng, regime: str):
         tgt = (src * np.array([1.0, 1.0, -1.0])) @ r.T + 1e-5 * rng.normal(size=(m, 3))
     else:
         tgt = src @ r.T + 0.05 * rng.normal(size=(m, 3))
-    if regime == "offset_1e3":
+    if regime in ("offset_1e3", "offset_huge"):
         src += 1e3 * rng.normal(size=3)
         tgt += 1e3 * rng.normal(size=3)
+    if regime == "offset_huge":
+        # Offset sets scaled by up to 1e150. The products in H overflow near
+        # 1e154, long before centring can (~1e306); past that edge the solvers
+        # raise ValueError (test_solver's TestFailureParity).
+        scale = 10.0 ** rng.uniform(100.0, 150.0)
+        src, tgt = scale * src, scale * tgt
     return src, tgt, w
 
 

@@ -17,6 +17,7 @@ from grr import (
     RayBundle,
     Rotation,
     Seed,
+    VjpRequest,
     canonical_points,
     canonical_rays,
     geodesic_distance,
@@ -28,6 +29,7 @@ from grr import (
     random_rotation_matrices,
     recover_pose,
     rigid_align,
+    rigid_align_vjp,
     world_points,
     world_rays,
 )
@@ -337,6 +339,14 @@ class TestFailureParity:
                          NeighborSet.grid(math.isqrt(len(rays))), LossWeights(), 2)
         return _raised(pipeline_loss, fi), _raised(pipeline_loss_grad, fi)
 
+    @staticmethod
+    def training_raised_on(rays_cam, pts_cam, rays_pred, pts_pred):
+        """The same on raw arrays, which the value types may reject. Every case
+        fails before the pair terms, so one neighbor pair serves any length."""
+        fi = FrameInputs(rays_cam, pts_cam, rays_pred, pts_pred, Pose.identity(),
+                         NeighborSet(len(rays_cam), [(0, 1)]), LossWeights(), 2)
+        return _raised(pipeline_loss, fi), _raised(pipeline_loss_grad, fi)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rays(self, grid4, bad):
         rays, _, wr, _ = self.frame(grid4)
@@ -378,6 +388,62 @@ class TestFailureParity:
         with np.errstate(over="ignore", invalid="ignore"):
             assert _raised(rigid_align, AlignmentProblem(pts.pts, huge)) == overflow
             assert _raised(recover_pose, rays, pts, wr, PointMap(huge)) == overflow
+
+    def test_cross_covariance_that_overflows(self, grid4):
+        """Rows near 1e155 overflow the products in H (centring stays finite)."""
+        rays, _, wr, _ = self.frame(grid4)
+        src = 1e155 * Seed(62).rng().normal(size=(len(rays), 3))
+        problem = AlignmentProblem(src, src + 1.0)
+        overflow = (ValueError, "cross-covariance overflows: correspondences too large", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _raised(rigid_align, problem) == overflow
+            assert _raised(kabsch_rotation, problem, False) == overflow
+            assert _raised(rigid_align_vjp, VjpRequest(problem, np.eye(3), np.ones(3))) == overflow
+            assert _raised(recover_pose, rays, PointMap(src), wr, PointMap(src + 1.0)) == overflow
+            assert self.training_raised_on(rays.dirs, src, wr.dirs, src + 1.0) == (overflow,) * 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_training_rejects_non_finite_predictions(self, grid4, bad):
+        rays, pts, wr, wp = self.frame(grid4)
+        d, p = wr.dirs.copy(), wp.pts.copy()
+        d[3, 1] = p[5, 2] = bad
+        ray_want = (ValueError, "rays_pred contains non-finite entries", None)
+        assert self.training_raised_on(rays.dirs, pts.pts, d, wp.pts) == (ray_want,) * 2
+        pt_want = (ValueError, "pts contains non-finite entries", None)
+        assert _raised(PointMap, p) == pt_want
+        assert self.training_raised_on(rays.dirs, pts.pts, wr.dirs, p) == (pt_want,) * 2
+
+    def test_training_rejects_a_zero_norm_ray_row(self, grid4):
+        rays, pts, wr, wp = self.frame(grid4)
+        d = wr.dirs.copy()
+        d[2] = 0.0
+        want = (ValueError, "cannot normalize near-zero target rows", None)
+        assert _raised(kabsch_rotation, AlignmentProblem(rays.dirs, d)) == want
+        assert self.training_raised_on(rays.dirs, pts.pts, d, wp.pts) == (want,) * 2
+
+    def test_training_rejects_two_correspondences(self, grid4):
+        rays, pts, wr, wp = self.frame(grid4)
+        few = (ValueError, "need at least 3 correspondences", None)
+        assert self.training_raised_on(rays.dirs[:2], pts.pts[:2],
+                                       wr.dirs[:2], wp.pts[:2]) == (few,) * 2
+
+    def test_training_rejects_points_that_overflow_when_centered(self, grid4):
+        rays, pts, wr, _ = self.frame(grid4)
+        huge = np.zeros((len(pts), 3))
+        huge[0, 0] = 1.7e308
+        huge[1:, 0] = -1.7e308
+        overflow = (ValueError, "correspondences contain non-finite entries", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.training_raised_on(rays.dirs, pts.pts, wr.dirs, huge) == (overflow,) * 2
+
+    def test_training_rejects_non_unit_canonical_rays(self, grid4):
+        """The canonical rays are a RayBundle for training as for recover_pose."""
+        rays, pts, wr, wp = self.frame(grid4)
+        doubled = 2.0 * rays.dirs
+        dev = float(np.abs(np.linalg.norm(doubled, axis=1) - 1.0).max())
+        want = (ValueError, f"ray norms deviate from 1 by up to {dev:.3e}", None)
+        assert _raised(RayBundle, doubled) == want
+        assert self.training_raised_on(doubled, pts.pts, wr.dirs, wp.pts) == (want,) * 2
 
     def test_collinear_rays_report_the_ray_branch(self, grid4):
         rays, pts, _, wp = self.frame(grid4)

@@ -231,6 +231,16 @@ class TestGuards:
         with pytest.raises(ValueError, match="op_id"):
             finite_diff_check("hessian", random_alignment_problem(Seed(33)))
 
+    def test_pose_weight_that_overflows_the_rotation_cotangent(self):
+        """The training pass checks its cotangents as VjpRequest does: at p = 1
+        a pose weight near the float maximum leaves a finite loss but an
+        infinite dL/dR = -w R_gt / (2 sin d)."""
+        fi = replace(random_frame_inputs(Seed(34), p=1), weights=LossWeights(w_pose_r=1e308))
+        assert math.isfinite(pipeline_loss(fi).total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^rotation_grad must be a finite 3x3 array$"):
+                pipeline_loss_grad(fi)
+
 
 class TestPipelineLoss:
     def test_terms_nonnegative_and_total_sums(self):
@@ -528,7 +538,8 @@ class TestBackwardParity:
         for req in (VjpRequest(problem, g_rot, g_t), VjpRequest(problem, np.zeros((3, 3)), g_t)):
             want_target, want_source = previous_rigid_backward(
                 points, req.rotation_grad, req.translation_grad)
-            target_only = _rigid_backward(points, req, source=False)
+            target_only = _rigid_backward(points, req.rotation_grad, req.translation_grad,
+                                          source=False)
             assert target_only.source is None
             _assert_bitwise(target_only.target, want_target)
             full = rigid_align_vjp(req)
