@@ -14,7 +14,8 @@ submodule, and `grr.X` imports only the module that defines X.
 
 import importlib
 
-# Defining module -> the public names it exports through the package.
+# Defining module -> its public names: the only list of them, which the
+# package resolves lazily and each module takes as its `__all__`.
 _EXPORTS = {
     "camera": (
         "Intrinsics", "PatchGrid", "PointMap", "RayBundle", "canonical_points",

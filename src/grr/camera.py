@@ -19,20 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _read_only, _row_norms, _tangent_basis
 
-__all__ = [
-    "Intrinsics",
-    "PatchGrid",
-    "RayBundle",
-    "PointMap",
-    "canonical_rays",
-    "canonical_points",
-    "world_rays",
-    "world_points",
-    "write_xyz_csv",
-    "read_xyz_csv",
-]
+__all__ = _EXPORTS["camera"]
 
 
 @dataclass(frozen=True)
@@ -123,6 +113,8 @@ class RayBundle:
         d = np.asarray(arr, dtype=np.float64)
         if d.ndim != 2 or d.shape[1] != 3:
             raise ValueError(f"expected (m, 3) array, got {d.shape}")
+        if not np.isfinite(d).all():  # before normalizing, which would call it an overflow
+            raise ValueError("dirs contains non-finite entries")
         return cls(_normalized_rows(d, "ray")[0])
 
     def __len__(self) -> int:

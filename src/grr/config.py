@@ -13,6 +13,7 @@ import math
 import os
 from typing import TYPE_CHECKING, Any
 
+from . import _EXPORTS
 from .camera import Intrinsics, PatchGrid
 from .geometry import Seed
 
@@ -20,16 +21,7 @@ if TYPE_CHECKING:  # imported by the builders that use them, so `grr gen` loads 
     from .losses import LossWeights, NormSchedule
     from .simulator import NoiseSpec, PosePerturbSpec
 
-__all__ = [
-    "ConfigError",
-    "load_json",
-    "grid_from_config",
-    "weights_from_config",
-    "schedule_from_config",
-    "noise_spec_from_config",
-    "perturb_spec_from_config",
-    "resolve_paths",
-]
+__all__ = _EXPORTS["config"]
 
 
 class ConfigError(ValueError):

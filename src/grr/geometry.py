@@ -15,18 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "ORTHONORMALITY_TOL",
-    "UNIT_TOL",
-    "Rotation",
-    "Pose",
-    "Seed",
-    "geodesic_distance",
-    "random_rotation",
-    "random_rotation_matrices",
-    "save_poses",
-    "load_poses",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["geometry"]
 
 # Construction gates, not solver accuracy targets. Anything produced by the
 # solvers lands around 1e-15; these only reject genuinely broken inputs.
@@ -60,6 +51,8 @@ def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
 def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit norm, and the (m, 1) norms they were divided by."""
     norms = _row_norms(arr, keepdims=True)
+    if not np.isfinite(norms).all():  # rows past ~1e154 square to inf
+        raise ValueError(f"cannot normalize {what} rows: their norms overflow")
     if (norms < 1e-12).any():
         raise ValueError(f"cannot normalize near-zero {what} rows")
     return arr / norms, norms
@@ -144,16 +137,6 @@ class Rotation:
             raise ValueError(f"quaternion norm {n:.17g} is not 1")
         return cls(_quat_to_matrix(arr[np.newaxis, :])[0])
 
-    def apply(self, vectors) -> np.ndarray:
-        """Rotate a (3,) vector or (m, 3) row-stack of vectors."""
-        v = np.asarray(vectors, dtype=np.float64)
-        if v.ndim == 1:
-            return self.m @ v
-        return v @ self.m.T
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.m.T)
-
     def __matmul__(self, other: "Rotation") -> "Rotation":
         if not isinstance(other, Rotation):
             return NotImplemented
@@ -175,12 +158,6 @@ class Pose:
     @classmethod
     def identity(cls) -> "Pose":
         return cls(Rotation.identity(), np.zeros(3))
-
-    def apply(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64)
-        if p.ndim == 1:
-            return self.r.m @ p + self.t
-        return p @ self.r.m.T + self.t
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _EXPORTS
 from .camera import PointMap, RayBundle
 from .geometry import Pose, Rotation, _read_only, _row_norms, _row_sums, geodesic_distance
 
-__all__ = [
-    "LossWeights",
-    "NormSchedule",
-    "NeighborSet",
-    "EmptyNeighborSet",
-    "pose_loss",
-    "geometry_loss",
-    "regularization_loss",
-    "domain_bce",
-    "total_loss",
-]
+__all__ = _EXPORTS["losses"]
 
 
 class EmptyNeighborSet(ValueError):

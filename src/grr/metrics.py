@@ -8,10 +8,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .geometry import Pose, geodesic_distance
 from .solver import DegenerateConfiguration, PoseRecovery
 
-__all__ = ["FrameRecord", "TrialReport", "median", "summarize_records"]
+__all__ = _EXPORTS["metrics"]
 
 
 def median(values: Sequence[float]) -> float:

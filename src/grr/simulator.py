@@ -19,21 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .camera import PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays, world_points, world_rays
 from .geometry import Pose, Rotation, Seed, _cross_rows, _freeze
 from .metrics import FrameRecord, TrialReport, _score_degenerate, _score_solved, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
-__all__ = [
-    "PosePerturbSpec",
-    "NoiseSpec",
-    "sample_poses",
-    "perturb_representations",
-    "run_trial",
-    "ablation_sweep",
-    "write_report_csv",
-    "write_sweep_csv",
-]
+__all__ = _EXPORTS["simulator"]
 
 REPORT_COLUMNS = ["frame", "rot_err_rays_deg", "rot_err_points_deg", "trans_err", "status"]
 

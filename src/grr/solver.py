@@ -22,19 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .camera import PointMap, RayBundle
 from .geometry import Pose, Rotation, _normalized_rows
 
-__all__ = [
-    "DEGENERACY_RTOL",
-    "AlignmentProblem",
-    "SolveDiagnostics",
-    "PoseRecovery",
-    "DegenerateConfiguration",
-    "kabsch_rotation",
-    "rigid_align",
-    "recover_pose",
-]
+__all__ = _EXPORTS["solver"]
 
 # Relative gate on the cross-covariance spectrum: sigma_2 / sigma_1 below
 # this means the correspondences are collinear to working precision and the

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .camera import Intrinsics, PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays
 from .geometry import (Pose, Seed, _normalized_rows, _read_only, _row_sums, _tangent_basis,
                        geodesic_distance, random_rotation)
@@ -55,24 +56,7 @@ from .solver import (
     _solve_frame,
 )
 
-__all__ = [
-    "NEAR_SINGULAR_TOL",
-    "NearSingularJacobian",
-    "VjpRequest",
-    "VjpResult",
-    "GradReport",
-    "FrameInputs",
-    "FrameLossTerms",
-    "kabsch_rotation_vjp",
-    "rigid_align_vjp",
-    "pipeline_loss",
-    "pipeline_loss_grad",
-    "finite_diff_check",
-    "random_alignment_problem",
-    "random_rigid_problem",
-    "random_frame_inputs",
-    "near_collinear_problem",
-]
+__all__ = _EXPORTS["solver_grad"]
 
 # Denominator floor for the SVD-differential cross terms.
 NEAR_SINGULAR_TOL = 1e-8

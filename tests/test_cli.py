@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 import grr
-from grr import ConfigError, Seed, geodesic_distance, load_poses, median, read_xyz_csv, write_xyz_csv
+from grr import (ConfigError, FrameInputs, LossWeights, NeighborSet, Seed, canonical_points,
+                 canonical_rays, geodesic_distance, load_poses, median, pipeline_loss, read_xyz_csv,
+                 write_xyz_csv)
 from grr.cli import main
-from grr.config import noise_spec_from_config
+from grr.config import grid_from_config, noise_spec_from_config
 
 GRID = {"fx": 48.0, "fy": 48.0, "cx": 32.0, "cy": 32.0, "width": 64, "height": 64, "n": 4}
 
@@ -395,6 +397,45 @@ class TestLoss:
         assert r.returncode == 3
         assert r.stdout == ""
         assert r.stderr == "ERROR grr: 'domain_logits' entries must be numbers\n"
+
+    def test_rays_whose_norms_overflow_are_an_input_error(self, dataset, tmp_path):
+        work = tmp_path / "in"
+        shutil.copytree(dataset, work)
+        rays = work / "world_rays_0002.csv"
+        write_xyz_csv(rays, 1e155 * read_xyz_csv(rays))
+        r = self.run_loss(self.loss_cfg(work, name="loss_huge.json"))
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "ERROR grr: cannot normalize target rows: their norms overflow\n" in r.stderr
+
+    def test_connectivity_8_uses_the_8_connected_grid(self, run, dataset, tmp_path):
+        work = tmp_path / "noisy"  # perturbed points, so the pair terms are nonzero
+        shutil.copytree(dataset, work)
+        rng = Seed(5).rng()
+        for f in sorted(work.glob("world_points_*.csv")):
+            pts = read_xyz_csv(f)
+            write_xyz_csv(f, pts + 0.01 * rng.normal(size=pts.shape))
+        code, payload, _ = run(["loss", "--config", self.loss_cfg(work, connectivity=8)])
+        assert code == 0
+        _, four, _ = run(["loss", "--config", self.loss_cfg(work, name="loss_4.json")])
+        rays = canonical_rays(grid_from_config(GRID))
+        pts = canonical_points(rays)
+        gt = load_poses(work / "gt_poses.txt")
+        neighbors = NeighborSet.grid(GRID["n"], connectivity=8)
+        for idx, fr in enumerate(payload["frames"]):
+            terms = pipeline_loss(FrameInputs(
+                rays.dirs, pts.pts, read_xyz_csv(work / f"world_rays_{idx:04d}.csv"),
+                read_xyz_csv(work / f"world_points_{idx:04d}.csv"), gt[idx], neighbors,
+                LossWeights(), 2))
+            assert [fr[k] for k in ("pose", "geometry", "regularization", "total")] == [
+                terms.pose, terms.geometry, terms.regularization, terms.total]
+            assert fr["regularization"] != four["frames"][idx]["regularization"]
+
+    def test_connectivity_5_rejected(self, dataset):
+        r = self.run_loss(self.loss_cfg(dataset, name="loss_c5.json", connectivity=5))
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == "ERROR grr: connectivity must be 4 or 8\n"
 
 
 class TestNonFiniteConfigFloats:

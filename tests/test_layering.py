@@ -4,6 +4,7 @@ no submodule, and each CLI command loads only the modules it runs."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -121,6 +122,25 @@ class TestPackageSurface:
         exec("from grr import *", ns)
         assert set(grr.__all__) <= set(ns)
         assert all(ns[name] is getattr(grr, name) for name in grr.__all__)
+
+    def test_each_module_all_is_its_package_entry(self):
+        for module, names in grr._EXPORTS.items():
+            assert importlib.import_module(f"grr.{module}").__all__ is names, module
+
+    def test_traced_modules_export_every_public_definition(self):
+        # The benchmark's tracer wraps the functions in each traced module's
+        # __all__: a public function left out of the table would go untraced.
+        sys.path.insert(0, str(SRC.parent.parent / "perfbench"))
+        try:
+            import spans
+        finally:
+            sys.path.pop(0)
+        for module in spans.TRACED_MODULES:
+            mod = importlib.import_module(f"grr.{module}")
+            public = {name for name, obj in vars(mod).items()
+                      if (inspect.isfunction(obj) or inspect.isclass(obj))
+                      and obj.__module__ == mod.__name__ and not name.startswith("_")}
+            assert public and public <= set(grr._EXPORTS[module]), module
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):

@@ -236,7 +236,7 @@ class TestRigidAlign:
         w = np.full(6, 1e-9)
         w[0] = 1.0
         est, _ = rigid_align(AlignmentProblem(src, tgt, weights=w))
-        np.testing.assert_allclose(est.apply(src[0]), tgt[0], atol=1e-6)
+        np.testing.assert_allclose(est.r.m @ src[0] + est.t, tgt[0], atol=1e-6)
 
     def test_collinear_points_raise(self):
         src = np.outer(np.arange(5, dtype=float), np.array([1.0, 1.0, 0.0]))
@@ -420,6 +420,21 @@ class TestFailureParity:
         want = (ValueError, "cannot normalize near-zero target rows", None)
         assert _raised(kabsch_rotation, AlignmentProblem(rays.dirs, d)) == want
         assert self.training_raised_on(rays.dirs, pts.pts, d, wp.pts) == (want,) * 2
+
+    def test_rows_whose_norms_overflow(self, grid4):
+        """Rows near 1e155 square to infinite norms, which would divide to zero rows."""
+        rays, pts, _, wp = self.frame(grid4)
+        huge = 1e155 * Seed(63).rng().normal(size=(len(rays), 3))
+
+        def want(what):
+            return ValueError, f"cannot normalize {what} rows: their norms overflow", None
+
+        with np.errstate(over="ignore"):
+            assert _raised(kabsch_rotation, AlignmentProblem(huge, huge + 1.0)) == want("source")
+            assert _raised(kabsch_rotation, AlignmentProblem(rays.dirs, huge)) == want("target")
+            assert _raised(RayBundle.from_array, huge) == want("ray")
+            assert self.training_raised_on(rays.dirs, pts.pts, huge, wp.pts) == (
+                want("target"),) * 2
 
     def test_training_rejects_two_correspondences(self, grid4):
         rays, pts, wr, wp = self.frame(grid4)
