@@ -50,8 +50,9 @@ def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
 def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit norm, and the (m, 1) norms they were divided by."""
-    norms = _row_norms(arr, keepdims=True)
-    if not np.isfinite(norms).all():  # rows past ~1e154 square to inf
+    with np.errstate(over="ignore"):  # rows past ~1e154 square to inf, named below
+        norms = _row_norms(arr, keepdims=True)
+    if not np.isfinite(norms).all():
         raise ValueError(f"cannot normalize {what} rows: their norms overflow")
     if (norms < 1e-12).any():
         raise ValueError(f"cannot normalize near-zero {what} rows")
@@ -79,6 +80,16 @@ def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return out
 
 
+def _check_rotations(ms: np.ndarray) -> None:
+    """Raise for the first entry of a finite (F, 3, 3) stack that is not orthonormal with det +1."""
+    errs = np.abs(np.swapaxes(ms, 1, 2) @ ms - _EYE3).max(axis=(1, 2))
+    for err, det in zip(errs.tolist(), np.linalg.det(ms).tolist()):
+        if err > ORTHONORMALITY_TOL:
+            raise ValueError(f"matrix is not orthonormal (max residual {err:.3e})")
+        if abs(det - 1.0) > ORTHONORMALITY_TOL:
+            raise ValueError(f"matrix determinant {det:.17g} is not +1")
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -100,12 +111,7 @@ class Rotation:
 
     def __post_init__(self):
         m = _as_float_array(self.m, (3, 3), "rotation matrix")
-        err = float(np.abs(m.T @ m - _EYE3).max())
-        if err > ORTHONORMALITY_TOL:
-            raise ValueError(f"matrix is not orthonormal (max residual {err:.3e})")
-        det = float(np.linalg.det(m))
-        if abs(det - 1.0) > ORTHONORMALITY_TOL:
-            raise ValueError(f"matrix determinant {det:.17g} is not +1")
+        _check_rotations(m[np.newaxis])
         _freeze(self, "m", m)
 
     @classmethod
@@ -141,6 +147,15 @@ class Rotation:
         if not isinstance(other, Rotation):
             return NotImplemented
         return Rotation(self.m @ other.m)
+
+
+def _rotations(ms: np.ndarray) -> list[Rotation]:
+    """Rotations viewing an (F, 3, 3) stack, which becomes read-only, under one stacked check."""
+    _check_rotations(ms)
+    rots = [object.__new__(Rotation) for _ in ms]
+    for rot, m in zip(rots, _read_only(ms)):
+        object.__setattr__(rot, "m", m)
+    return rots
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ Two differentiable sub-solvers and their decoupled combination:
 Both solvers reduce to a 3x3 SVD of the weighted cross-covariance
 H = sum_i w_i target_i source_i^T with the usual determinant correction
 R = U diag(1, 1, det(UV^T)) V^T, which restricts the orthogonal Procrustes
-optimum to proper rotations (no reflections, no scale).
+optimum to proper rotations (no reflections, no scale). One core,
+_svd_rotation, runs that on an (F, 3, 3) stack: a frame's ray and point
+solves are one stack of two, and the public solvers stacks of one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation, _normalized_rows
+from .geometry import _EYE3, Pose, Rotation, _check_rotations, _normalized_rows, _rotations
 
 __all__ = _EXPORTS["solver"]
 
@@ -32,7 +34,6 @@ __all__ = _EXPORTS["solver"]
 # this means the correspondences are collinear to working precision and the
 # rotation about that axis is unobservable.
 DEGENERACY_RTOL = 1e-9
-_FLIP_LAST = np.array([1.0, 1.0, -1.0])
 
 
 class DegenerateConfiguration(RuntimeError):
@@ -84,11 +85,6 @@ class AlignmentProblem:
     def size(self) -> int:
         return self.source.shape[0]
 
-    def effective_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(self.size)
-        return self.weights
-
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
@@ -114,96 +110,97 @@ class PoseRecovery:
     point_diagnostics: SolveDiagnostics
 
 
-# The rows H was built from, their weights and, if renormalized, their (m, 1) norms.
-_CrossCovariance = namedtuple("_CrossCovariance", "src tgt w src_norms tgt_norms")
-
-
-def _svd_rotation(h: np.ndarray):
-    """SVD of H plus the det-corrected rotation and diagnostics.
-
-    Returns (rotation_matrix, diagnostics, (u, s, vt, sign)); the raw factors
-    feed the analytic gradient code, which must reuse the exact same
-    decomposition as the forward pass.
-    """
-    if not np.isfinite(h).all():  # rows past ~1e154 overflow the products
-        raise ValueError("cross-covariance overflows: correspondences too large")
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] < DEGENERACY_RTOL * s[0]:
-        raise DegenerateConfiguration(
-            "correspondences are collinear to working precision "
-            f"(singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e})"
-        )
-    det_u, det_vt = np.linalg.det((u, vt))
-    sign = 1.0 if float(det_u * det_vt) > 0.0 else -1.0
-    r = (u * _FLIP_LAST) @ vt if sign < 0.0 else u @ vt  # the flip negates u's third column
-    diag = SolveDiagnostics(
-        singular_values=tuple(s.tolist()),
-        reflection_corrected=sign < 0.0,
-        condition=float(s[0] / s[2]) if s[2] > 0.0 else math.inf,
-    )
-    return r, diag, (u, s, vt, sign)
-
-
-# A solve plus what the gradient code reuses: the cross-covariance rows and the
-# SVD factors (u, s, vt, sign); for rigid_align, the Kabsch solve on the
-# centered sets, the source centroid and the weight sum.
-_KabschSolve = namedtuple("_KabschSolve", "rotation diag cov svd")
+# A solve and the rows H = sum_i w_i tgt_i src_i^T was built from, with their
+# weights (None: uniform) and, if renormalized, (m, 1) norms; for rigid_align,
+# the solve on the centred sets, the source centroid and the weight sum; and a
+# stack's SVD factors and (F,) determinant signs, which the gradient code reuses.
+_KabschSolve = namedtuple("_KabschSolve", "rotation diag src tgt w src_norms tgt_norms")
 _RigidSolve = namedtuple("_RigidSolve", "pose kabsch c_src wsum")
+_Factors = namedtuple("_Factors", "u s vt sign")
 
 
-def _kabsch_core(src, tgt, weights, src_norms=None, tgt_norms=None) -> _KabschSolve:
-    """The solve on checked rows; for rays, unit rows and the norms they were divided by."""
-    w = np.ones(src.shape[0]) if weights is None else weights
-    h = (tgt if weights is None else weights[:, np.newaxis] * tgt).T @ src  # x * 1.0 == x
-    r, diag, svd = _svd_rotation(h)
-    cov = _CrossCovariance(src, tgt, w, src_norms, tgt_norms)
-    return _KabschSolve(Rotation(r), diag, cov, svd)
+def _svd_rotation(hs: np.ndarray, branches: tuple[str, ...] | None = None):
+    """One SVD, sign and rotation check for an (F, 3, 3) stack of cross-covariances.
+
+    Returns (rotations, diagnostics, factors), one rotation and diagnostics
+    per entry. Entry i is checked as a lone solve is (finite, not collinear,
+    a proper rotation), and the first entry to fail raises. branches[i], if
+    given, names entry i's branch ("rays", "points") in DegenerateConfiguration.
+    """
+    finite = np.isfinite(hs).all(axis=(1, 2)).tolist()  # rows past ~1e154 overflow the products
+    u, s, vt = np.linalg.svd(hs if all(finite) else np.where(np.array(finite)[:, None, None], hs, _EYE3))
+    # Per-entry scalars are Python floats: numpy's IEEE operations, without an
+    # array call each for the two entries of a frame.
+    n, svals = len(hs), s.tolist()
+    dets = np.linalg.det(np.concatenate((u, vt))).tolist()
+    flip = np.array([[(1.0, 1.0, 1.0 if du * dv > 0.0 else -1.0)]
+                     for du, dv in zip(dets[:n], dets[n:])])
+    r = (u * flip) @ vt  # negates u's third column where the sign is -1; x * 1.0 == x
+    for i, (s0, s1, s2) in enumerate(svals):
+        if finite[i] and not (s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
+            continue
+        _check_rotations(r[:i])  # the earlier entries' rotation checks come first
+        if not finite[i]:
+            raise ValueError("cross-covariance overflows: correspondences too large")
+        branch = branches[i] if branches else None
+        raise DegenerateConfiguration(
+            f"{branch[:-1] + ' branch: ' if branch else ''}correspondences are collinear to "
+            f"working precision (singular values {s0:.3e}, {s1:.3e}, {s2:.3e})", branch)
+    sign = flip[:, 0, 2]
+    diags = [SolveDiagnostics((s0, s1, s2), sg < 0.0, s0 / s2 if s2 > 0.0 else math.inf)
+             for (s0, s1, s2), sg in zip(svals, sign.tolist())]
+    return _rotations(r), diags, _Factors(u, s, vt, sign)
 
 
-def _rigid_core(src, tgt, weights, wsum: float) -> _RigidSolve:
-    """The solve on the (centroid, centred rows) pairs of source and target."""
-    (c_src, src_c), (c_tgt, tgt_c) = src, tgt
-    if not (np.isfinite(src_c).all() and np.isfinite(tgt_c).all()):  # centring can overflow
-        raise ValueError("correspondences contain non-finite entries")
-    kabsch = _kabsch_core(src_c, tgt_c, weights)
-    t = c_tgt - kabsch.rotation.m @ c_src
-    return _RigidSolve(Pose(kabsch.rotation, t), kabsch, c_src, wsum)
+def _kabsch_stack(rows, branches=None) -> tuple[list[_KabschSolve], _Factors]:
+    """The solves of (src, tgt, w, src_norms, tgt_norms) row sets as one stack;
+    weights None are uniform, norms None means the rows were used as given."""
+    hs = np.array([(tgt if w is None else w[:, np.newaxis] * tgt).T @ src  # x * 1.0 == x
+                   for src, tgt, w, _, _ in rows])
+    rots, diags, svd = _svd_rotation(hs, branches)
+    return [_KabschSolve(r, d, *row) for r, d, row in zip(rots, diags, rows)], svd
 
 
-def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> _KabschSolve:
-    if not normalize:
-        return _kabsch_core(problem.source, problem.target, problem.weights)
-    src, src_norms = _normalized_rows(problem.source, "source")
-    tgt, tgt_norms = _normalized_rows(problem.target, "target")
-    return _kabsch_core(src, tgt, problem.weights, src_norms, tgt_norms)
+def _rigid_pose(kabsch: _KabschSolve, c_src, c_tgt, wsum: float) -> _RigidSolve:
+    return _RigidSolve(Pose(kabsch.rotation, c_tgt - kabsch.rotation.m @ c_src), kabsch, c_src, wsum)
 
 
-def _rigid_solve(problem: AlignmentProblem) -> _RigidSolve:
-    w = problem.effective_weights()
+def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> tuple[_KabschSolve, _Factors]:
+    src, tgt, src_norms, tgt_norms = problem.source, problem.target, None, None
+    if normalize:
+        src, src_norms = _normalized_rows(src, "source")
+        tgt, tgt_norms = _normalized_rows(tgt, "target")
+    (solve,), svd = _kabsch_stack([(src, tgt, problem.weights, src_norms, tgt_norms)])
+    return solve, svd
+
+
+def _rigid_solve(problem: AlignmentProblem) -> tuple[_RigidSolve, _Factors]:
+    w = np.ones(problem.size) if problem.weights is None else problem.weights
     wsum = float(w.sum())
     c_src, c_tgt = (w @ problem.source) / wsum, (w @ problem.target) / wsum
-    return _rigid_core((c_src, problem.source - c_src), (c_tgt, problem.target - c_tgt),
-                       problem.weights, wsum)
+    src_c, tgt_c = problem.source - c_src, problem.target - c_tgt
+    if not (np.isfinite(src_c).all() and np.isfinite(tgt_c).all()):  # centring can overflow
+        raise ValueError("correspondences contain non-finite entries")
+    (kabsch,), svd = _kabsch_stack([(src_c, tgt_c, problem.weights, None, None)])
+    return _rigid_pose(kabsch, c_src, c_tgt, wsum), svd
 
 
-def _solve_frame(rays_cam: RayBundle, pts_cam: PointMap, pred_unit: np.ndarray,
-                 pred_norms: np.ndarray, pts_pred: PointMap) -> tuple[_KabschSolve, _RigidSolve]:
-    """Both branches of one frame on cached factors: the ray solve on unit rows
-    (pred_unit = predicted rows / pred_norms), then the rigid solve on centred
-    points. DegenerateConfiguration from either is re-raised with `branch` set
-    to "rays" or "points" and the branch named in the message."""
+def _solve_frame(rays_cam: RayBundle, pts_cam: PointMap, pred_unit: np.ndarray, pred_norms: np.ndarray,
+                 pts_pred: PointMap) -> tuple[_KabschSolve, _RigidSolve, _Factors]:
+    """Both branches of one frame on cached factors, as one stack of two: the
+    ray solve on unit rows (pred_unit = predicted rows / pred_norms) and the
+    rigid solve on centred points. Every check of the ray branch runs before
+    any of the point branch; DegenerateConfiguration carries `branch` "rays"
+    or "points" and names the branch in its message."""
     if min(len(rays_cam), len(pts_cam)) < 3:
         raise ValueError("need at least 3 correspondences")
-    try:
-        rays = _kabsch_core(rays_cam.unit, pred_unit, None, rays_cam.norms, pred_norms)
-    except DegenerateConfiguration as exc:
-        raise DegenerateConfiguration(f"ray branch: {exc}", branch="rays") from exc
-    try:
-        pts = _rigid_core((pts_cam.centroid, pts_cam.centred),
-                          (pts_pred.centroid, pts_pred.centred), None, float(len(pts_cam)))
-    except DegenerateConfiguration as exc:
-        raise DegenerateConfiguration(f"point branch: {exc}", branch="points") from exc
-    return rays, pts
+    rays = (rays_cam.unit, pred_unit, None, rays_cam.norms, pred_norms)
+    pts = (pts_cam.centred, pts_pred.centred, None, None, None)
+    if not (np.isfinite(pts[0]).all() and np.isfinite(pts[1]).all()):  # centring can overflow
+        _kabsch_stack([rays], ("rays",))  # the ray branch's checks come first
+        raise ValueError("correspondences contain non-finite entries")
+    (rays, pts), svd = _kabsch_stack([rays, pts], ("rays", "points"))
+    return rays, _rigid_pose(pts, pts_cam.centroid, pts_pred.centroid, float(len(pts_cam))), svd
 
 
 def kabsch_rotation(
@@ -221,7 +218,7 @@ def kabsch_rotation(
     about the common axis is unobservable. Raises ValueError when the
     cross-covariance overflows (every solve checks it before the SVD).
     """
-    solve = _kabsch_solve(problem, normalize)
+    solve, _ = _kabsch_solve(problem, normalize)
     return solve.rotation, solve.diag
 
 
@@ -233,7 +230,7 @@ def rigid_align(problem: AlignmentProblem) -> tuple[Pose, SolveDiagnostics]:
     here), then t = centroid(target) - R centroid(source). Scale is fixed
     to 1 by construction.
     """
-    solve = _rigid_solve(problem)
+    solve, _ = _rigid_solve(problem)
     return solve.pose, solve.kabsch.diag
 
 
@@ -259,7 +256,7 @@ def recover_pose(
     if len(pts_cam) != len(pts_pred):
         raise ValueError("canonical and predicted pointmaps differ in length")
     # The value types checked shapes, finiteness and unit ray norms.
-    rays, pts = _solve_frame(rays_cam, pts_cam, rays_pred.unit, rays_pred.norms, pts_pred)
+    rays, pts, _ = _solve_frame(rays_cam, pts_cam, rays_pred.unit, rays_pred.norms, pts_pred)
     return PoseRecovery(
         pose=Pose(rays.rotation, pts.pose.t),
         rotation_from_points=pts.pose.r,

@@ -6,27 +6,28 @@ H = U S V^T and d = det(U V^T). Differentiating through the SVD, the
 the polar factor: with K = U^T Gbar V (Gbar the upstream cotangent dL/dR),
 the cotangent of H is Hbar = U Pbar V^T where, writing s = diag(S),
 
-    d = +1:  Pbar_ab = (K - K^T)_ab / (s_a + s_b)          (a != b)
-    d = -1:  Pbar_01 = -Pbar_10 = (K_01 - K_10) / (s_0 + s_1)
-             Pbar_02 =  Pbar_20 = (K_02 + K_20) / (s_0 - s_2)
-             Pbar_12 =  Pbar_21 = (K_12 + K_21) / (s_1 - s_2)
+    Pbar_01 = -Pbar_10 = (K_01 - K_10) / (s_0 + s_1)
+    Pbar_a2 = (K_a2 - d K_2a) / (s_a + d s_2),  Pbar_2a = -d Pbar_a2   (a = 0, 1)
 
 and Pbar_aa = 0 (the singular values do not enter R; the determinant sign
-is locally constant). In the proper case only sum denominators appear; the
-reflective case reintroduces differences against the flipped axis, which is
-exactly where the solution stops being differentiable as sigma_2 approaches
-sigma_3. Denominators below NEAR_SINGULAR_TOL are rejected, never clamped:
-a clamped gradient would pass checks while pointing somewhere arbitrary.
+is locally constant). In the proper case (d = +1) Pbar is antisymmetric
+with sum denominators; the reflective case makes the pairs with the flipped
+axis symmetric, with differences s_a - s_2, which is exactly where the
+solution stops being differentiable as sigma_2 approaches sigma_3.
+Denominators below NEAR_SINGULAR_TOL are rejected, never clamped: a clamped
+gradient would pass checks while pointing somewhere arbitrary.
 
 From Hbar, with H = sum_i w_i t_i s_i^T:
     dL/dtarget_i = w_i Hbar   s_i,      dL/dsource_i = w_i Hbar^T t_i.
+The backward runs on the forward's (F, 3, 3) stacks (Ionescu et al. 2015,
+"Matrix backpropagation"): a training frame's two solves share one Hbar stack.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .solver import (
     AlignmentProblem,
     kabsch_rotation,
     rigid_align,
+    _Factors,
     _kabsch_solve,
     _KabschSolve,
     _rigid_solve,
@@ -105,65 +107,54 @@ class VjpResult:
     source: np.ndarray | None
 
 
-def _polar_h_cotangent(k: np.ndarray, s: np.ndarray, sign: float) -> np.ndarray:
-    """Pbar from K = U^T Gbar V; see the module docstring for the formulas."""
-    if sign > 0.0:
-        denominators = (s[0] + s[1], s[0] + s[2], s[1] + s[2])
-    else:
-        denominators = (s[0] + s[1], s[0] - s[2], s[1] - s[2])
-    if min(denominators) < NEAR_SINGULAR_TOL:
-        raise NearSingularJacobian(
-            "SVD cross-term denominator below "
-            f"{NEAR_SINGULAR_TOL:g} (singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e}); "
-            "gradient unreliable near degenerate or reflective configurations"
-        )
-    pbar = np.zeros((3, 3))
-    if sign > 0.0:
-        anti = k - k.T
-        pbar[0, 1] = anti[0, 1] / denominators[0]
-        pbar[0, 2] = anti[0, 2] / denominators[1]
-        pbar[1, 2] = anti[1, 2] / denominators[2]
-        pbar[1, 0] = -pbar[0, 1]
-        pbar[2, 0] = -pbar[0, 2]
-        pbar[2, 1] = -pbar[1, 2]
-    else:
-        pbar[0, 1] = (k[0, 1] - k[1, 0]) / denominators[0]
-        pbar[1, 0] = -pbar[0, 1]
-        pbar[0, 2] = pbar[2, 0] = (k[0, 2] + k[2, 0]) / denominators[1]
-        pbar[1, 2] = pbar[2, 1] = (k[1, 2] + k[2, 1]) / denominators[2]
-    return pbar
+def _polar_h_cotangent(k: np.ndarray, s: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Pbar from an (F, 3, 3) stack K = U^T Gbar V, s (F, 3) and sign (F,); the first
+    entry with a small denominator raises. Entries run as Python floats (numpy's
+    IEEE operations), cheaper than array calls for the two entries of a frame."""
+    out = []
+    for (s0, s1, s2), d, ((_, k01, k02), (k10, _, k12), (k20, k21, _)) in zip(
+            s.tolist(), sign.tolist(), k.tolist()):
+        den01, den02, den12 = s0 + s1, s0 + d * s2, s1 + d * s2
+        if min(den01, den02, den12) < NEAR_SINGULAR_TOL:
+            raise NearSingularJacobian(
+                "SVD cross-term denominator below "
+                f"{NEAR_SINGULAR_TOL:g} (singular values {s0:.3e}, {s1:.3e}, {s2:.3e}); "
+                "gradient unreliable near degenerate or reflective configurations")
+        p01, p02, p12 = (k01 - k10) / den01, (k02 - d * k20) / den02, (k12 - d * k21) / den12
+        out.append(((0.0, p01, p02), (-p01, 0.0, p12), (-d * p02, -d * p12, 0.0)))
+    return np.array(out)
 
 
-def _normalization_chain(unit: np.ndarray, norms: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Pull gradients w.r.t. unit rows back to the raw rows they were divided from."""
-    radial = _row_sums(grads * unit)[:, np.newaxis]
-    return (grads - radial * unit) / norms
+def _h_cotangents(svd: _Factors, rotation_grads: np.ndarray) -> np.ndarray:
+    """Hbar = U Pbar V^T for each entry of a stacked solve, from its dL/dR stack."""
+    u, s, vt, sign = svd
+    k = np.swapaxes(u, 1, 2) @ rotation_grads @ np.swapaxes(vt, 1, 2)
+    return u @ _polar_h_cotangent(k, s, sign) @ vt
 
 
 def _side_grad(rows, norms, other, w, hbar) -> np.ndarray:
-    """w_i hbar other_i for each row of one side, through its normalization if any."""
-    grad = w[:, np.newaxis] * (other @ hbar.T)
-    return grad if norms is None else _normalization_chain(rows, norms, grad)
+    """w_i hbar other_i per row of one side, pulled back through rows = raw / norms if normalized."""
+    grad = other @ hbar.T if w is None else w[:, np.newaxis] * (other @ hbar.T)
+    if norms is None:
+        return grad
+    return (grad - _row_sums(grad * rows)[:, np.newaxis] * rows) / norms
 
 
-def _kabsch_backward(fwd: _KabschSolve, rotation_grad: np.ndarray, source: bool = True) -> VjpResult:
-    """Row gradients through Hbar = U Pbar V^T on the forward solve's own SVD
-    factors; source=False leaves the source side None, for constant sources."""
-    u, s, vt, sign = fwd.svd
-    hbar = u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
-    cov = fwd.cov
+def _kabsch_backward(fwd: _KabschSolve, hbar: np.ndarray, source: bool = True) -> VjpResult:
+    """Row gradients of one solve from its Hbar; source=False leaves the
+    source side None, for constant sources."""
     return VjpResult(
-        target=_side_grad(cov.tgt, cov.tgt_norms, cov.src, cov.w, hbar),
-        source=_side_grad(cov.src, cov.src_norms, cov.tgt, cov.w, hbar.T) if source else None,
+        target=_side_grad(fwd.tgt, fwd.tgt_norms, fwd.src, fwd.w, hbar),
+        source=_side_grad(fwd.src, fwd.src_norms, fwd.tgt, fwd.w, hbar.T) if source else None,
     )
 
 
-def _rigid_backward(fwd: _RigidSolve, rotation_grad, translation_grad, source: bool = True) -> VjpResult:
-    """The centred solve's backward plus each row's share w_i / sum(w) of the
-    translation cotangent through the centroids."""
-    g_t = translation_grad if translation_grad is not None else np.zeros(3)
-    grads = _kabsch_backward(fwd.kabsch, rotation_grad - np.outer(g_t, fwd.c_src), source)
-    share = fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
+def _rigid_backward(fwd: _RigidSolve, hbar, g_t, source: bool = True) -> VjpResult:
+    """The centred solve's row gradients, from the Hbar of its dL/dR less
+    g_t c_src^T (t = c_tgt - R c_src), plus each row's share w_i / sum(w) of
+    the translation cotangent g_t through the centroids."""
+    grads = _kabsch_backward(fwd.kabsch, hbar, source)
+    share = (1.0 if fwd.kabsch.w is None else fwd.kabsch.w[:, np.newaxis]) / fwd.wsum
     return VjpResult(
         target=grads.target + share * g_t,
         source=grads.source - share * (fwd.pose.r.m.T @ g_t) if source else None,
@@ -181,7 +172,8 @@ def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
     below NEAR_SINGULAR_TOL, and what kabsch_rotation raises on the problem
     (DegenerateConfiguration when it is degenerate).
     """
-    return _kabsch_backward(_kabsch_solve(req.problem, normalize), req.rotation_grad)
+    fwd, svd = _kabsch_solve(req.problem, normalize)
+    return _kabsch_backward(fwd, _h_cotangents(svd, req.rotation_grad[np.newaxis])[0])
 
 
 def rigid_align_vjp(req: VjpRequest) -> VjpResult:
@@ -192,7 +184,10 @@ def rigid_align_vjp(req: VjpRequest) -> VjpResult:
     centroid; the centered-set terms need no centroid correction because the
     centered rows sum to zero.
     """
-    return _rigid_backward(_rigid_solve(req.problem), req.rotation_grad, req.translation_grad)
+    fwd, svd = _rigid_solve(req.problem)
+    g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
+    g_rot = req.rotation_grad - np.outer(g_t, fwd.c_src)
+    return _rigid_backward(fwd, _h_cotangents(svd, g_rot[np.newaxis])[0], g_t)
 
 
 @dataclass(frozen=True)
@@ -239,22 +234,16 @@ class FrameInputs:
         if self.p not in (1, 2):
             raise ValueError("p must be 1 or 2")
 
-    def with_predictions(self, rays_pred: np.ndarray, pts_pred: np.ndarray) -> "FrameInputs":
-        return FrameInputs(
-            self.rays_cam, self.pts_cam, rays_pred, pts_pred,
-            self.gt, self.neighbors, self.weights, self.p,
-        )
-
 
 # One frame's forward pass: both solves and every loss intermediate the gradient reuses.
-_FramePass = namedtuple("_FramePass", "terms rays pts d_gt dist t_resid geo pairs")
+_FramePass = namedtuple("_FramePass", "terms rays pts svd d_gt dist t_resid geo pairs")
 
 
 def _frame_forward(fi: FrameInputs) -> _FramePass:
     if not np.isfinite(fi.rays_pred).all():  # a NaN row would pass the near-zero check
         raise ValueError("rays_pred contains non-finite entries")
-    rays, pts = _solve_frame(RayBundle(fi.rays_cam), PointMap(fi.pts_cam),
-                             *_normalized_rows(fi.rays_pred, "target"), PointMap(fi.pts_pred))
+    rays, pts, svd = _solve_frame(RayBundle(fi.rays_cam), PointMap(fi.pts_cam),
+                                  *_normalized_rows(fi.rays_pred, "target"), PointMap(fi.pts_pred))
     d_gt = fi.rays_cam @ fi.gt.r.m.T
     p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
     w, p = fi.weights, _check_p(fi.p)
@@ -263,7 +252,7 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
     pairs = _pair_terms(fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p)
     terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
-    return _FramePass(terms, rays, pts, d_gt, dist, t_resid, geo, pairs)
+    return _FramePass(terms, rays, pts, svd, d_gt, dist, t_resid, geo, pairs)
 
 
 def pipeline_loss(fi: FrameInputs) -> FrameLossTerms:
@@ -316,11 +305,18 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
             raise NearSingularJacobian("translation residual too small for an L2 gradient")
         trans_dir = f.t_resid / nrm
 
-    # The cotangents are checked as VjpRequest checks them for the public VJPs.
-    # Only the predicted (target) rows are free, so no source gradient is built.
-    grad_rays = _kabsch_backward(f.rays, _cotangent(rot_grad, "rotation_grad"), source=False).target
-    g_t = _cotangent(w.w_pose_p * trans_dir, "translation_grad")
-    grad_pts = _rigid_backward(f.pts, np.zeros((3, 3)), g_t, source=False).target
+    # Cotangents are checked as VjpRequest checks them, a near-singular ray solve
+    # before the translation cotangent. Both Hbar come from one stack; only the
+    # predicted (target) rows are free, so no source gradient is built.
+    g_rays = _cotangent(rot_grad, "rotation_grad")
+    try:
+        g_t = _cotangent(w.w_pose_p * trans_dir, "translation_grad")
+    except ValueError:
+        _polar_h_cotangent(np.zeros((1, 3, 3)), f.svd.s[:1], f.svd.sign[:1])  # the ray's check
+        raise
+    hbar = _h_cotangents(f.svd, np.array((g_rays, np.zeros((3, 3)) - np.outer(g_t, f.pts.c_src))))
+    grad_rays = _kabsch_backward(f.rays, hbar[0], source=False).target
+    grad_pts = _rigid_backward(f.pts, hbar[1], g_t, source=False).target
 
     # Geometry term, direct paths. The cosine clip only binds at round-off.
     _, cos_dev, point_resid, point_norms = f.geo
@@ -410,28 +406,20 @@ def finite_diff_check(op_id: str, instance, h: float = 1e-5, seed: Seed = Seed(0
     if not _FD_H_MIN <= h <= _FD_H_MAX:
         raise ValueError(f"step h must lie in [{_FD_H_MIN:g}, {_FD_H_MAX:g}], got {h:g}")
 
-    if op_id == "rotation":
+    if op_id in ("rotation", "rigid"):
         problem: AlignmentProblem = instance
-        g_rot = seed.rng().standard_normal((3, 3))
-        res = kabsch_rotation_vjp(VjpRequest(problem, g_rot), normalize=True)
-        analytic, base = (res.target, res.source), (problem.target, problem.source)
-
-        def probe(arrays: Sequence[np.ndarray]) -> float:
-            rot, _ = kabsch_rotation(
-                AlignmentProblem(arrays[1], arrays[0], problem.weights), normalize=True
-            )
-            return float((g_rot * rot.m).sum())
-
-    elif op_id == "rigid":
-        problem = instance
         rng = seed.rng()
         g_rot = rng.standard_normal((3, 3))
-        g_t = rng.standard_normal(3)
-        res = rigid_align_vjp(VjpRequest(problem, g_rot, g_t))
+        g_t = rng.standard_normal(3) if op_id == "rigid" else None
+        res = (rigid_align_vjp(VjpRequest(problem, g_rot, g_t)) if g_t is not None
+               else kabsch_rotation_vjp(VjpRequest(problem, g_rot), normalize=True))
         analytic, base = (res.target, res.source), (problem.target, problem.source)
 
         def probe(arrays: Sequence[np.ndarray]) -> float:
-            pose, _ = rigid_align(AlignmentProblem(arrays[1], arrays[0], problem.weights))
+            moved = AlignmentProblem(arrays[1], arrays[0], problem.weights)
+            if g_t is None:
+                return float((g_rot * kabsch_rotation(moved, normalize=True)[0].m).sum())
+            pose, _ = rigid_align(moved)
             return float((g_rot * pose.r.m).sum() + g_t @ pose.t)
 
     elif op_id == "loss_total":
@@ -440,7 +428,7 @@ def finite_diff_check(op_id: str, instance, h: float = 1e-5, seed: Seed = Seed(0
         analytic, base = (grad_rays, grad_pts), (fi.rays_pred, fi.pts_pred)
 
         def probe(arrays: Sequence[np.ndarray]) -> float:
-            return pipeline_loss(fi.with_predictions(arrays[0], arrays[1])).total
+            return pipeline_loss(replace(fi, rays_pred=arrays[0], pts_pred=arrays[1])).total
 
     else:
         raise ValueError(f"unknown op_id {op_id!r}; expected rotation, rigid, or loss_total")

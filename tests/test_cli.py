@@ -516,6 +516,33 @@ class TestNonFiniteConfigFloats:
         assert mean.stdout == plain.stdout != ""
 
 
+class TestOverflowingRaysWithWarningsAsErrors:
+    """Rays scaled by 1e155 square to infinite norms. With RuntimeWarning an
+    error, as the CI smoke step sets it, the named ValueError still surfaces
+    (exit 3) instead of numpy's overflow warning as a traceback."""
+
+    @pytest.mark.parametrize("command, what", [("solve", "ray"), ("loss", "target")])
+    def test_exit_3_names_the_overflow(self, dataset, tmp_path, command, what):
+        work = tmp_path / "in"
+        shutil.copytree(dataset, work)
+        rays = work / "world_rays_0002.csv"
+        write_xyz_csv(rays, 1e155 * read_xyz_csv(rays))
+        cfg = write_cfg(tmp_path / "cfg.json", grid=GRID, rays=str(work / "world_rays_*.csv"),
+                        points=str(work / "world_points_*.csv"),
+                        gt_poses=str(work / "gt_poses.txt"))
+        out = ["--out", str(tmp_path / "o")] if command == "solve" else []
+        src = os.path.dirname(os.path.dirname(grr.__file__))
+        r = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "grr.cli", command,
+             "--config", cfg, *out],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
+        )
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == f"ERROR grr: cannot normalize {what} rows: their norms overflow\n"
+
+
 class TestOutNamingAFile:
     """An --out that names an existing file is rejected before any work:
     exit 3, nothing on stdout, one stderr line naming --out, the file as it was."""

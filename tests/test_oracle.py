@@ -1,7 +1,8 @@
 """Independent oracles for the rotation core.
 
 scipy's rotation code checks the quaternion map, the geodesic metric and
-both Wahba solvers; central differences check the Kabsch and rigid VJPs. No reference
+both Wahba solvers, also as entries of one stacked solve; central
+differences check the Kabsch and rigid VJPs. No reference
 here derives from grr's own code, so a defect shared by a fast form and the
 form it replaced still fails. Every problem is drawn from a `Seed`.
 """
@@ -14,6 +15,7 @@ from scipy.spatial.transform import Rotation as SciRotation
 
 from grr import (
     AlignmentProblem,
+    DegenerateConfiguration,
     Rotation,
     Seed,
     VjpRequest,
@@ -24,6 +26,7 @@ from grr import (
     rigid_align,
     rigid_align_vjp,
 )
+from grr.solver import _svd_rotation
 
 EPS = np.finfo(np.float64).eps
 # The quaternion map and the geodesic metric read <= 1.1e-15 against scipy.
@@ -134,6 +137,65 @@ class TestWahbaSolvers:
             assert np.abs(pose.t - (c_tgt - ref @ c_src)).max() <= tol * scale
             if regime == "planar_mirrored":
                 assert diag.reflection_corrected
+
+
+class TestStackedCore:
+    """Every solve runs one (F, 3, 3) core. In one shuffled stack of every
+    regime's ray and rigid cross-covariances, each entry is solved bitwise
+    as its own stack of one is (which is what the public solvers run) and
+    matches align_vectors to the bound above."""
+
+    LINE = np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 0.25])  # rank one: collinear
+
+    @staticmethod
+    def mixed_stack():
+        rng = Seed(10).rng()
+        hs, refs = [], []
+        for _ in range(20):
+            for regime in REGIMES:
+                src, tgt, w = wahba_problem(rng, regime)
+                s_unit, t_unit = unit_rows(src), unit_rows(tgt)
+                hs.append((w[:, np.newaxis] * t_unit).T @ s_unit)
+                refs.append(SciRotation.align_vectors(t_unit, s_unit, weights=w)[0].as_matrix())
+                s_c, t_c = src - (w @ src) / w.sum(), tgt - (w @ tgt) / w.sum()
+                hs.append((w[:, np.newaxis] * t_c).T @ s_c)
+                refs.append(SciRotation.align_vectors(t_c, s_c, weights=w)[0].as_matrix())
+        order = rng.permutation(len(hs))
+        return np.stack(hs)[order], [refs[i] for i in order]
+
+    def test_each_entry_is_its_own_solve_and_matches_align_vectors(self):
+        hs, refs = self.mixed_stack()
+        rots, diags, svd = _svd_rotation(hs)
+        for i, h in enumerate(hs):
+            (rot,), (diag,), one = _svd_rotation(h[np.newaxis])
+            assert rots[i].m.tobytes() == rot.m.tobytes()
+            assert diags[i] == diag
+            assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(svd, one))
+            assert np.abs(rot.m - refs[i]).max() <= solve_tol(diag)
+        flags = {d.reflection_corrected for d in diags}
+        assert flags == {False, True}
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_degenerate_entry_raises_its_own_error(self, where):
+        hs, _ = self.mixed_stack()
+        pos = {"first": 0, "middle": len(hs) // 2, "last": len(hs)}[where]
+        with pytest.raises(DegenerateConfiguration) as want:
+            _svd_rotation(self.LINE[np.newaxis])
+        with pytest.raises(DegenerateConfiguration) as got:
+            _svd_rotation(np.insert(hs, pos, self.LINE, axis=0))
+        assert str(got.value) == str(want.value)
+        assert got.value.branch is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_the_first_failing_entry_wins(self, bad):
+        """A non-finite entry stops no earlier entry's check, and is
+        reported before a later degenerate one."""
+        hs, _ = self.mixed_stack()
+        overflow = np.full((3, 3), bad)
+        for first, second, kind in ((self.LINE, overflow, DegenerateConfiguration),
+                                    (overflow, self.LINE, ValueError)):
+            with pytest.raises(kind):
+                _svd_rotation(np.concatenate((hs[:5], [first], hs[5:9], [second], hs[9:])))
 
 
 def central_differences(f, x: np.ndarray, h: float) -> np.ndarray:

@@ -33,11 +33,12 @@ from grr import (
     world_points,
     world_rays,
 )
+from grr.geometry import _rotations
 
 
 def alignment_cost(problem: AlignmentProblem, r: np.ndarray) -> float:
     """sum_i w_i ||R s_i - t_i||^2, straight from the definition."""
-    w = problem.effective_weights()
+    w = np.ones(problem.size) if problem.weights is None else problem.weights
     resid = problem.source @ r.T - problem.target
     return float((w * (resid * resid).sum(axis=1)).sum())
 
@@ -477,6 +478,26 @@ class TestFailureParity:
         assert _raised(recover_pose, rays, pts, wr, PointMap(line)) == want
         assert self.training_raised(rays, pts, wr, PointMap(line)) == (want, want)
 
+    @pytest.mark.parametrize("overflow", ["centring", "cross-covariance"])
+    def test_collinear_rays_come_before_points_that_overflow(self, grid4, overflow):
+        """The ray branch is checked first: its DegenerateConfiguration wins
+        over a point branch whose centring (1.7e308) or cross-covariance
+        (1e155) overflows."""
+        rays, pts, _, _ = self.frame(grid4)
+        if overflow == "centring":
+            pts_cam, pts_pred = pts.pts, np.zeros((len(pts), 3))
+            pts_pred[0, 0], pts_pred[1:, 0] = 1.7e308, -1.7e308
+        else:
+            pts_cam = 1e155 * Seed(62).rng().normal(size=(len(pts), 3))
+            pts_pred = pts_cam + 1.0
+        z = np.tile(np.array([0.0, 0.6, 0.8]), (len(rays), 1))
+        src = rays.dirs / np.linalg.norm(rays.dirs, axis=1, keepdims=True)
+        want = (DegenerateConfiguration, _collinear_message("ray branch: ", z.T @ src), "rays")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _raised(recover_pose, rays, PointMap(pts_cam), RayBundle(z),
+                           PointMap(pts_pred)) == want
+            assert self.training_raised_on(rays.dirs, pts_cam, z, pts_pred) == (want, want)
+
     def test_non_orthonormal_rotation(self):
         m = np.eye(3) + 1e-3
         err = float(np.abs(m.T @ m - np.eye(3)).max())
@@ -485,6 +506,17 @@ class TestFailureParity:
         flip = np.diag([1.0, 1.0, -1.0])
         assert _raised(Rotation, flip) == (
             ValueError, f"matrix determinant {np.linalg.det(flip):.17g} is not +1", None)
+
+    def test_stacked_rotation_check_names_the_first_failing_entry(self):
+        """The solver checks its rotations as one stack: the first entry that
+        fails raises what Rotation raises on that entry alone."""
+        good = random_rotation(Seed(64)).m
+        skew, flip = np.eye(3) + 1e-3, np.diag([1.0, 1.0, -1.0])
+        for stack, first in (([good, skew, flip], skew), ([good, flip, skew], flip)):
+            assert _raised(_rotations, np.array(stack)) == _raised(Rotation, first)
+        rots = _rotations(np.array([good, good.T]))
+        assert [r.m.tobytes() for r in rots] == [good.tobytes(), good.T.tobytes()]
+        assert not rots[0].m.flags.writeable
 
 
 class TestCachedPathParity:

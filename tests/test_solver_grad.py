@@ -35,8 +35,10 @@ from grr import (
 from grr.losses import _pair_grads
 from grr.solver import _kabsch_solve, _rigid_solve
 from grr.solver_grad import (
+    NEAR_SINGULAR_TOL,
     _dpow,
     _frame_forward,
+    _h_cotangents,
     _kabsch_backward,
     _polar_h_cotangent,
     _rigid_backward,
@@ -271,7 +273,7 @@ class TestPipelineLoss:
         geometry term's cosine clip is not at its kink under a probe step."""
         fi = random_frame_inputs(Seed(44), p=p)
         d_gt = fi.rays_cam @ fi.gt.r.m.T
-        return fi.with_predictions(0.98 * d_gt, fi.pts_pred)
+        return replace(fi, rays_pred=0.98 * d_gt)
 
     def test_converged_p2_gradient_is_finite_and_matches_fd(self):
         fi = self.converged_frame(p=2)
@@ -447,6 +449,28 @@ class TestFailureParity:
         assert from_loss == _raised(pipeline_loss_grad, fi)
         assert issubclass(from_loss[0], expected)
 
+    @pytest.mark.parametrize("near_singular", ["points", "both"])
+    def test_near_singular_rays_are_reported_first(self, near_singular):
+        """A mirrored branch whose two smallest singular values are equal makes
+        its reflective backward divide by s_1 - s_2 ~ 0. With both branches
+        so, the ray branch's message comes first, as its backward ran first."""
+        fi = random_frame_inputs(Seed(170))  # a grid symmetric in x and y
+        mirror = np.array([1.0, -1.0, 1.0])
+        pts_cam = fi.rays_cam * np.array([1.0, 1.0, 100.0])  # z spread the largest
+        rays_pred = fi.rays_cam * mirror if near_singular == "both" else fi.rays_pred
+        frame = replace(fi, pts_cam=pts_cam, rays_pred=rays_pred, pts_pred=pts_cam * mirror + 0.5)
+        unit = rays_pred / np.linalg.norm(rays_pred, axis=1, keepdims=True)
+        h = {"both": unit.T @ fi.rays_cam,
+             "points": (frame.pts_pred - frame.pts_pred.mean(axis=0)).T @ (pts_cam - pts_cam.mean(axis=0))}
+        s = np.linalg.svd(h[near_singular], compute_uv=False)
+        want = ("SVD cross-term denominator below "
+                f"{NEAR_SINGULAR_TOL:g} (singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e}); "
+                "gradient unreliable near degenerate or reflective configurations")
+        assert math.isfinite(pipeline_loss(frame).total)
+        with pytest.raises(NearSingularJacobian) as info:
+            pipeline_loss_grad(frame)
+        assert str(info.value) == want
+
     def test_only_the_gradient_rejects_a_converged_p1_frame(self):
         fi = TestPipelineLoss.converged_frame(p=1)
         assert math.isfinite(pipeline_loss(fi).total)
@@ -459,27 +483,58 @@ def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-def previous_kabsch_backward(fwd, rotation_grad):
-    """(target, source) gradients as the backward pass computed them before
-    the target-only split: both sides always, sum(axis=1) for the radial part."""
-    u, s, vt, sign = fwd.svd
-    hbar = u @ _polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, sign) @ vt
-    cov = fwd.cov
-    grad_target = cov.w[:, np.newaxis] * (cov.src @ hbar.T)
-    grad_source = cov.w[:, np.newaxis] * (cov.tgt @ hbar)
-    if cov.src_norms is not None:
+def previous_polar_h_cotangent(k, s, sign):
+    """Pbar of one 3x3 K as the per-matrix backward computed it, one branch per sign."""
+    if sign > 0.0:
+        denominators = (s[0] + s[1], s[0] + s[2], s[1] + s[2])
+    else:
+        denominators = (s[0] + s[1], s[0] - s[2], s[1] - s[2])
+    if min(denominators) < NEAR_SINGULAR_TOL:
+        raise NearSingularJacobian(
+            "SVD cross-term denominator below "
+            f"{NEAR_SINGULAR_TOL:g} (singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e}); "
+            "gradient unreliable near degenerate or reflective configurations"
+        )
+    pbar = np.zeros((3, 3))
+    if sign > 0.0:
+        anti = k - k.T
+        pbar[0, 1] = anti[0, 1] / denominators[0]
+        pbar[0, 2] = anti[0, 2] / denominators[1]
+        pbar[1, 2] = anti[1, 2] / denominators[2]
+        pbar[1, 0] = -pbar[0, 1]
+        pbar[2, 0] = -pbar[0, 2]
+        pbar[2, 1] = -pbar[1, 2]
+    else:
+        pbar[0, 1] = (k[0, 1] - k[1, 0]) / denominators[0]
+        pbar[1, 0] = -pbar[0, 1]
+        pbar[0, 2] = pbar[2, 0] = (k[0, 2] + k[2, 0]) / denominators[1]
+        pbar[1, 2] = pbar[2, 1] = (k[1, 2] + k[2, 1]) / denominators[2]
+    return pbar
+
+
+def previous_kabsch_backward(fwd, svd, rotation_grad):
+    """(target, source) gradients as the per-matrix backward pass computed them
+    before the target-only split: both sides always, sum(axis=1) for the
+    radial part, on the one entry of a stack-of-one solve's factors."""
+    u, s, vt, sign = (a[0] for a in svd)
+    hbar = u @ previous_polar_h_cotangent(u.T @ rotation_grad @ vt.T, s, float(sign)) @ vt
+    w = np.ones(len(fwd.src)) if fwd.w is None else fwd.w
+    grad_target = w[:, np.newaxis] * (fwd.src @ hbar.T)
+    grad_source = w[:, np.newaxis] * (fwd.tgt @ hbar)
+    if fwd.src_norms is not None:
         def chain(unit, norms, grads):
             return (grads - (grads * unit).sum(axis=1, keepdims=True) * unit) / norms
 
-        grad_target = chain(cov.tgt, cov.tgt_norms, grad_target)
-        grad_source = chain(cov.src, cov.src_norms, grad_source)
+        grad_target = chain(fwd.tgt, fwd.tgt_norms, grad_target)
+        grad_source = chain(fwd.src, fwd.src_norms, grad_source)
     return grad_target, grad_source
 
 
-def previous_rigid_backward(fwd, rotation_grad, translation_grad):
+def previous_rigid_backward(fwd, svd, rotation_grad, translation_grad):
     target, source = previous_kabsch_backward(
-        fwd.kabsch, rotation_grad - np.outer(translation_grad, fwd.c_src))
-    share = fwd.kabsch.cov.w[:, np.newaxis] / fwd.wsum
+        fwd.kabsch, svd, rotation_grad - np.outer(translation_grad, fwd.c_src))
+    w = np.ones(len(fwd.kabsch.src)) if fwd.kabsch.w is None else fwd.kabsch.w
+    share = w[:, np.newaxis] / fwd.wsum
     return (target + share * translation_grad,
             source - share * (fwd.pose.r.m.T @ translation_grad))
 
@@ -525,26 +580,58 @@ class TestBackwardParity:
         rng = Seed(11).rng()
         g_rot, g_t = rng.standard_normal((3, 3)), rng.standard_normal(3)
 
-        rays = _kabsch_solve(problem, normalize=True)
-        want_target, want_source = previous_kabsch_backward(rays, g_rot)
-        target_only = _kabsch_backward(rays, g_rot, source=False)
+        rays, svd = _kabsch_solve(problem, normalize=True)
+        want_target, want_source = previous_kabsch_backward(rays, svd, g_rot)
+        target_only = _kabsch_backward(rays, _h_cotangents(svd, g_rot[np.newaxis])[0], source=False)
         assert target_only.source is None
         _assert_bitwise(target_only.target, want_target)
         full = kabsch_rotation_vjp(VjpRequest(problem, g_rot), normalize=True)
         _assert_bitwise(full.target, want_target)
         _assert_bitwise(full.source, want_source)
 
-        points = _rigid_solve(problem)
+        points, svd = _rigid_solve(problem)
         for req in (VjpRequest(problem, g_rot, g_t), VjpRequest(problem, np.zeros((3, 3)), g_t)):
             want_target, want_source = previous_rigid_backward(
-                points, req.rotation_grad, req.translation_grad)
-            target_only = _rigid_backward(points, req.rotation_grad, req.translation_grad,
-                                          source=False)
+                points, svd, req.rotation_grad, req.translation_grad)
+            g_centred = req.rotation_grad - np.outer(req.translation_grad, points.c_src)
+            hbar = _h_cotangents(svd, g_centred[np.newaxis])[0]
+            target_only = _rigid_backward(points, hbar, req.translation_grad, source=False)
             assert target_only.source is None
             _assert_bitwise(target_only.target, want_target)
             full = rigid_align_vjp(req)
             _assert_bitwise(full.target, want_target)
             _assert_bitwise(full.source, want_source)
+
+    def test_stacked_pbar_matches_per_matrix_formula(self):
+        """Each entry of a stacked Pbar is the per-matrix formula's bytes, on
+        stacks that mix both determinant signs and hold signed zeros in K."""
+        rng = Seed(13).rng()
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            k = rng.standard_normal((n, 3, 3))
+            k[rng.random(k.shape) < 0.15] = 0.0
+            k[rng.random(k.shape) < 0.15] = -0.0
+            s = -np.sort(-rng.uniform(0.1, 3.0, (n, 3)), axis=1)
+            sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            sign[:2] = 1.0, -1.0
+            got = _polar_h_cotangent(k, s, sign)
+            for i in range(n):
+                _assert_bitwise(got[i], previous_polar_h_cotangent(k[i], s[i], float(sign[i])))
+
+    def test_stacked_pbar_raises_for_the_first_near_singular_entry(self):
+        """A stack raises what the per-matrix formula raises on its first
+        near-singular entry, wherever that entry sits."""
+        s = np.array([[2.0, 1.0, 0.5], [1.0, 0.7, 0.7], [1.0, 3e-9, 3e-9], [3.0, 1.0, 1.0 - 5e-9]])
+        sign = np.array([1.0, -1.0, 1.0, -1.0])
+        k = Seed(14).rng().standard_normal((4, 3, 3))
+        for shift in range(4):
+            order = np.roll(np.arange(4), shift)  # entry 0 is the only regular one
+            first = int(order[order != 0][0])
+            with pytest.raises(NearSingularJacobian) as want:
+                previous_polar_h_cotangent(k[first], s[first], float(sign[first]))
+            with pytest.raises(NearSingularJacobian) as got:
+                _polar_h_cotangent(k[order], s[order], sign[order])
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("case", SCATTER_CASES)
     def test_single_bincount_matches_per_column_scatter(self, case):
