@@ -42,6 +42,12 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return (x[..., 0] + x[..., 1]) + x[..., 2] + 0.0
 
 
+def _mean(x: np.ndarray) -> np.float64:
+    """x.mean() of a non-empty 1-D float64 array bit for bit, without its dispatch:
+    the same np.add.reduce, then the same division by the count."""
+    return np.add.reduce(x) / x.size
+
+
 def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """np.linalg.norm(x, axis=-1, keepdims=keepdims) bit for bit, without its dispatch."""
     norms = np.sqrt(_row_sums(x * x))

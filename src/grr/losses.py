@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation, _read_only, _row_norms, _row_sums, geodesic_distance
+from .geometry import Pose, Rotation, _mean, _read_only, _row_norms, _row_sums, geodesic_distance
 
 __all__ = _EXPORTS["losses"]
 
@@ -201,8 +201,8 @@ def _geometry_terms(d_hat, d_gt, p_hat, p_gt, weights: LossWeights, p: int):
     cos_dev = 1.0 - _row_sums(d_hat * d_gt)
     resid = p_hat - p_gt
     point_norms = _row_pnorms(resid, p)
-    cos_term = float(np.clip(cos_dev, 0.0, 2.0).mean())
-    point_term = float(point_norms.mean())
+    cos_term = float(_mean(np.clip(cos_dev, 0.0, 2.0)))
+    point_term = float(_mean(point_norms))
     return weights.w_geo_r * cos_term + weights.w_geo_p * point_term, cos_dev, resid, point_norms
 
 
@@ -229,7 +229,7 @@ def regularization_loss(
             raise ValueError(
                 f"neighbor set is over {neighbors.n_items} items, {name} has {arr.shape[0]}"
             )
-    return _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors, weights, p).value
+    return _pair_terms(d_hat, p_hat, partial(_pair_dots, d_cam), p_gt, neighbors, weights, p).value
 
 
 # regularization_loss and the per-pair terms its gradient reuses: d_ij = d_hat at
@@ -238,7 +238,15 @@ def regularization_loss(
 _PairTerms = namedtuple("_PairTerms", "value d_ij ray_dev delta dist_hat dist_dev")
 
 
-def _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors: NeighborSet, weights: LossWeights, p: int):
+def _pair_dots(d_cam, neighbors: NeighborSet) -> np.ndarray:
+    """d_cam[i] . d_cam[j] per pair (i, j): the canonical targets of the predicted ray dots."""
+    c_ij = np.take(d_cam, neighbors.pairs.T, axis=0)
+    return _row_sums(c_ij[0] * c_ij[1])
+
+
+def _pair_terms(d_hat, p_hat, cam_dots, p_gt, neighbors: NeighborSet, weights: LossWeights, p: int):
+    """The pairwise term. cam_dots(neighbors) gives the canonical pair dots; it
+    is asked only once the neighbour set has passed the checks below."""
     if len(neighbors) == 0:
         raise EmptyNeighborSet("neighbor set has no pairs")
     if neighbors.n_items != d_hat.shape[0]:
@@ -248,16 +256,15 @@ def _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors: NeighborSet, weights: Loss
     # Rows i and j of each array in one gather, as contiguous halves: a[0] is
     # a[i], a[1] is a[j]. Row-wise products on strided (k, 2, 3) halves cost
     # one loop call per pair.
-    d_ij, c_ij, p_ij, g_ij = (np.take(a, neighbors.pairs.T, axis=0)
-                              for a in (d_hat, d_cam, p_hat, p_gt))
-    ray_dev = _row_sums(d_ij[0] * d_ij[1]) - _row_sums(c_ij[0] * c_ij[1])
+    d_ij, p_ij, g_ij = (np.take(a, neighbors.pairs.T, axis=0) for a in (d_hat, p_hat, p_gt))
+    ray_dev = _row_sums(d_ij[0] * d_ij[1]) - cam_dots(neighbors)
     delta = p_ij[0] - p_ij[1]
     dist_hat = _row_norms(delta)
     dist_dev = dist_hat - _row_norms(g_ij[0] - g_ij[1])
     per_pair = weights.w_reg_r * _scalar_pow(ray_dev, p) + weights.w_reg_p * _scalar_pow(
         dist_dev, p
     )
-    return _PairTerms(float(per_pair.mean()), d_ij, ray_dev, delta, dist_hat, dist_dev)
+    return _PairTerms(float(_mean(per_pair)), d_ij, ray_dev, delta, dist_hat, dist_dev)
 
 
 def _pair_grads(neighbors: NeighborSet, coef, d_ij, pull, delta) -> np.ndarray:

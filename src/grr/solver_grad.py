@@ -41,6 +41,7 @@ from .losses import (
     NeighborSet,
     _check_p,
     _geometry_terms,
+    _pair_dots,
     _pair_grads,
     _pair_terms,
     _pose_value,
@@ -210,7 +211,9 @@ class FrameInputs:
     rays_pred / pts_pred are the free variables the gradient is taken with
     respect to; the canonical sets, ground-truth pose, neighbor pairs,
     weights, and norm order are constants of the frame. rays_cam must be unit
-    rows, as canonical_rays gives them.
+    rows, as canonical_rays gives them. Frames sharing one frozen canonical pair, as
+    canonical_rays and canonical_points give it, validate and factor it once per
+    batch; a writable pair, or a view, is validated on every frame.
     """
 
     rays_cam: np.ndarray
@@ -239,10 +242,40 @@ class FrameInputs:
 _FramePass = namedtuple("_FramePass", "terms rays pts svd d_gt dist t_resid geo pairs")
 
 
+class _Canonical:
+    """A frame's canonical pair validated as a RayBundle and a PointMap, and the
+    pair dots of the last NeighborSet asked for. `last` is the last frozen pair's."""
+
+    last = None  # held, so `is` never meets an array at a recycled address
+    pair_dots = (None, None)
+
+    def __init__(self, rays_cam: np.ndarray, pts_cam: np.ndarray):
+        self.arrays, self.rays, self.pts = (rays_cam, pts_cam), RayBundle(rays_cam), PointMap(pts_cam)
+
+    @classmethod
+    def of(cls, rays_cam: np.ndarray, pts_cam: np.ndarray) -> "_Canonical":
+        """Frozen arrays (read-only and owning their data, so nothing changes them
+        in place) that are the last frozen pair reuse it; others are validated anew."""
+        if not all(not a.flags.writeable and a.base is None for a in (rays_cam, pts_cam)):
+            return cls(rays_cam, pts_cam)
+        last = cls.last
+        if last is None or last.arrays[0] is not rays_cam or last.arrays[1] is not pts_cam:
+            last = cls.last = cls(rays_cam, pts_cam)
+        return last
+
+    def dots(self, neighbors: NeighborSet) -> np.ndarray:
+        known, dots = self.pair_dots
+        if known is not neighbors:
+            dots = _read_only(_pair_dots(self.arrays[0], neighbors))
+            self.pair_dots = (neighbors, dots)
+        return dots
+
+
 def _frame_forward(fi: FrameInputs) -> _FramePass:
     if not np.isfinite(fi.rays_pred).all():  # a NaN row would pass the near-zero check
         raise ValueError("rays_pred contains non-finite entries")
-    rays, pts, svd = _solve_frame(RayBundle(fi.rays_cam), PointMap(fi.pts_cam),
+    canon = _Canonical.of(fi.rays_cam, fi.pts_cam)
+    rays, pts, svd = _solve_frame(canon.rays, canon.pts,
                                   *_normalized_rows(fi.rays_pred, "target"), PointMap(fi.pts_pred))
     d_gt = fi.rays_cam @ fi.gt.r.m.T
     p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
@@ -250,7 +283,7 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     dist = geodesic_distance(rays.rotation, fi.gt.r)
     t_resid = pts.pose.t - fi.gt.t
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
-    pairs = _pair_terms(fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p)
+    pairs = _pair_terms(fi.rays_pred, fi.pts_pred, canon.dots, p_gt, fi.neighbors, w, p)
     terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
     return _FramePass(terms, rays, pts, svd, d_gt, dist, t_resid, geo, pairs)
 
@@ -471,8 +504,8 @@ def random_frame_inputs(seed: Seed, n: int = 4, p: int = 2, noise: float = 0.02)
     side = 8 * n
     grid = PatchGrid(Intrinsics(fx=0.75 * side, fy=0.75 * side, cx=side / 2, cy=side / 2,
                                 width=side, height=side), n=n)
-    rays_cam = canonical_rays(grid).dirs
-    pts_cam = canonical_points(canonical_rays(grid)).pts
+    rays = canonical_rays(grid)
+    rays_cam, pts_cam = rays.dirs, canonical_points(rays).pts
     m = rays_cam.shape[0]
     rng = seed.rng()
     gt = Pose(random_rotation(seed.derive(1)), rng.uniform(-2.0, 2.0, 3))

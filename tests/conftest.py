@@ -32,6 +32,29 @@ def make_poses():
 
 
 @pytest.fixture
+def canonical_work(monkeypatch):
+    """What the training pass does to the canonical side, one name per time
+    it does it: "rays" per RayBundle built, "dots" per canonical pair-dot set."""
+    from grr import solver_grad
+
+    done = []
+    pair_dots = solver_grad._pair_dots
+
+    class CountingRayBundle(solver_grad.RayBundle):
+        def __post_init__(self):
+            done.append("rays")
+            super().__post_init__()
+
+    def counting_pair_dots(d_cam, neighbors):
+        done.append("dots")
+        return pair_dots(d_cam, neighbors)
+
+    monkeypatch.setattr(solver_grad, "RayBundle", CountingRayBundle)
+    monkeypatch.setattr(solver_grad, "_pair_dots", counting_pair_dots)
+    return done
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240814)
 

@@ -359,6 +359,13 @@ class TestLoss:
         floating = self.loss_cfg(dataset, name="loss_bad4.json", domains=[0, 1.0, 0, 1, 0])
         assert run(["loss", "--config", floating]) == (3, None, "")
 
+    def test_canonical_side_is_validated_once(self, run, dataset, canonical_work):
+        """All frames share the command's frozen canonical arrays, so one
+        RayBundle and one set of canonical pair dots serve the whole batch."""
+        code, payload, _ = run(["loss", "--config", self.loss_cfg(dataset, connectivity=8)])
+        assert code == 0 and len(payload["frames"]) == 5
+        assert canonical_work == ["rays", "dots"]
+
     @staticmethod
     def degenerate_frame_1(dataset, tmp_path):
         """A copy of the dataset whose frame 1 has collinear rays: (its directory, that rays file)."""

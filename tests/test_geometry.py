@@ -15,7 +15,7 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
-from grr.geometry import _cross_rows, _row_norms, _row_sums
+from grr.geometry import _cross_rows, _mean, _row_norms, _row_sums
 
 
 class TestRotation:
@@ -289,6 +289,25 @@ class TestRowHelpers:
         x = np.array([row] * 5)
         assert (_row_sums(x) == expected).all()
         assert (x.sum(axis=-1) == expected).all()  # the order NumPy's reduction uses
+
+    def test_mean_matches_ndarray_mean_on_random_arrays(self):
+        rng = Seed(8).rng()
+        for _ in range(2000):
+            n = int(rng.integers(1, 601))
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 4.0)
+            for arr in (x, np.abs(x)):  # signed, and one-signed as the loss terms are
+                got = _mean(arr)
+                assert type(got) is np.float64 and got.tobytes() == arr.mean().tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [-0.0], [-0.0] * 7, [0.0, -0.0], [np.nan, 1.0], [1.0, -np.nan], [np.inf, 1.0],
+        [-np.inf, -np.inf], [np.inf, -np.inf], [1e308, 1e308], [5e-324, 5e-324, 0.0],
+    ])
+    def test_mean_matches_ndarray_mean_on_special_values(self, values):
+        x = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _mean(x), x.mean()
+        assert type(got) is np.float64 and got.tobytes() == want.tobytes()
 
     def test_geodesic_distance_matches_the_norm_form(self):
         for k in range(20):

@@ -28,6 +28,7 @@ from grr import (
     random_alignment_problem,
     random_frame_inputs,
     random_rigid_problem,
+    random_rotation,
     regularization_loss,
     rigid_align,
     rigid_align_vjp,
@@ -36,6 +37,8 @@ from grr.losses import _pair_grads
 from grr.solver import _kabsch_solve, _rigid_solve
 from grr.solver_grad import (
     NEAR_SINGULAR_TOL,
+    FrameLossTerms,
+    _Canonical,
     _dpow,
     _frame_forward,
     _h_cotangents,
@@ -681,3 +684,120 @@ class TestBackwardParity:
         assert a._scatter_index.tolist() == rays_part + [b + 9 for b in rays_part]
         b = replace(a, n_items=4)
         assert b._scatter_index.tolist() == rays_part + [b + 12 for b in rays_part]
+
+
+def _outcome(fi):
+    """pipeline_loss and pipeline_loss_grad on a frame: the loss terms and the
+    gradient bytes, or each exception's type, message and branch."""
+    out = []
+    for fn in (pipeline_loss, pipeline_loss_grad):
+        try:
+            result = fn(fi)
+        except Exception as exc:
+            out.append((type(exc), str(exc), getattr(exc, "branch", None)))
+            continue
+        out.append(result if fn is pipeline_loss else
+                   (result[0], result[1].tobytes(), result[2].tobytes()))
+    return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    out = arr.copy()
+    out.flags.writeable = False
+    return out
+
+
+class TestCanonicalMemo:
+    """Frames that share one frozen canonical pair are validated and factored
+    once; the results are bitwise those of per-frame validation, and nothing
+    stale or unvalidated is ever served."""
+
+    @staticmethod
+    def batch() -> list[FrameInputs]:
+        """A training-like 4x4 batch: p = 1 and p = 2 frames, a near-converged
+        p = 1 frame (NearSingularJacobian), a collinear one (DegenerateConfiguration),
+        and a switch from 4- to 8-connectivity after the fifth frame."""
+        frames = [random_frame_inputs(Seed(200 + k), p=1 + k % 2) for k in range(7)]
+        frames.insert(2, TestPipelineLoss.converged_frame(p=1))
+        frames.insert(4, replace(frames[1], rays_pred=np.tile(frames[1].rays_pred[:1], (16, 1))))
+        four, eight = NeighborSet.grid(4), NeighborSet.grid(4, connectivity=8)
+        return [replace(f, neighbors=four if k < 5 else eight) for k, f in enumerate(frames)]
+
+    def test_shared_frozen_pair_gives_the_bits_of_per_frame_copies(self, canonical_work):
+        frames = self.batch()
+        rays_cam, pts_cam = _frozen(frames[0].rays_cam), _frozen(frames[0].pts_cam)
+        shared = [_outcome(replace(f, rays_cam=rays_cam, pts_cam=pts_cam)) for f in frames]
+        assert canonical_work == ["rays", "dots", "dots"]  # one pair, two neighbour sets
+        del canonical_work[:]
+        copies = [_outcome(replace(f, rays_cam=rays_cam.copy(), pts_cam=pts_cam.copy()))
+                  for f in frames]
+        assert canonical_work.count("rays") == 2 * len(frames)  # validated on every call
+        assert shared == copies
+        grad_kinds = [out[1][0] if isinstance(out[1][0], type) else "ok" for out in shared]
+        assert grad_kinds.count("ok") == len(frames) - 2
+        assert grad_kinds[2] is NearSingularJacobian  # only the gradient rejects it
+        assert isinstance(shared[2][0], FrameLossTerms)
+        assert shared[4][0] == shared[4][1] and shared[4][1][::2] == (DegenerateConfiguration, "rays")
+        assert {f.p for f in frames} == {1, 2}
+
+    def test_twenty_frame_batch_builds_the_canonical_side_once(self, canonical_work):
+        first = random_frame_inputs(Seed(240))
+        frames = [replace(random_frame_inputs(Seed(240 + k), p=2), rays_cam=first.rays_cam,
+                          pts_cam=first.pts_cam, neighbors=first.neighbors) for k in range(20)]
+        for fi in frames:
+            pipeline_loss_grad(fi)
+        assert canonical_work == ["rays", "dots"]
+
+    def test_mutated_writable_pair_is_revalidated(self):
+        fi = random_frame_inputs(Seed(210))
+        rays_cam, pts_cam = fi.rays_cam.copy(), fi.pts_cam.copy()
+        frame = replace(fi, rays_cam=rays_cam, pts_cam=pts_cam)
+        before = _outcome(frame)
+        rot = random_rotation(Seed(211)).m
+        rays_cam[:], pts_cam[:] = rays_cam @ rot.T, pts_cam @ rot.T + 0.5
+        after = _outcome(frame)
+        assert after != before
+        assert after == _outcome(replace(fi, rays_cam=rays_cam.copy(), pts_cam=pts_cam.copy()))
+        rays_cam *= 1.01
+        with pytest.raises(ValueError, match="ray norms deviate from 1"):
+            pipeline_loss_grad(frame)
+
+    def test_read_only_view_of_a_writable_base_is_not_kept(self, canonical_work):
+        fi = random_frame_inputs(Seed(220))
+        base = fi.rays_cam.copy()
+        view = base[:]
+        view.flags.writeable = False
+        frame = replace(fi, rays_cam=view)
+        assert frame.rays_cam is view
+        first = _outcome(frame)
+        base[:] = base @ random_rotation(Seed(221)).m.T
+        assert canonical_work.count("rays") == 2
+        assert _outcome(frame) == _outcome(replace(fi, rays_cam=base.copy())) != first
+        assert _Canonical.last is None or _Canonical.last.arrays[0] is not view
+
+    def test_frozen_non_unit_rays_raise_on_every_call(self, canonical_work):
+        fi = random_frame_inputs(Seed(230))
+        frame = replace(fi, rays_cam=_frozen(1.01 * fi.rays_cam))
+        messages = set()
+        for fn in (pipeline_loss, pipeline_loss_grad, pipeline_loss):
+            with pytest.raises(ValueError) as info:
+                fn(frame)
+            messages.add(str(info.value))
+        assert len(messages) == 1 and messages.pop().startswith("ray norms deviate from 1 by up to")
+        assert canonical_work == ["rays"] * 3
+        assert _Canonical.last is None or _Canonical.last.arrays[0] is not frame.rays_cam
+
+    @pytest.mark.parametrize("neighbors,error,message", [
+        (NeighborSet.grid(5), ValueError, "neighbor set is over 25 items, bundles have 16"),
+        (NeighborSet(16, np.zeros((0, 2))), EmptyNeighborSet, "neighbor set has no pairs"),
+    ])
+    def test_bad_neighbor_set_raises_as_before(self, canonical_work, neighbors, error, message):
+        """Out-of-range pairs (a 5x5 set on a 4x4 frame) and an empty set are
+        rejected before any canonical pair dot is gathered, on every call."""
+        fi = random_frame_inputs(Seed(250))
+        for fn in (pipeline_loss, pipeline_loss_grad, pipeline_loss):
+            with pytest.raises(error) as info:
+                fn(replace(fi, neighbors=neighbors))
+            assert str(info.value) == message
+        assert canonical_work == ["rays"]
+        assert _outcome(fi) == _outcome(replace(fi, rays_cam=fi.rays_cam.copy()))
