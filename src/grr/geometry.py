@@ -43,8 +43,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _mean(x: np.ndarray) -> np.float64:
-    """x.mean() of a non-empty 1-D float64 array bit for bit, without its dispatch:
-    the same np.add.reduce, then the same division by the count."""
+    """x.mean() bit for bit for a non-empty 1-D float64 x: its add.reduce and division."""
     return np.add.reduce(x) / x.size
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -229,24 +229,17 @@ def regularization_loss(
             raise ValueError(
                 f"neighbor set is over {neighbors.n_items} items, {name} has {arr.shape[0]}"
             )
-    return _pair_terms(d_hat, p_hat, partial(_pair_dots, d_cam), p_gt, neighbors, weights, p).value
+    return _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors, weights, p).value
 
 
 # regularization_loss and the per-pair terms its gradient reuses: d_ij = d_hat at
 # every pair's i, then at its j, as (2, k, 3), delta = p_hat[i] - p_hat[j],
-# dist_dev = |delta| - dist_gt.
-_PairTerms = namedtuple("_PairTerms", "value d_ij ray_dev delta dist_hat dist_dev")
+# dist_dev = |delta| - dist_gt, cam_dots = d_cam[i] . d_cam[j] (given or gathered).
+_PairTerms = namedtuple("_PairTerms", "value d_ij ray_dev delta dist_hat dist_dev cam_dots")
 
 
-def _pair_dots(d_cam, neighbors: NeighborSet) -> np.ndarray:
-    """d_cam[i] . d_cam[j] per pair (i, j): the canonical targets of the predicted ray dots."""
-    c_ij = np.take(d_cam, neighbors.pairs.T, axis=0)
-    return _row_sums(c_ij[0] * c_ij[1])
-
-
-def _pair_terms(d_hat, p_hat, cam_dots, p_gt, neighbors: NeighborSet, weights: LossWeights, p: int):
-    """The pairwise term. cam_dots(neighbors) gives the canonical pair dots; it
-    is asked only once the neighbour set has passed the checks below."""
+def _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors: NeighborSet, weights: LossWeights, p: int,
+                cam_dots=None):
     if len(neighbors) == 0:
         raise EmptyNeighborSet("neighbor set has no pairs")
     if neighbors.n_items != d_hat.shape[0]:
@@ -257,14 +250,17 @@ def _pair_terms(d_hat, p_hat, cam_dots, p_gt, neighbors: NeighborSet, weights: L
     # a[i], a[1] is a[j]. Row-wise products on strided (k, 2, 3) halves cost
     # one loop call per pair.
     d_ij, p_ij, g_ij = (np.take(a, neighbors.pairs.T, axis=0) for a in (d_hat, p_hat, p_gt))
-    ray_dev = _row_sums(d_ij[0] * d_ij[1]) - cam_dots(neighbors)
+    if cam_dots is None:
+        c_ij = np.take(d_cam, neighbors.pairs.T, axis=0)
+        cam_dots = _row_sums(c_ij[0] * c_ij[1])
+    ray_dev = _row_sums(d_ij[0] * d_ij[1]) - cam_dots
     delta = p_ij[0] - p_ij[1]
     dist_hat = _row_norms(delta)
     dist_dev = dist_hat - _row_norms(g_ij[0] - g_ij[1])
     per_pair = weights.w_reg_r * _scalar_pow(ray_dev, p) + weights.w_reg_p * _scalar_pow(
         dist_dev, p
     )
-    return _PairTerms(float(_mean(per_pair)), d_ij, ray_dev, delta, dist_hat, dist_dev)
+    return _PairTerms(float(_mean(per_pair)), d_ij, ray_dev, delta, dist_hat, dist_dev, cam_dots)
 
 
 def _pair_grads(neighbors: NeighborSet, coef, d_ij, pull, delta) -> np.ndarray:

@@ -41,7 +41,6 @@ from .losses import (
     NeighborSet,
     _check_p,
     _geometry_terms,
-    _pair_dots,
     _pair_grads,
     _pair_terms,
     _pose_value,
@@ -211,9 +210,10 @@ class FrameInputs:
     rays_pred / pts_pred are the free variables the gradient is taken with
     respect to; the canonical sets, ground-truth pose, neighbor pairs,
     weights, and norm order are constants of the frame. rays_cam must be unit
-    rows, as canonical_rays gives them. Frames sharing one frozen canonical pair, as
-    canonical_rays and canonical_points give it, validate and factor it once per
-    batch; a writable pair, or a view, is validated on every frame.
+    rows, as canonical_rays gives them. A frozen canonical pair (read-only arrays owning
+    their data, as canonical_rays and canonical_points give) is validated and factored once
+    per batch; it must not change while frames use it, via an earlier writable view or by
+    setting writeable again. A writable pair, or a view, is validated on every frame.
     """
 
     rays_cam: np.ndarray
@@ -242,40 +242,21 @@ class FrameInputs:
 _FramePass = namedtuple("_FramePass", "terms rays pts svd d_gt dist t_resid geo pairs")
 
 
-class _Canonical:
-    """A frame's canonical pair validated as a RayBundle and a PointMap, and the
-    pair dots of the last NeighborSet asked for. `last` is the last frozen pair's."""
-
-    last = None  # held, so `is` never meets an array at a recycled address
-    pair_dots = (None, None)
-
-    def __init__(self, rays_cam: np.ndarray, pts_cam: np.ndarray):
-        self.arrays, self.rays, self.pts = (rays_cam, pts_cam), RayBundle(rays_cam), PointMap(pts_cam)
-
-    @classmethod
-    def of(cls, rays_cam: np.ndarray, pts_cam: np.ndarray) -> "_Canonical":
-        """Frozen arrays (read-only and owning their data, so nothing changes them
-        in place) that are the last frozen pair reuse it; others are validated anew."""
-        if not all(not a.flags.writeable and a.base is None for a in (rays_cam, pts_cam)):
-            return cls(rays_cam, pts_cam)
-        last = cls.last
-        if last is None or last.arrays[0] is not rays_cam or last.arrays[1] is not pts_cam:
-            last = cls.last = cls(rays_cam, pts_cam)
-        return last
-
-    def dots(self, neighbors: NeighborSet) -> np.ndarray:
-        known, dots = self.pair_dots
-        if known is not neighbors:
-            dots = _read_only(_pair_dots(self.arrays[0], neighbors))
-            self.pair_dots = (neighbors, dots)
-        return dots
+# The last frozen canonical pair a frame used, held so `is` never meets a recycled
+# address: [rays_cam, pts_cam, RayBundle, PointMap, (NeighborSet, its pair dots)].
+_memo = [None, None, None, None, (None, None)]
 
 
 def _frame_forward(fi: FrameInputs) -> _FramePass:
+    global _memo
     if not np.isfinite(fi.rays_pred).all():  # a NaN row would pass the near-zero check
         raise ValueError("rays_pred contains non-finite entries")
-    canon = _Canonical.of(fi.rays_cam, fi.pts_cam)
-    rays, pts, svd = _solve_frame(canon.rays, canon.pts,
+    frozen = not any(a.flags.writeable or a.base is not None for a in (fi.rays_cam, fi.pts_cam))
+    canon = _memo
+    if not (frozen and canon[0] is fi.rays_cam and canon[1] is fi.pts_cam):
+        canon = [fi.rays_cam, fi.pts_cam, RayBundle(fi.rays_cam), PointMap(fi.pts_cam), (None, None)]
+        _memo = canon if frozen else _memo
+    rays, pts, svd = _solve_frame(canon[2], canon[3],
                                   *_normalized_rows(fi.rays_pred, "target"), PointMap(fi.pts_pred))
     d_gt = fi.rays_cam @ fi.gt.r.m.T
     p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
@@ -283,7 +264,10 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     dist = geodesic_distance(rays.rotation, fi.gt.r)
     t_resid = pts.pose.t - fi.gt.t
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
-    pairs = _pair_terms(fi.rays_pred, fi.pts_pred, canon.dots, p_gt, fi.neighbors, w, p)
+    known, dots = canon[4]  # read once: the set and its dots stay one pair
+    pairs = _pair_terms(fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p,
+                        dots if known is fi.neighbors else None)
+    canon[4] = fi.neighbors, _read_only(pairs.cam_dots)
     terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
     return _FramePass(terms, rays, pts, svd, d_gt, dist, t_resid, geo, pairs)
 

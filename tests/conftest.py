@@ -38,19 +38,21 @@ def canonical_work(monkeypatch):
     from grr import solver_grad
 
     done = []
-    pair_dots = solver_grad._pair_dots
+    pair_terms = solver_grad._pair_terms
 
     class CountingRayBundle(solver_grad.RayBundle):
         def __post_init__(self):
             done.append("rays")
             super().__post_init__()
 
-    def counting_pair_dots(d_cam, neighbors):
-        done.append("dots")
-        return pair_dots(d_cam, neighbors)
+    def counting_pair_terms(*args):
+        out = pair_terms(*args)
+        if out.cam_dots is not args[-1]:  # gathered, not the dots it was given
+            done.append("dots")
+        return out
 
     monkeypatch.setattr(solver_grad, "RayBundle", CountingRayBundle)
-    monkeypatch.setattr(solver_grad, "_pair_dots", counting_pair_dots)
+    monkeypatch.setattr(solver_grad, "_pair_terms", counting_pair_terms)
     return done
 
 

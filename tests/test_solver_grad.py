@@ -33,11 +33,11 @@ from grr import (
     rigid_align,
     rigid_align_vjp,
 )
+from grr import solver_grad
 from grr.losses import _pair_grads
 from grr.solver import _kabsch_solve, _rigid_solve
 from grr.solver_grad import (
     NEAR_SINGULAR_TOL,
-    _Canonical,
     _dpow,
     _frame_forward,
     _h_cotangents,
@@ -773,7 +773,7 @@ class TestCanonicalMemo:
         base[:] = base @ random_rotation(Seed(221)).m.T
         assert canonical_work.count("rays") == 2
         assert _outcome(frame) == _outcome(replace(fi, rays_cam=base.copy())) != first
-        assert _Canonical.last is None or _Canonical.last.arrays[0] is not view
+        assert solver_grad._memo[0] is not view
 
     def test_frozen_non_unit_rays_raise_on_every_call(self, canonical_work):
         fi = random_frame_inputs(Seed(230))
@@ -785,7 +785,7 @@ class TestCanonicalMemo:
             messages.add(str(info.value))
         assert len(messages) == 1 and messages.pop().startswith("ray norms deviate from 1 by up to")
         assert canonical_work == ["rays"] * 3
-        assert _Canonical.last is None or _Canonical.last.arrays[0] is not frame.rays_cam
+        assert solver_grad._memo[0] is not frame.rays_cam
 
     @pytest.mark.parametrize("neighbors,error,message", [
         (NeighborSet.grid(5), ValueError, "neighbor set is over 25 items, bundles have 16"),
