@@ -16,6 +16,7 @@ import functools
 import io
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -205,6 +206,25 @@ def world_rays(pose: Pose, rays: RayBundle) -> RayBundle:
 def world_points(pose: Pose, pts: PointMap) -> PointMap:
     """Map a camera-frame pointmap into the world frame."""
     return PointMap(pts.pts @ pose.r.m.T + pose.t)
+
+
+def _world_frames(poses: Sequence[Pose], rays: RayBundle, pts: PointMap) -> list[tuple[RayBundle, PointMap]]:
+    """[(world_rays(p, rays), world_points(p, pts)) for p in poses] bit for bit, tangents filled, as
+    views of stacks built and checked at once; a failing stack is rebuilt pose by pose to raise."""
+    r_t = np.swapaxes(np.array([pose.r.m for pose in poses]), 1, 2)
+    d = rays.dirs @ r_t
+    p = pts.pts @ r_t + np.array([pose.t for pose in poses])[:, np.newaxis]
+    norms = _row_norms(d, keepdims=True)
+    if not (np.isfinite(d).all() and np.isfinite(p).all()
+            and np.abs(norms - 1.0).max(initial=0.0) <= UNIT_TOL):
+        return [(world_rays(pose, rays), world_points(pose, pts)) for pose in poses]
+    frames = []
+    for dk, nk, uk, vk, pk in zip(*map(_read_only, (d, norms, *_tangent_basis(d), p))):
+        ray_bundle, point_map = object.__new__(RayBundle), object.__new__(PointMap)
+        ray_bundle.__dict__.update(dirs=dk, norms=nk, tangents=(uk, vk))
+        point_map.__dict__["pts"] = pk
+        frames.append((ray_bundle, point_map))
+    return frames
 
 
 _XYZ_HEADER = "i,x,y,z"

@@ -12,8 +12,8 @@ config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import logging
 import os
 import sys
 
@@ -58,14 +58,24 @@ EXIT_CHECK_FAILED = 1
 EXIT_DEGENERATE = 2
 EXIT_CONFIG = 3
 
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+_LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}  # the logging module's numbers
 
-log = logging.getLogger("grr")
+
+class _Log:
+    """The logging module's `LEVEL grr: message` stderr lines, without its import cost."""
+
+    level = _LOG_LEVELS["warn"]
+
+    def _write(self, level: int, name: str, msg: str, *args) -> None:
+        if level >= self.level:
+            sys.stderr.write(f"{name} grr: {msg % args if args else msg}\n")
+
+    error = functools.partialmethod(_write, 40, "ERROR")
+    warning = functools.partialmethod(_write, 30, "WARNING")
+    info = functools.partialmethod(_write, 20, "INFO")
+
+
+log = _Log()
 
 
 def _setup_logging() -> None:
@@ -74,11 +84,7 @@ def _setup_logging() -> None:
         raise ConfigError(
             f"GRR_LOG must be one of {sorted(_LOG_LEVELS)}, got {name!r}"
         )
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=_LOG_LEVELS[name],
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    log.level = _LOG_LEVELS[name]
 
 
 def _emit(payload: dict) -> None:

@@ -9,9 +9,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,8 +71,8 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _tangent_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pair (u, v) per unit row of d; the helper axis avoids the pole."""
-    u = _cross_rows(d, np.where(np.abs(d[:, 2:3]) < 0.9, _E_Z, _E_X))
+    """Orthonormal tangent pair (u, v) per unit (..., 3) row of d; the helper axis avoids the pole."""
+    u = _cross_rows(d, np.where(np.abs(d[..., 2:3]) < 0.9, _E_Z, _E_X))
     u /= _row_norms(u, keepdims=True)
     return u, _cross_rows(d, u)
 
@@ -126,18 +127,7 @@ class Rotation:
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Rotation":
         """Rodrigues' formula. axis is normalized here; zero axis is an error."""
-        a = _as_float_array(axis, (3,), "axis")
-        n = float(np.linalg.norm(a))
-        if n < 1e-12:
-            raise ValueError("rotation axis has near-zero norm")
-        a = a / n
-        k = np.array([
-            [0.0, -a[2], a[1]],
-            [a[2], 0.0, -a[0]],
-            [-a[1], a[0], 0.0],
-        ])
-        m = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        return cls(m)
+        return cls(_axis_angle_matrix(axis, angle))
 
     @classmethod
     def from_quaternion(cls, q) -> "Rotation":
@@ -152,6 +142,21 @@ class Rotation:
         if not isinstance(other, Rotation):
             return NotImplemented
         return Rotation(self.m @ other.m)
+
+
+def _axis_angle_matrix(axis, angle: float) -> np.ndarray:
+    """Rotation.from_axis_angle's matrix, before its orthonormality check."""
+    a = _as_float_array(axis, (3,), "axis")
+    n = float(np.linalg.norm(a))
+    if n < 1e-12:
+        raise ValueError("rotation axis has near-zero norm")
+    a = a / n
+    k = np.array([
+        [0.0, -a[2], a[1]],
+        [a[2], 0.0, -a[0]],
+        [-a[1], a[0], 0.0],
+    ])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def _rotations(ms: np.ndarray) -> list[Rotation]:
@@ -207,6 +212,54 @@ class Seed:
         """Stable child seed for keying sub-streams (e.g. one per frame)."""
         state = self.sequence(*path).generate_state(1, dtype=np.uint64)
         return Seed(int(state[0]))
+
+
+# NumPy's SeedSequence (a pool of four uint32 words) and PCG64 seeding, replayed on
+# arrays for _streams. NumPy does not promise SeedSequence is stable; tests pin this.
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_words(words: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(n, np.uint64) for each entry of (N,) uint32
+    arrays: the entropy's words, spawn-key padding included."""
+    h = 0x43B0D7E5
+
+    def hashmix(v, mult=0x931E8875):
+        nonlocal h
+        xor, h = h, h * mult & _M32
+        v = (v ^ np.uint32(xor)) * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, v):
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * hashmix(v)
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(words[k] if k < len(words) else np.zeros_like(words[0])) for k in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], pool[src])
+    for w in words[4:]:
+        pool = [mix(p, w) for p in pool]
+    h = 0x8B51F9DD  # generate_state's own hash constants
+    out = [hashmix(pool[k % 4], 0x58F38DED).astype(np.uint64) for k in range(2 * n)]
+    return [lo | hi << np.uint64(32) for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _streams(seed: Seed, idxs: Sequence[int]) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of seed.derive(i).rng() for each i in idxs, computed in bulk."""
+    low = np.array([i & _M32 for i in idxs], dtype=np.uint32)
+    words = [np.full_like(low, w) for w in (seed.value & _M32, seed.value >> 32, 0, 0)]
+    children = _seed_words(words + [low], 1)[0]
+    for k, i in enumerate(idxs):
+        if not 0 <= i <= _M32:  # a spawn key of two words, or one SeedSequence rejects
+            children[k] = seed.derive(i).value
+    # Seed(c).rng(); SeedSequence hashes a zero for the second word of a child below 2**32.
+    lo, hi = children.astype("<u8").view("<u4").reshape(-1, 2).T
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(a.tolist() for a in _seed_words([lo, hi], 4))):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128  # pcg64_set_seed: two LCG steps
+        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128, inc))
+    return out
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:

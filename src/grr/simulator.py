@@ -5,9 +5,10 @@ derive one child seed per frame from (seed, frame index), so results are
 independent of execution order, and two runs with the same seed produce
 byte-identical reports. Frames run in the calling thread: the solve is short
 numpy calls that hold the interpreter lock, so a thread pool only slowed it.
-A sweep runs pose-major on that contract: each pose's ground-truth bundles
-and tangent frame are built once and shared by every noise spec, and only
-one pose's are held at a time.
+A sweep runs pose-major on that contract. Each frame's noise stream is computed
+in bulk (geometry._streams) but equals Seed.derive(idx).rng(); NumPy does not
+promise SeedSequence is stable, so tests pin the two together. Ground-truth
+bundles and tangent frames are built 16 poses at a time, shared by every spec.
 """
 
 from __future__ import annotations
@@ -20,14 +21,21 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .camera import PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays, world_points, world_rays
-from .geometry import Pose, Rotation, Seed, _cross_rows, _freeze
+from .camera import PatchGrid, PointMap, RayBundle, _world_frames, canonical_points, canonical_rays
+from .geometry import Pose, Seed, _axis_angle_matrix, _check_rotations, _cross_rows, _freeze, _rotations, _streams
 from .metrics import FrameRecord, TrialReport, _score_degenerate, _score_solved, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
 __all__ = _EXPORTS["simulator"]
 
 REPORT_COLUMNS = ["frame", "rot_err_rays_deg", "rot_err_points_deg", "trans_err", "status"]
+_CHUNK = 16  # poses per stacked ground-truth build in ablation_sweep
+
+
+def _check_sigmas(spec, *names: str) -> None:
+    for name in names:
+        if not 0.0 <= getattr(spec, name) < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and nonnegative, got {getattr(spec, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -41,10 +49,9 @@ class PosePerturbSpec:
     seed: Seed
 
     def __post_init__(self):
-        if self.sigma_t < 0.0 or self.sigma_r < 0.0:
-            raise ValueError("perturbation sigmas must be nonnegative")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        _check_sigmas(self, "sigma_t", "sigma_r")
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+            raise ValueError(f"count must be an int >= 1, got {self.count!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,7 @@ class NoiseSpec:
     seed: Seed
 
     def __post_init__(self):
-        if self.ray_sigma < 0.0 or self.point_sigma < 0.0:
-            raise ValueError("noise sigmas must be nonnegative")
+        _check_sigmas(self, "ray_sigma", "point_sigma")
         if self.mode not in ("iid_gaussian", "per_patch_scaled"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         bias = np.asarray(self.point_bias, dtype=np.float64)
@@ -83,19 +89,17 @@ def sample_poses(base: Sequence[Pose], spec: PosePerturbSpec) -> list[Pose]:
     Per sample, in a fixed draw order: translation offset N(0, sigma_t^2 I),
     a uniform random axis, and an angle |N(0, sigma_r^2)|. The rotation is
     composed on the right (a camera-frame jiggle): R_new = R_base @ dR.
-    With both sigmas zero the outputs equal the bases exactly.
+    With both sigmas zero the outputs equal the bases exactly. Drawn as one (n, 7) block.
     """
-    rng = spec.seed.rng()
-    out: list[Pose] = []
-    for pose in base:
-        for _ in range(spec.count):
-            offset = spec.sigma_t * rng.standard_normal(3)
-            axis = rng.standard_normal(3)
-            axis /= np.linalg.norm(axis)
-            angle = abs(spec.sigma_r * rng.standard_normal())
-            delta = Rotation.from_axis_angle(axis, angle)
-            out.append(Pose(pose.r @ delta, pose.t + offset))
-    return out
+    g = spec.seed.rng().standard_normal((len(base) * spec.count, 7))
+    if not len(g):
+        return []
+    deltas = np.array([_axis_angle_matrix(axis / np.linalg.norm(axis), abs(spec.sigma_r * z))
+                       for axis, z in zip(g[:, 3:6], g[:, 6].tolist())])
+    _check_rotations(deltas)
+    rots = _rotations(np.repeat([pose.r.m for pose in base], spec.count, axis=0) @ deltas)
+    ts = np.repeat([pose.t for pose in base], spec.count, axis=0) + spec.sigma_t * g[:, :3]
+    return [Pose(r, t) for r, t in zip(rots, ts)]
 
 
 def _tilt_rays(d: np.ndarray, phi: np.ndarray, theta: np.ndarray, basis: tuple) -> np.ndarray:
@@ -107,12 +111,13 @@ def _tilt_rays(d: np.ndarray, phi: np.ndarray, theta: np.ndarray, basis: tuple) 
 
 
 def perturb_representations(
-    rays: RayBundle, pts: PointMap, spec: NoiseSpec, seed: Seed | None = None
+    rays: RayBundle, pts: PointMap, spec: NoiseSpec, seed: Seed | np.random.Generator | None = None
 ) -> tuple[RayBundle, PointMap]:
     """Apply the noise model. Pure function of (rays, pts, spec, seed).
 
     seed, when given, replaces spec.seed: the result equals that of
     perturb_representations(rays, pts, dataclasses.replace(spec, seed=seed)).
+    A Generator is drawn from as it stands (seed.rng() gives seed's result).
 
     Draw order per call: tangent direction angles (m), tilt magnitudes (m),
     then point offsets (m, 3). Tilting a unit ray about an orthogonal axis
@@ -122,7 +127,7 @@ def perturb_representations(
     if len(rays) != len(pts):
         raise ValueError("ray bundle and pointmap lengths differ")
     m = len(rays)
-    rng = (spec.seed if seed is None else seed).rng()
+    rng = seed if isinstance(seed, np.random.Generator) else (spec.seed if seed is None else seed).rng()
     phi = rng.uniform(0.0, 2.0 * math.pi, m)
     theta = np.abs(rng.standard_normal(m)) * spec.ray_sigma
     offsets = rng.standard_normal((m, 3)) * spec.point_sigma
@@ -141,8 +146,9 @@ def _score_frame(
     pts_cam: PointMap,
     gt: tuple[RayBundle, PointMap],
     noise: NoiseSpec,
+    rng: np.random.Generator,
 ) -> FrameRecord:
-    d_pred, p_pred = perturb_representations(*gt, noise, seed=noise.seed.derive(idx))
+    d_pred, p_pred = perturb_representations(*gt, noise, seed=rng)
     try:
         rec = recover_pose(rays_cam, pts_cam, d_pred, p_pred)
     except DegenerateConfiguration as exc:
@@ -166,11 +172,16 @@ def ablation_sweep(
     """run_trial once per noise spec, in order, computed pose-major (module docstring)."""
     rays_cam = canonical_rays(grid)
     pts_cam = canonical_points(rays_cam)
+    streams = [_streams(noise.seed, range(len(poses))) for noise in specs]
+    rng = np.random.default_rng(0)  # re-seated on each frame's stream
     records: list[list[FrameRecord]] = [[] for _ in specs]
-    for idx, pose in enumerate(poses):
-        gt = world_rays(pose, rays_cam), world_points(pose, pts_cam)
-        for noise, out in zip(specs, records):
-            out.append(_score_frame(idx, pose, rays_cam, pts_cam, gt, noise))
+    for start in range(0, len(poses), _CHUNK):
+        chunk = poses[start:start + _CHUNK]
+        for idx, pose, gt in zip(range(start, len(poses)), chunk, _world_frames(chunk, rays_cam, pts_cam)):
+            for noise, (state, inc), out in zip(specs, (s[idx] for s in streams), records):
+                rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                           "has_uint32": 0, "uinteger": 0}
+                out.append(_score_frame(idx, pose, rays_cam, pts_cam, gt, noise, rng))
     return [summarize_records(r) for r in records]
 
 

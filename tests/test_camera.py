@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import math
+import types
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from grr import (
     world_rays,
     write_xyz_csv,
 )
+from grr.camera import _world_frames
 from grr.geometry import _cross_rows, _row_norms
 
 
@@ -173,6 +175,65 @@ class TestWorldTransforms:
         wp = world_points(pose, canonical_points(canonical_rays(grid4)))
         dist = np.linalg.norm(wp.pts - pose.t, axis=1)
         np.testing.assert_allclose(dist, 1.0, atol=1e-9)
+
+
+class TestWorldFrames:
+    """camera._world_frames: the per-pose world_rays/world_points pair and the
+    bundle's tangents, built for a stack of poses at once."""
+
+    @staticmethod
+    def poses(count, seed=20):
+        return [Pose(random_rotation(Seed(seed).derive(k)), Seed(seed).rng(k).uniform(-9, 9, 3))
+                for k in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 2, 16, 17])
+    def test_bitwise_equal_to_per_pose_builds(self, grid16, count):
+        rays = canonical_rays(grid16)
+        for pts in (canonical_points(rays), PointMap(rays.dirs * 3.5 + 0.25)):
+            poses = self.poses(count)
+            frames = _world_frames(poses, rays, pts)
+            assert len(frames) == count
+            for pose, (ray_bundle, point_map) in zip(poses, frames):
+                want_rays, want_pts = world_rays(pose, rays), world_points(pose, pts)
+                assert isinstance(ray_bundle, RayBundle) and isinstance(point_map, PointMap)
+                assert ray_bundle.dirs.tobytes() == want_rays.dirs.tobytes()
+                assert ray_bundle.norms.tobytes() == want_rays.norms.tobytes()
+                assert ray_bundle.unit.tobytes() == want_rays.unit.tobytes()
+                assert point_map.pts.tobytes() == want_pts.pts.tobytes()
+                assert point_map.centred.tobytes() == want_pts.centred.tobytes()
+                for got, want in zip(ray_bundle.tangents, want_rays.tangents):
+                    assert got.tobytes() == want.tobytes()
+                assert not ray_bundle.norms.flags.writeable
+                for arr in (ray_bundle.dirs, *ray_bundle.tangents, point_map.pts):
+                    with pytest.raises(ValueError):  # views of read-only stacks
+                        arr.flags.writeable = True
+                assert ray_bundle.dirs.shape == (len(rays), 3) and len(point_map) == len(pts)
+
+    def test_failing_stack_raises_the_per_pose_error(self, grid4):
+        """A stack that fails validation raises what the first failing pose's
+        world_rays, then world_points, raises."""
+        rays = canonical_rays(grid4)
+        pts = canonical_points(rays)
+        good = self.poses(4)
+
+        def fake(m, t):  # only .r.m and .t are read; Pose would reject these
+            return types.SimpleNamespace(r=types.SimpleNamespace(m=m), t=np.asarray(t, float))
+
+        scaled = fake(2.0 * np.eye(3), np.zeros(3))
+        nan_t = fake(np.eye(3), [0.0, math.nan, 0.0])
+        nan_r = fake(np.full((3, 3), math.nan), np.zeros(3))
+        for poses, message in [
+            ([*good[:2], scaled, *good[2:]], "ray norms deviate from 1 by up to 1.000e+00"),
+            ([good[0], nan_t, scaled], "pts contains non-finite entries"),
+            ([nan_r, nan_t], "dirs contains non-finite entries"),
+        ]:
+            with pytest.raises(ValueError) as per_pose:
+                for pose in poses:
+                    world_rays(pose, rays), world_points(pose, pts)
+            assert str(per_pose.value) == message
+            with pytest.raises(ValueError) as stacked:
+                _world_frames(poses, rays, pts)
+            assert str(stacked.value) == message
 
 
 class TestRayBundle:

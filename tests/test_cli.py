@@ -608,6 +608,35 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path / "g.json", grid=GRID, frames=1)
         assert run(["gen", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 0
 
+    @pytest.mark.parametrize("level, shown", [("error", "E"), ("warn", "EW"), ("info", "EWI"),
+                                              ("debug", "EWI")])
+    def test_log_lines_keep_the_logging_format(self, capsys, monkeypatch, level, shown):
+        """`LEVEL grr: message`, %-formatted only when given arguments, as
+        logging.basicConfig's format wrote them."""
+        from grr import cli
+
+        monkeypatch.setattr(cli.log, "level", cli.log.level)
+        monkeypatch.setenv("GRR_LOG", level)
+        cli._setup_logging()
+        cli.log.error("frame %d: %s", 3, "bad")
+        cli.log.warning("100% %s")
+        cli.log.info("wrote %d frames to %s", 2, "out/")
+        lines = {"E": "ERROR grr: frame 3: bad\n", "W": "WARNING grr: 100% %s\n",
+                 "I": "INFO grr: wrote 2 frames to out/\n"}
+        assert capsys.readouterr().err == "".join(lines[k] for k in shown)
+
+    def test_info_line_of_a_child_process(self, tmp_path):
+        cfg = write_cfg(tmp_path / "g.json", grid=GRID, frames=1)
+        out = tmp_path / "o"
+        r = subprocess.run(
+            [sys.executable, "-m", "grr.cli", "gen", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grr.__file__)),
+                 "GRR_LOG": "info"},
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == f"INFO grr: gen: wrote 1 frames to {out}\n"
+
 
 class TestDeterminism:
     def test_every_subcommand_is_byte_identical_across_runs(self, run, dataset, tmp_path):

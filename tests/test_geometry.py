@@ -15,7 +15,7 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
-from grr.geometry import _cross_rows, _mean, _row_norms, _row_sums
+from grr.geometry import _cross_rows, _mean, _row_norms, _row_sums, _seed_words, _streams
 
 
 class TestRotation:
@@ -171,6 +171,67 @@ class TestSeed:
         a = Seed(9).rng(1).normal(size=4)
         b = Seed(9).rng(1).normal(size=4)
         assert np.array_equal(a, b)
+
+
+def pcg64_pair(rng):
+    state = rng.bit_generator.state
+    assert state["bit_generator"] == "PCG64" and state["has_uint32"] == 0 and state["uinteger"] == 0
+    return state["state"]["state"], state["state"]["inc"]
+
+
+class TestBulkStreams:
+    """geometry._streams replays SeedSequence and PCG64 seeding on arrays; it
+    must give Seed.derive(i).rng()'s PCG64 (state, inc) for every (seed, i)."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+
+    def test_matches_seed_sequence_on_many_pairs(self):
+        rng = np.random.default_rng(2024)
+        seeds = self.EDGE_SEEDS + rng.integers(0, 2**64, 34, dtype=np.uint64).tolist()
+        idxs = list(range(130)) + rng.integers(0, 2**32, 120).tolist() + [2**31, 2**32 - 1]
+        pairs = 0
+        for value in seeds:
+            got = _streams(Seed(value), idxs)
+            assert len(got) == len(idxs)
+            for i, pair in zip(idxs, got):
+                assert pair == pcg64_pair(Seed(value).derive(i).rng()), (value, i)
+                pairs += 1
+        assert pairs >= 10_000
+
+    @pytest.mark.parametrize("child", [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_child_seeds_below_two_to_the_32(self, child, monkeypatch):
+        """A child seed below 2**32 is one SeedSequence entropy word, not two.
+        Such children are rare, so the fallback's derive is made to return one."""
+        words = np.array([child], dtype=np.uint64).view(np.uint32)
+        got = _seed_words([words[:1], words[1:]], 4)
+        want = np.random.SeedSequence(child).generate_state(4, np.uint64)
+        assert [int(w[0]) for w in got] == want.tolist()
+        monkeypatch.setattr(Seed, "derive", lambda self, *path: Seed(child))
+        assert _streams(Seed(9), [3, 2**32, 2**40]) == [
+            _streams(Seed(9), [3])[0], pcg64_pair(Seed(child).rng()), pcg64_pair(Seed(child).rng())]
+
+    def test_two_word_spawn_keys_fall_back(self):
+        idxs = [3, 2**32, 2**40 + 9, 2**64 - 1, 2**70, 0]
+        for value in (0, 2**64 - 1, 12345):
+            want = [pcg64_pair(Seed(value).derive(i).rng()) for i in idxs]
+            assert _streams(Seed(value), idxs) == want
+
+    def test_negative_index_raises_as_derive_does(self):
+        with pytest.raises(ValueError):
+            Seed(1).derive(-1)
+        with pytest.raises(ValueError):
+            _streams(Seed(1), [0, -1])
+
+    def test_empty(self):
+        assert _streams(Seed(1), []) == []
+
+    def test_seated_generator_draws_the_derived_stream(self):
+        gen = np.random.default_rng(0)
+        for i, (state, inc) in enumerate(_streams(Seed(77), range(5))):
+            gen.standard_normal(3)  # whatever was drawn before is replaced
+            gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            assert gen.random(9).tobytes() == Seed(77).derive(i).rng().random(9).tobytes()
 
 
 class TestPoseFileIO:

@@ -18,6 +18,7 @@ from grr import (
     Pose,
     PosePerturbSpec,
     RayBundle,
+    Rotation,
     Seed,
     TrialReport,
     ablation_sweep,
@@ -130,10 +131,11 @@ class TestPerturbRepresentations:
         rays, pts = bundle
         noise = spec(ray=0.01, pt=0.02, bias=(0.1, 0.0, 0.0), mode=mode, seed=3)
         for s in (Seed(0), noise.seed.derive(5), Seed(2**64 - 1)):
-            got = perturb_representations(rays, pts, noise, seed=s)
             want = perturb_representations(rays, pts, dataclasses.replace(noise, seed=s))
-            assert got[0].dirs.tobytes() == want[0].dirs.tobytes()
-            assert got[1].pts.tobytes() == want[1].pts.tobytes()
+            for seed in (s, s.rng()):  # a Generator is drawn from as it stands
+                got = perturb_representations(rays, pts, noise, seed=seed)
+                assert got[0].dirs.tobytes() == want[0].dirs.tobytes()
+                assert got[1].pts.tobytes() == want[1].pts.tobytes()
 
     def test_length_mismatch_rejected(self, bundle):
         rays, pts = bundle
@@ -250,6 +252,44 @@ class TestReferenceParity:
             assert rec.point_diagnostics.reflection_corrected
 
 
+class TestSpecValidation:
+    """Each bad field raises a ValueError naming it when the spec is built,
+    before any draw: non-finite sigmas used to fail late or not at all."""
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("sigma_t", {"sigma_t": math.nan}),
+        ("sigma_t", {"sigma_t": math.inf}),
+        ("sigma_t", {"sigma_t": -1.0}),
+        ("sigma_r", {"sigma_r": math.inf}),
+        ("sigma_r", {"sigma_r": -math.inf}),
+        ("sigma_r", {"sigma_r": math.nan}),
+        ("count", {"count": 1.5}),
+        ("count", {"count": True}),
+        ("count", {"count": "2"}),
+        ("count", {"count": np.float64(2.0)}),
+        ("count", {"count": 0}),
+    ])
+    def test_pose_perturb_spec(self, field, kwargs):
+        args = {"sigma_t": 0.05, "sigma_r": 0.01, "count": 2, "seed": Seed(0), **kwargs}
+        with pytest.raises(ValueError, match=field):
+            PosePerturbSpec(**args)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("ray_sigma", {"ray": math.nan}),
+        ("ray_sigma", {"ray": math.inf}),
+        ("ray_sigma", {"ray": -0.1}),
+        ("point_sigma", {"pt": math.nan}),
+        ("point_sigma", {"pt": -math.inf}),
+    ])
+    def test_noise_spec(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            spec(**kwargs)
+
+    def test_limits_accepted(self):
+        assert PosePerturbSpec(0.0, 1e308, 1, Seed(0)).count == 1
+        assert spec(ray=0.0, pt=1e308).point_sigma == 1e308
+
+
 class TestNoiseSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -276,11 +316,43 @@ class TestSamplePoses:
 
     def test_zero_sigma_returns_bases_exactly(self):
         base = self.base_poses()
-        out = sample_poses(base, PosePerturbSpec(0.0, 0.0, count=3, seed=Seed(1)))
-        assert len(out) == 6
-        for k, pose in enumerate(out):
-            assert np.array_equal(pose.r.m, base[k // 3].r.m)
-            assert np.array_equal(pose.t, base[k // 3].t)
+        for count in (1, 2, 3):
+            out = sample_poses(base, PosePerturbSpec(0.0, 0.0, count=count, seed=Seed(1)))
+            assert len(out) == 2 * count
+            for k, pose in enumerate(out):
+                assert np.array_equal(pose.r.m, base[k // count].r.m)
+                assert np.array_equal(pose.t, base[k // count].t)
+
+    @staticmethod
+    def reference_sample_poses(base, spec):
+        """sample_poses as first written: three draws per sample and a checked Rotation for each step."""
+        rng = spec.seed.rng()
+        out = []
+        for pose in base:
+            for _ in range(spec.count):
+                offset = spec.sigma_t * rng.standard_normal(3)
+                axis = rng.standard_normal(3)
+                axis /= np.linalg.norm(axis)
+                angle = abs(spec.sigma_r * rng.standard_normal())
+                out.append(Pose(pose.r @ Rotation.from_axis_angle(axis, angle), pose.t + offset))
+        return out
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("sigma_t, sigma_r", [(0.05, 0.01), (0.0, 0.3), (2.0, 3.0), (1e-9, 0.0)])
+    def test_stacked_draws_match_per_sample_loop(self, count, sigma_t, sigma_r):
+        base = [Pose(random_rotation(Seed(62).derive(i)), Seed(63).rng(i).uniform(-5, 5, 3))
+                for i in range(7)]
+        for seed in (0, 5, 2**64 - 1):
+            s = PosePerturbSpec(sigma_t, sigma_r, count, Seed(seed))
+            got, want = sample_poses(base, s), self.reference_sample_poses(base, s)
+            assert len(got) == len(want) == 7 * count
+            for g, w in zip(got, want):
+                assert g.r.m.tobytes() == w.r.m.tobytes()
+                assert g.t.tobytes() == w.t.tobytes()
+                assert not g.r.m.flags.writeable and not g.t.flags.writeable
+
+    def test_no_base_poses(self):
+        assert sample_poses([], PosePerturbSpec(0.1, 0.1, 2, Seed(0))) == []
 
     def test_base_major_order_and_jitter_scale(self):
         base = self.base_poses()
@@ -448,25 +520,38 @@ class TestSweepParity:
         for k, noise in enumerate(self.SPECS):
             assert report_bits(run_trial(grid4, poses, noise)) == report_bits(got[k])
 
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+    def test_chunk_edges_match_per_frame_reference(self, grid4, n):
+        """Ground-truth frames are built 16 poses at a time; sizes around that edge."""
+        poses = self.poses(12)[:n]
+        assert len(poses) == n
+        got = ablation_sweep(grid4, poses, self.SPECS)
+        want = spec_major_sweep(grid4, poses, self.SPECS)
+        assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
+
     def test_empty_inputs(self, grid4):
         assert ablation_sweep(grid4, self.poses(1), []) == []
         assert [r.frame_count for r in ablation_sweep(grid4, [], self.SPECS)] == [0, 0, 0]
 
     def test_calls_per_pose_and_frame(self, grid4, monkeypatch):
-        counts = {"recover_pose": 0, "perturb_representations": 0, "world_rays": 0, "world_points": 0}
+        """One stacked ground-truth build per 16 poses and no per-pose
+        world_rays/world_points; one perturbation and one solve per frame."""
+        counts = dict.fromkeys(["recover_pose", "perturb_representations", "_world_frames",
+                                "world_rays", "world_points"], 0)
         for name in counts:
-            real = getattr(grr.simulator, name)
+            module = grr.camera if name.startswith("world") else grr.simulator
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(grr.simulator, name, counted)
-        poses = self.poses(2)
+            monkeypatch.setattr(module, name, counted)
+        poses = self.poses(6)
         ablation_sweep(grid4, poses, self.SPECS)
         frames = len(poses) * len(self.SPECS)
         assert counts == {"recover_pose": frames, "perturb_representations": frames,
-                          "world_rays": len(poses), "world_points": len(poses)}
+                          "_world_frames": 2, "world_rays": 0, "world_points": 0}
 
     def test_degenerate_frame_lands_in_its_own_report(self, grid4, monkeypatch):
         poses = self.poses(1)
@@ -476,11 +561,13 @@ class TestSweepParity:
         current = {}
 
         def perturb(rays, pts, noise, seed=None):
-            current.update(noise=noise, seed=seed)
+            # The sweep passes a Generator seated on the frame's stream.
+            current.update(noise=noise, state=seed.bit_generator.state)
             return real_perturb(rays, pts, noise, seed=seed)
 
         def recover(*args):
-            if current["noise"] is target and current["seed"] == target.seed.derive(1):
+            frame_1 = target.seed.derive(1).rng().bit_generator.state
+            if current["noise"] is target and current["state"] == frame_1:
                 raise DegenerateConfiguration("collapsed", branch="points")
             return real_recover(*args)
 
