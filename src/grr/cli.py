@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen, solve, gradcheck, ablate, loss. Every subcommand takes
---config PATH (JSON) plus the common overrides --seed, --out (and --threads, ignored).
+--config PATH (JSON) plus the common overrides --seed and --out, and no
+other flag. `main` rejects an --out that names a file (gen, solve, ablate),
+reads the config and hands the command (args, config, config directory).
 Diagnostics go to stderr (level via GRR_LOG); machine-readable results go
 to stdout as JSON with sorted keys.
 
@@ -42,6 +44,7 @@ from .config import (
     resolve_paths,
     schedule_from_config,
     weights_from_config,
+    _REQUIRED,
     _finite_float,
     _get,
 )
@@ -100,12 +103,6 @@ def _run_seed(args, cfg: dict) -> Seed:
     return Seed(raw)
 
 
-def _check_out(args) -> None:
-    """Reject an --out that names an existing file before any work is done."""
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out!r} exists and is not a directory")
-
-
 def _out_dir(args) -> str:
     """--out, created on first use: call it only once the config is accepted."""
     os.makedirs(args.out, exist_ok=True)
@@ -151,19 +148,25 @@ def _canonical(cfg: dict) -> tuple[PatchGrid, RayBundle, PointMap]:
     return grid, rays, canonical_points(rays)
 
 
-def _frame_files(cfg: dict, base_dir: str) -> list[tuple[str, str]]:
-    """The config's (ray file, point file) pair for each frame."""
+def _dataset(
+    cfg: dict, base_dir: str, need_gt: bool
+) -> tuple[PatchGrid, RayBundle, PointMap, list[tuple[str, str]], list[Pose] | None]:
+    """What `solve` and `loss` read: the grid, its canonical rays and points,
+    the (ray file, point file) pair per frame, and the ground-truth poses
+    (None when `gt_poses` is optional and absent or empty)."""
+    grid, rays, pts = _canonical(cfg)
     ray_files = resolve_paths(_get(cfg, "rays", (str, list), "config"), base_dir, "rays")
     pt_files = resolve_paths(_get(cfg, "points", (str, list), "config"), base_dir, "points")
     if len(ray_files) != len(pt_files):
         raise ConfigError(f"{len(ray_files)} ray files vs {len(pt_files)} point files")
-    return list(zip(ray_files, pt_files))
+    gt_path = _get(cfg, "gt_poses", str, "config", default=_REQUIRED if need_gt else "")
+    gt = load_poses(os.path.join(base_dir, gt_path)) if gt_path or need_gt else None
+    if gt is not None and len(gt) != len(ray_files):
+        raise ConfigError(f"{len(gt)} GT poses vs {len(ray_files)} frames")
+    return grid, rays, pts, list(zip(ray_files, pt_files)), gt
 
 
-def cmd_gen(args) -> int:
-    _check_out(args)
-    cfg = load_json(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
+def cmd_gen(args, cfg: dict, base_dir: str) -> int:
     seed = _run_seed(args, cfg)
 
     grid, rays, pts = _canonical(cfg)
@@ -183,24 +186,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, cfg: dict, base_dir: str) -> int:
     from .metrics import FrameRecord, _score_degenerate, _score_solved, summarize_records
     from .simulator import write_report_csv
     from .solver import DegenerateConfiguration, recover_pose
 
-    _check_out(args)
-    cfg = load_json(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-
-    _, rays_cam, pts_cam = _canonical(cfg)
-    files = _frame_files(cfg, base_dir)
+    _, rays_cam, pts_cam, files, gt = _dataset(cfg, base_dir, need_gt=False)
     unit_scale = _get(cfg, "unit_scale", float, "config", default=1.0)
     if unit_scale <= 0.0:
         raise ConfigError(f"key 'unit_scale' in config must be positive, got {unit_scale}")
-    gt_path = _get(cfg, "gt_poses", str, "config", default=None)
-    gt = load_poses(os.path.join(base_dir, gt_path)) if gt_path else None
-    if gt is not None and len(gt) != len(files):
-        raise ConfigError(f"{len(gt)} GT poses vs {len(files)} frames")
 
     poses: list[Pose] = []
     records: list[FrameRecord] = []
@@ -229,7 +223,7 @@ def cmd_solve(args) -> int:
 _GRADCHECK_SIZES = {"rotation": 12, "rigid": 16, "loss_total": 4}
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, cfg: dict, base_dir: str) -> int:
     from .solver import DegenerateConfiguration
     from .solver_grad import (
         NearSingularJacobian,
@@ -240,7 +234,6 @@ def cmd_gradcheck(args) -> int:
         random_rigid_problem,
     )
 
-    cfg = load_json(args.config)
     seed = _run_seed(args, cfg)
 
     op = _get(cfg, "op", str, "config", default="rotation")
@@ -288,12 +281,9 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args, cfg: dict, base_dir: str) -> int:
     from .simulator import ablation_sweep, sample_poses, write_report_csv, write_sweep_csv
 
-    _check_out(args)
-    cfg = load_json(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = _run_seed(args, cfg)
 
     grid = _grid(cfg)
@@ -316,19 +306,12 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def cmd_loss(args) -> int:
+def cmd_loss(args, cfg: dict, base_dir: str) -> int:
     from .losses import NeighborSet, domain_bce, total_loss
     from .solver import DegenerateConfiguration
     from .solver_grad import FrameInputs, pipeline_loss
 
-    cfg = load_json(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-
-    grid, rays_cam, pts_cam = _canonical(cfg)
-    files = _frame_files(cfg, base_dir)
-    gt = load_poses(os.path.join(base_dir, _get(cfg, "gt_poses", str, "config")))
-    if len(gt) != len(files):
-        raise ConfigError(f"{len(gt)} GT poses vs {len(files)} frames")
+    grid, rays_cam, pts_cam, files, gt = _dataset(cfg, base_dir, need_gt=True)
 
     weights = weights_from_config(cfg.get("weights"))
     schedule = schedule_from_config(cfg.get("schedule"))
@@ -417,6 +400,7 @@ _COMMANDS = {
     "ablate": cmd_ablate,
     "loss": cmd_loss,
 }
+_WRITES_OUT = ("gen", "solve", "ablate")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -430,10 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for old command lines and ignored: frames run in one thread",
-        )
     return parser
 
 
@@ -445,7 +425,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # An --out that names a file is reported before the config is read.
+        if args.command in _WRITES_OUT and os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out!r} exists and is not a directory")
+        cfg = load_json(args.config)
+        return _COMMANDS[args.command](args, cfg, os.path.dirname(os.path.abspath(args.config)))
     except (ConfigError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG

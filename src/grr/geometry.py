@@ -332,10 +332,11 @@ def load_poses(path) -> list[Pose]:
             if not line.strip():
                 continue
             parts = line.split()
-            if len(parts) != 12:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 12 numbers per pose line, got {len(parts)}"
-                )
-            vals = np.array([float(p) for p in parts])
-            poses.append(Pose(Rotation(vals[:9].reshape(3, 3)), vals[9:]))
+            try:
+                if len(parts) != 12:
+                    raise ValueError(f"expected 12 numbers per pose line, got {len(parts)}")
+                vals = np.array([float(p) for p in parts])
+                poses.append(Pose(Rotation(vals[:9].reshape(3, 3)), vals[9:]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return poses

@@ -38,12 +38,20 @@ def _score_solved(idx: int, rec: PoseRecovery, gt: Pose | None) -> FrameRecord:
     """An "ok" record for a solved frame; NaN errors without a ground-truth pose."""
     if gt is None:
         return FrameRecord(idx, math.nan, math.nan, math.nan, "ok")
-    t_err = rec.pose.t - gt.t
+    # Checked on Python floats, where an overflowing difference is inf without
+    # a warning; below 1e150 per axis the squares sum without overflow.
+    (x, y, z), (u, v, w) = rec.pose.t.tolist(), gt.t.tolist()
+    dx, dy, dz = x - u, y - v, z - w
+    if -1e150 < dx < 1e150 and -1e150 < dy < 1e150 and -1e150 < dz < 1e150:
+        t_err = rec.pose.t - gt.t
+        trans_err = math.sqrt(t_err.dot(t_err))  # np.linalg.norm's 1-D path
+    else:
+        trans_err = math.hypot(dx, dy, dz)  # finite wherever the error is
     return FrameRecord(
         frame=idx,
         rot_err_rays_deg=math.degrees(geodesic_distance(rec.pose.r, gt.r)),
         rot_err_points_deg=math.degrees(geodesic_distance(rec.rotation_from_points, gt.r)),
-        trans_err=math.sqrt(t_err.dot(t_err)),  # np.linalg.norm's 1-D path
+        trans_err=trans_err,
         status="ok",
     )
 

@@ -167,6 +167,38 @@ class TestSolve:
         assert rows[1]["status"] == "degenerate:rays"
         assert len(load_poses(tmp_path / "out" / "solved_poses.txt")) == 5
 
+    def test_bad_pose_line_is_named_by_path_and_line(self, capsys, dataset, tmp_path):
+        gt = tmp_path / "gt_poses.txt"
+        lines = (dataset / "gt_poses.txt").read_text().splitlines()
+        lines[1] = " ".join(lines[1].split()[:9] + ["abc"] + lines[1].split()[10:])
+        gt.write_text("\n".join(lines) + "\n")
+        cfg = write_cfg(tmp_path / "solve.json", grid=GRID, rays=str(dataset / "world_rays_*.csv"),
+                        points=str(dataset / "world_points_*.csv"), gt_poses=str(gt))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR grr: {gt}:2: could not convert string to float: 'abc'\n"
+
+    def test_huge_translation_error_is_finite_with_warnings_as_errors(self, dataset, tmp_path):
+        """Points scaled by 1e155 solve to a translation whose error squares
+        past the float range; the frame is still scored, with a finite error."""
+        work = tmp_path / "in"
+        shutil.copytree(dataset, work)
+        pts = work / "world_points_0002.csv"
+        write_xyz_csv(pts, 1e155 * read_xyz_csv(pts))
+        r = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "grr.cli", "solve",
+             "--config", self.solve_cfg(work), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grr.__file__)),
+                 "GRR_LOG": "warn"},
+        )
+        assert (r.returncode, r.stderr) == (0, "")
+        with open(tmp_path / "o" / "frames.csv", newline="") as fh:
+            row = list(csv.DictReader(fh))[2]
+        assert row["status"] == "ok"
+        assert 1e154 < float(row["trans_err"]) < 1e156
+
 
 class TestGradcheck:
     def test_passes_for_each_op(self, run, tmp_path):
@@ -245,13 +277,6 @@ class TestAblate:
         assert payload is None
         assert not (tmp_path / "o" / "sweep.csv").exists()
 
-    def test_threads_do_not_change_outputs(self, run, tmp_path):
-        cfg = self.ablate_cfg(tmp_path)
-        _, _, out1 = run(["ablate", "--config", cfg, "--out", str(tmp_path / "t1"), "--threads", "1"])
-        _, _, out4 = run(["ablate", "--config", cfg, "--out", str(tmp_path / "t4"), "--threads", "4"])
-        assert out1 == out4
-        assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t4")
-
 
 # The benchmark's 16x16 geometry, seed 3, 20 poses x 2 jitters x the README's three noise specs.
 GOLDEN_ABLATE = {
@@ -298,6 +323,92 @@ def test_ablate_outputs_match_recorded_bytes(run, tmp_path):
     got = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
            for name in sorted(os.listdir(tmp_path / "o"))}
     assert got == GOLDEN_SHA256
+
+
+# The README's 4x4 configs: command, config, and whether frame 1's rays are
+# collapsed to one direction (a degenerate frame, whose warning goes to stderr).
+README_SOLVE = {"grid": GRID, "rays": "world_rays_*.csv", "points": "world_points_*.csv",
+                "gt_poses": "gt_poses.txt", "unit_scale": 1.0}
+GOLDEN_CLI_CASES = {
+    "gen": ("gen", {"grid": GRID, "frames": 5, "seed": 123}, False),
+    "solve": ("solve", README_SOLVE, False),
+    "solve without gt": ("solve", {k: v for k, v in README_SOLVE.items() if k != "gt_poses"},
+                         False),
+    "solve degenerate": ("solve", README_SOLVE, True),
+    "gradcheck loss_total": (
+        "gradcheck", {"op": "loss_total", "h": 1e-5, "threshold": 1e-4, "seed": 7}, False),
+    "loss": ("loss", {"grid": GRID, "rays": "world_rays_*.csv", "points": "world_points_*.csv",
+                      "gt_poses": "gt_poses.txt", "weights": {"w_domain": 0.1},
+                      "schedule": {"warmup_steps": 1000, "current_step": 200},
+                      "connectivity": 4, "domains": [0, 0, 1, 1, 0],
+                      "domain_logits": [-2.0, -1.5, 3.0, 2.5, 0.0]}, False),
+}
+# SHA-256 of stdout, stderr and each file under --out, recorded on GOLDEN_BUILD.
+GOLDEN_CLI_SHA256 = {
+    "gen": {
+        "canonical_points.csv": "56270cc5d91ef424b29ad19948dc650bda0501b87be2f239089605f1bb0b7806",
+        "canonical_rays.csv": "56270cc5d91ef424b29ad19948dc650bda0501b87be2f239089605f1bb0b7806",
+        "gt_poses.txt": "3b4767525749f19d4a1b30b2a5e0c94dbd5e06cb9818bc095e949035468e3853",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "11ef1a0350cd086c43d2048d1f43f0814126f10c98a5ed5ba692ae0194290949",
+        "world_points_0000.csv": "3c8d6f7fd90feae3a23ef6ed726da5cfe7e7a7f99415a7fcd60d3d04c86e753b",
+        "world_points_0001.csv": "cb913c5912d13fb6d412ff7b5a6f5a4fa681bd773e24536c9cf354642b3eed94",
+        "world_points_0002.csv": "cf2097b7850da83adb341b416797f5bd680e8a73dc9ed3ed3421ce42e68a2d9d",
+        "world_points_0003.csv": "ec646e1fd31e3b49e869d874323725cdff4584807945e9547a27942f9004081c",
+        "world_points_0004.csv": "d4937c2aa81d0eb39f93655e46a1bc204d3328aff2e486dcbe3a5d16a361e645",
+        "world_rays_0000.csv": "e4d7c84ccb8dc9b183fcc75014848e7e797e9bc80d3fbb6897c4476bbc8cc9d6",
+        "world_rays_0001.csv": "1a9981694bd329731a1eee23d4366ad30ea9134deb3fb9d4fcdda3d1c000d795",
+        "world_rays_0002.csv": "f0ce01ef5f0f999f40cd23434c0678497a09994d01af326a89edeee75fa1f202",
+        "world_rays_0003.csv": "b0279574c7507ef0905ed4e48b39f52e96b476ae5277480b21fa555548bbd40d",
+        "world_rays_0004.csv": "4b0678b4d2cbbd429b8d68955a2cd2f1830578cf6a5e2b6c081cae8914819403",
+    },
+    "gradcheck loss_total": {
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "9643156d6497491872a22f0953cbe11b4df0cdcc7145048fbfd83dcca338b439",
+    },
+    "loss": {
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "d9ac4cf8de832d739e5f55d4715c082f31fb554f2005ec606c1b2dc240cd4b56",
+    },
+    "solve": {
+        "frames.csv": "e1705b11cd47613fbb1535a4554909e9d75e6e1d585738adc36285518af9672e",
+        "solved_poses.txt": "47ec13ca770791f9035a3c976c39bb46a5353b5e7af81e6d5f38883faf86bc26",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "a1662a84e811cc9c3d411e9a168a31c0abcacb48b1d6672394f5eedb117d56b6",
+    },
+    "solve degenerate": {
+        "frames.csv": "10eed283a0c0e3359c4a9003662436182ffba6f6999ce8d2c4692b975ee654a9",
+        "solved_poses.txt": "d49ef498d418b8dd0a7c4cc1c45a8523e42cbd2c51549d46f2f23b05803efe7d",
+        "stderr": "2c7a3c18234403659f2802d80b2e6cdc48e205f7f280403197106a651f893d14",
+        "stdout": "933bc71ed8f114866fd44cbafef599e00173afae6c9da308ed24d2cc112db0df",
+    },
+    "solve without gt": {
+        "frames.csv": "eccaf2822209d745be5a1e18288f1762459ef0224870ae299e55dbf10b192c37",
+        "solved_poses.txt": "47ec13ca770791f9035a3c976c39bb46a5353b5e7af81e6d5f38883faf86bc26",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "4d0f30ed92f03dc5a0cd572d9051d15b8e2fab385346d29050702007dde28a47",
+    },
+}
+
+
+@pytest.mark.skipif(numpy_build() != GOLDEN_BUILD,
+                    reason=f"golden bytes are recorded for the build {GOLDEN_BUILD}")
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI_CASES))
+def test_command_outputs_match_recorded_bytes(capsys, monkeypatch, dataset, tmp_path, case):
+    command, cfg, degenerate = GOLDEN_CLI_CASES[case]
+    monkeypatch.setenv("GRR_LOG", "warn")
+    if degenerate:
+        work, _ = TestLoss.degenerate_frame_1(dataset, tmp_path)
+    else:
+        work = tmp_path / "in"
+        shutil.copytree(dataset, work)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(work / "cfg.json", **cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    got["stdout"] = hashlib.sha256(captured.out.encode()).hexdigest()
+    got["stderr"] = hashlib.sha256(captured.err.encode()).hexdigest()
+    assert got == GOLDEN_CLI_SHA256[case]
 
 
 class TestLoss:
@@ -575,6 +686,24 @@ class TestOutNamingAFile:
 class TestExitCodes:
     def test_missing_config_file(self, run, tmp_path):
         assert run(["gen", "--config", str(tmp_path / "nope.json")])[0] == 3
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "ablate"])
+    def test_out_naming_a_file_is_reported_before_the_config(self, capsys, tmp_path, command):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main([command, "--config", str(tmp_path / "nope.json"), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR grr: --out {str(out)!r} exists and is not a directory\n"
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "gradcheck", "ablate", "loss"])
+    def test_threads_flag_is_rejected(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "c.json"), "--threads", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 1" in captured.err
 
     def test_invalid_json(self, run, tmp_path):
         p = tmp_path / "bad.json"

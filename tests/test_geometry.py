@@ -257,6 +257,25 @@ class TestPoseFileIO:
         with pytest.raises(ValueError):
             load_poses(path)
 
+    # case -> (pose line, the message after "path:line: ")
+    BAD_LINES = {
+        "field count": ("1 0 0 0 1 0 0 0 1 0 0", "expected 12 numbers per pose line, got 11"),
+        "non-number": ("1 0 0 0 1 0 0 0 1 abc 0 0", "could not convert string to float: 'abc'"),
+        "non-orthonormal": ("2 0 0 0 1 0 0 0 1 0 0 0",
+                            "matrix is not orthonormal (max residual 3.000e+00)"),
+        "non-finite translation": ("1 0 0 0 1 0 0 0 1 0 inf 0",
+                                   "translation contains non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_bad_line_is_named_by_path_and_line(self, tmp_path, case):
+        line, message = self.BAD_LINES[case]
+        path = tmp_path / "poses.txt"
+        path.write_text(f"1 0 0 0 1 0 0 0 1 0 0 0\n\n{line}\n")  # the blank line counts
+        with pytest.raises(ValueError) as exc:
+            load_poses(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
 
 def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
     """Same shape, dtype and bytes: catches -0.0 against +0.0 too."""

@@ -147,3 +147,16 @@ class TestScoreSolved:
             t = est.t - gt.t
             assert got == math.sqrt(t.dot(t))
             assert got == float(np.linalg.norm(t))
+
+    @pytest.mark.parametrize("scale", [1e149, 1e151, 1e155, 1e300])
+    def test_trans_err_past_the_square_range_is_finite(self, scale):
+        r = random_rotation(Seed(3))
+        gt = Pose(r, np.array([1.0, -2.0, 0.5]))
+        rec = self.score(Pose(r, gt.t + scale * np.array([3.0, 4.0, 12.0])), gt)
+        assert rec.trans_err == pytest.approx(13.0 * scale, rel=1e-15)
+
+    def test_unrepresentable_trans_err_is_inf(self):
+        r = random_rotation(Seed(3))
+        rec = self.score(Pose(r, np.array([1.7e308, 0.0, 0.0])),
+                         Pose(r, np.array([-1.7e308, 0.0, 0.0])))
+        assert rec.trans_err == math.inf
