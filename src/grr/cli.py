@@ -198,19 +198,21 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
 
     poses: list[Pose] = []
     records: list[FrameRecord] = []
-    for idx, (rf, pf) in enumerate(files):
-        rays = RayBundle.from_array(read_xyz_csv(rf))
-        pts = PointMap(read_xyz_csv(pf))
-        try:
-            rec = recover_pose(rays_cam, pts_cam, rays, pts)
-        except DegenerateConfiguration as exc:
-            log.warning("frame %d degenerate: %s", idx, exc)
-            # Placeholder identity pose keeps the output file frame-aligned.
-            poses.append(Pose.identity())
-            records.append(_score_degenerate(idx, exc))
-            continue
-        poses.append(rec.pose)
-        records.append(_score_solved(idx, rec, None if gt is None else gt[idx]))
+    # Points near the float limit overflow in the centroid, centring or cross-covariance; checks name it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (rf, pf) in enumerate(files):
+            rays = RayBundle.from_array(read_xyz_csv(rf))
+            pts = PointMap(read_xyz_csv(pf))
+            try:
+                rec = recover_pose(rays_cam, pts_cam, rays, pts)
+            except DegenerateConfiguration as exc:
+                log.warning("frame %d degenerate: %s", idx, exc)
+                # Placeholder identity pose keeps the output file frame-aligned.
+                poses.append(Pose.identity())
+                records.append(_score_degenerate(idx, exc))
+                continue
+            poses.append(rec.pose)
+            records.append(_score_solved(idx, rec, None if gt is None else gt[idx]))
 
     out = _out_dir(args)
     save_poses(poses, os.path.join(out, "solved_poses.txt"))
@@ -349,23 +351,19 @@ def cmd_loss(args, cfg: dict, base_dir: str) -> int:
             p=p,
         )
         try:
-            terms = pipeline_loss(fi)
+            # Points past ~1e154 overflow the row norms; the finiteness check below names the frame.
+            with np.errstate(over="ignore"):
+                terms = pipeline_loss(fi)
         except DegenerateConfiguration as exc:
             # One degenerate frame aborts the batch (exit 2); name it.
             raise DegenerateConfiguration(
                 f"frame {idx} (rays {rf}, points {pf}): {exc}", branch=exc.branch
             ) from exc
+        if not np.isfinite(terms.total):
+            raise ValueError(f"frame {idx} (rays {rf}, points {pf}): loss components must be finite")
         totals[domains[idx]].append(terms.total)
-        frames.append(
-            {
-                "frame": idx,
-                "domain": domains[idx],
-                "pose": terms.pose,
-                "geometry": terms.geometry,
-                "regularization": terms.regularization,
-                "total": terms.total,
-            }
-        )
+        frames.append({"frame": idx, "domain": domains[idx], "pose": terms.pose, "geometry": terms.geometry,
+                       "regularization": terms.regularization, "total": terms.total})
 
     l_syn = float(np.mean(totals[0])) if totals[0] else 0.0
     l_real = float(np.mean(totals[1])) if totals[1] else 0.0

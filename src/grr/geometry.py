@@ -27,9 +27,6 @@ UNIT_TOL = 1e-9
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
 _EYE3 = np.eye(3)
-# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3.
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
 _E_X = np.array([[1.0, 0.0, 0.0]])
 _E_Z = np.array([[0.0, 0.0, 1.0]])
 
@@ -66,8 +63,15 @@ def _normalized_rows(arr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of (..., 3) rows bit for bit, without its axis handling."""
-    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+    """np.cross of (..., 3) rows bit for bit, without its axis handling: component k
+    is a[k+1] b[k+2] - a[k+2] b[k+1] (indices mod 3), written column by column
+    into one output."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast(a, b).shape)
+    for k, (x, y, z, w) in enumerate(((a1, b2, a2, b1), (a2, b0, a0, b2), (a0, b1, a1, b0))):
+        np.multiply(x, y, out=out[..., k])
+        out[..., k] -= z * w
+    return out
 
 
 def _tangent_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +90,27 @@ def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return out
 
 
+def _det3(m) -> float:
+    """Cofactor determinant of a 3x3 nested list of Python floats."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _check_rotations(ms: np.ndarray) -> None:
-    """Raise for the first entry of a finite (F, 3, 3) stack that is not orthonormal with det +1."""
+    """Raise for the first entry of a finite (F, 3, 3) stack that is not orthonormal with det +1.
+
+    Entries whose M^T M - I and det M - 1 residuals, on Python floats, sum to at most half the
+    tolerance pass: NumPy rounds such unit-sized rows within ~1e-15 of them. Any other stack
+    goes to NumPy's check, which picks the failing entry and words its message."""
+    for m in ms.tolist():
+        (a, b, c), (d, e, f), (g, h, i) = m
+        err = (abs(a * a + d * d + g * g - 1.0) + abs(b * b + e * e + h * h - 1.0)
+               + abs(c * c + f * f + i * i - 1.0) + abs(a * b + d * e + g * h)
+               + abs(a * c + d * f + g * i) + abs(b * c + e * f + h * i) + abs(_det3(m) - 1.0))
+        if not err <= 0.5 * ORTHONORMALITY_TOL:
+            break
+    else:
+        return
     errs = np.abs(np.swapaxes(ms, 1, 2) @ ms - _EYE3).max(axis=(1, 2))
     for err, det in zip(errs.tolist(), np.linalg.det(ms).tolist()):
         if err > ORTHONORMALITY_TOL:

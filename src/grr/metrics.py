@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _EXPORTS
 from .geometry import Pose, geodesic_distance
 from .solver import DegenerateConfiguration, PoseRecovery
@@ -16,11 +14,16 @@ __all__ = _EXPORTS["metrics"]
 
 
 def median(values: Sequence[float]) -> float:
-    """Median with the even-count convention: mean of the two middle order
-    statistics. NaN for an empty sequence."""
-    if len(values) == 0:
+    """np.median bit for bit, without the numpy.ma import of its NaN check: NaN if
+    empty or holding a NaN, else the middle value or the mean of the two middle
+    ones, which np.mean adds onto +0.0 (so -0.0 becomes +0.0) and divides."""
+    vals = sorted(map(float, values))
+    n = len(vals)
+    if n == 0 or any(math.isnan(v) for v in vals):
         return math.nan
-    return float(np.median(np.asarray(values, dtype=np.float64)))
+    if n % 2:
+        return 0.0 + vals[n // 2]
+    return (0.0 + vals[n // 2 - 1] + vals[n // 2]) / 2
 
 
 @dataclass(frozen=True)

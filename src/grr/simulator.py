@@ -14,6 +14,7 @@ bundles and tangent frames are built 16 poses at a time, shared by every spec.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PatchGrid, PointMap, RayBundle, _world_frames, canonical_points, canonical_rays
-from .geometry import Pose, Seed, _axis_angle_matrix, _check_rotations, _cross_rows, _freeze, _rotations, _streams
+from .geometry import (Pose, Seed, _axis_angle_matrix, _check_rotations, _cross_rows, _freeze, _read_only,
+                       _rotations, _streams)
 from .metrics import FrameRecord, TrialReport, _score_degenerate, _score_solved, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
@@ -110,6 +112,12 @@ def _tilt_rays(d: np.ndarray, phi: np.ndarray, theta: np.ndarray, basis: tuple) 
     return d * np.cos(theta)[:, np.newaxis] + _cross_rows(axis, d) * np.sin(theta)[:, np.newaxis]
 
 
+@functools.lru_cache(maxsize=8)
+def _ramp(m: int) -> np.ndarray:
+    """The read-only per-patch noise scale 0.5 + i/(m-1) of "per_patch_scaled", for m > 1."""
+    return _read_only(0.5 + np.arange(m) / (m - 1))
+
+
 def perturb_representations(
     rays: RayBundle, pts: PointMap, spec: NoiseSpec, seed: Seed | np.random.Generator | None = None
 ) -> tuple[RayBundle, PointMap]:
@@ -132,7 +140,7 @@ def perturb_representations(
     theta = np.abs(rng.standard_normal(m)) * spec.ray_sigma
     offsets = rng.standard_normal((m, 3)) * spec.point_sigma
     if spec.mode == "per_patch_scaled" and m > 1:  # else every scale is 1 and x * 1.0 == x
-        scale = 0.5 + np.arange(m) / (m - 1)
+        scale = _ramp(m)
         theta *= scale
         offsets *= scale[:, np.newaxis]
     return (RayBundle(_tilt_rays(rays.dirs, phi, theta, rays.tangents)),

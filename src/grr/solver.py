@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import _EYE3, Pose, Rotation, _check_rotations, _normalized_rows, _rotations
+from .geometry import _EYE3, Pose, Rotation, _check_rotations, _det3, _normalized_rows, _rotations
 
 __all__ = _EXPORTS["solver"]
 
@@ -126,16 +126,17 @@ def _svd_rotation(hs: np.ndarray, branches: tuple[str, ...] | None = None):
     per entry. Entry i is checked as a lone solve is (finite, not collinear,
     a proper rotation), and the first entry to fail raises. branches[i], if
     given, names entry i's branch ("rays", "points") in DegenerateConfiguration.
+
+    Per-entry scalars are Python floats (numpy's IEEE operations, without an
+    array call each). U and V^T are orthogonal (det +-1), so cofactor
+    determinants give each the sign numpy's det gives; only the sign is used.
     """
     finite = np.isfinite(hs).all(axis=(1, 2)).tolist()  # rows past ~1e154 overflow the products
     u, s, vt = np.linalg.svd(hs if all(finite) else np.where(np.array(finite)[:, None, None], hs, _EYE3))
-    # Per-entry scalars are Python floats: numpy's IEEE operations, without an
-    # array call each for the two entries of a frame.
-    n, svals = len(hs), s.tolist()
-    dets = np.linalg.det(np.concatenate((u, vt))).tolist()
-    flip = np.array([[(1.0, 1.0, 1.0 if du * dv > 0.0 else -1.0)]
-                     for du, dv in zip(dets[:n], dets[n:])])
-    r = (u * flip) @ vt  # negates u's third column where the sign is -1; x * 1.0 == x
+    svals = s.tolist()
+    signs = [1.0 if _det3(du) * _det3(dv) > 0.0 else -1.0 for du, dv in zip(u.tolist(), vt.tolist())]
+    # A sign -1 negates u's third column; with none, U V^T is that product bit for bit.
+    r = (u * np.array([[(1.0, 1.0, sg)] for sg in signs])) @ vt if -1.0 in signs else u @ vt
     for i, (s0, s1, s2) in enumerate(svals):
         if finite[i] and not (s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
             continue
@@ -146,10 +147,9 @@ def _svd_rotation(hs: np.ndarray, branches: tuple[str, ...] | None = None):
         raise DegenerateConfiguration(
             f"{branch[:-1] + ' branch: ' if branch else ''}correspondences are collinear to "
             f"working precision (singular values {s0:.3e}, {s1:.3e}, {s2:.3e})", branch)
-    sign = flip[:, 0, 2]
     diags = [SolveDiagnostics((s0, s1, s2), sg < 0.0, s0 / s2 if s2 > 0.0 else math.inf)
-             for (s0, s1, s2), sg in zip(svals, sign.tolist())]
-    return _rotations(r), diags, _Factors(u, s, vt, sign)
+             for (s0, s1, s2), sg in zip(svals, signs)]
+    return _rotations(r), diags, _Factors(u, s, vt, np.array(signs))
 
 
 def _kabsch_stack(rows, branches=None) -> tuple[list[_KabschSolve], _Factors]:
@@ -257,8 +257,10 @@ def recover_pose(
         raise ValueError("canonical and predicted pointmaps differ in length")
     # The value types checked shapes, finiteness and unit ray norms.
     rays, pts, _ = _solve_frame(rays_cam, pts_cam, rays_pred.unit, rays_pred.norms, pts_pred)
+    pose = object.__new__(Pose)  # _rigid_pose checked and froze t, and _rotations the rotation
+    pose.__dict__.update(r=rays.rotation, t=pts.pose.t)
     return PoseRecovery(
-        pose=Pose(rays.rotation, pts.pose.t),
+        pose=pose,
         rotation_from_points=pts.pose.r,
         ray_diagnostics=rays.diag,
         point_diagnostics=pts.kabsch.diag,

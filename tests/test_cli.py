@@ -661,6 +661,51 @@ class TestOverflowingRaysWithWarningsAsErrors:
         assert r.stderr == f"ERROR grr: cannot normalize {what} rows: their norms overflow\n"
 
 
+class TestOverflowingPoints:
+    """Points near the float limit overflow inside the solve and the loss: with
+    or without RuntimeWarning an error (the CI smoke step's setting), `solve`
+    and `loss` exit 3 with one named error line, never numpy's warning as a
+    traceback."""
+
+    @staticmethod
+    def run_cli(dataset, tmp_path, command, scale, warnings_as_errors):
+        work = tmp_path / "in"
+        shutil.copytree(dataset, work)
+        pts = work / "world_points_0002.csv"
+        write_xyz_csv(pts, scale(read_xyz_csv(pts)))
+        cfg = write_cfg(tmp_path / "cfg.json", grid=GRID, rays=str(work / "world_rays_*.csv"),
+                        points=str(work / "world_points_*.csv"),
+                        gt_poses=str(work / "gt_poses.txt"))
+        out = ["--out", str(tmp_path / "o")] if command == "solve" else []
+        flags = ["-W", "error::RuntimeWarning"] if warnings_as_errors else []
+        src = os.path.dirname(os.path.dirname(grr.__file__))
+        r = subprocess.run([sys.executable, *flags, "-m", "grr.cli", command, "--config", cfg, *out],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"})
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        return r.stderr, work
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    def test_loss_names_the_frame_whose_points_overflow(self, dataset, tmp_path, warnings_as_errors):
+        err, work = self.run_cli(dataset, tmp_path, "loss", lambda p: 1e155 * p, warnings_as_errors)
+        assert err == (f"ERROR grr: frame 2 (rays {work / 'world_rays_0002.csv'}, points "
+                       f"{work / 'world_points_0002.csv'}): loss components must be finite\n")
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    def test_solve_rejects_points_at_the_float_limit(self, dataset, tmp_path, warnings_as_errors):
+        err, _ = self.run_cli(dataset, tmp_path, "solve", lambda p: np.where(p < 0.0, -1.7e308, 1.7e308),
+                              warnings_as_errors)
+        assert err == "ERROR grr: correspondences contain non-finite entries\n"
+
+    def test_solve_rejects_a_cross_covariance_that_overflows(self, dataset, tmp_path):
+        # Alternating signs keep the centroid finite; the products then overflow.
+        err, _ = self.run_cli(dataset, tmp_path, "solve",
+                              lambda p: np.where(np.arange(p.size).reshape(p.shape) % 2, -1.7e308, 1.7e308),
+                              True)
+        assert err == "ERROR grr: cross-covariance overflows: correspondences too large\n"
+
+
 class TestOutNamingAFile:
     """An --out that names an existing file is rejected before any work:
     exit 3, nothing on stdout, one stderr line naming --out, the file as it was."""

@@ -15,7 +15,8 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
-from grr.geometry import _cross_rows, _mean, _row_norms, _row_sums, _seed_words, _streams
+from grr.geometry import (ORTHONORMALITY_TOL, _check_rotations, _cross_rows, _mean, _row_norms, _row_sums,
+                          _seed_words, _streams)
 
 
 class TestRotation:
@@ -315,6 +316,13 @@ class TestRowHelpers:
         _assert_bitwise(_cross_rows(a, b), np.cross(a, b))
         _assert_bitwise(_cross_rows(b, a), np.cross(b, a))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cross_rows_matches_np_cross_on_stacks(self, seed):
+        a = np.stack([self.rows(seed + k) for k in range(4)])  # (F, m, 3), signed zeros included
+        b = np.stack([self.rows(seed + 50 + k) for k in range(4)])
+        _assert_bitwise(_cross_rows(a, b), np.cross(a, b))
+        _assert_bitwise(_cross_rows(b, a), np.cross(b, a))
+
     @pytest.mark.parametrize("keepdims", [False, True])
     def test_row_norms_match_linalg_norm(self, keepdims):
         x = np.concatenate([self.rows(4), [[1e200, 1e200, 0.0], [5e-324, -0.0, 0.0]]])
@@ -396,3 +404,71 @@ class TestRowHelpers:
             c = 0.5 * (float(np.trace(q)) - 1.0)
             s = float(np.linalg.norm(q - q.T)) / (2.0 * math.sqrt(2.0))
             assert geodesic_distance(a, b) == math.atan2(s, max(-1.0, min(1.0, c)))
+
+
+def _reference_check_rotations(ms: np.ndarray) -> None:
+    """The stacked rotation check as NumPy expressions on the whole stack."""
+    errs = np.abs(np.swapaxes(ms, 1, 2) @ ms - np.eye(3)).max(axis=(1, 2))
+    for err, det in zip(errs.tolist(), np.linalg.det(ms).tolist()):
+        if err > ORTHONORMALITY_TOL:
+            raise ValueError(f"matrix is not orthonormal (max residual {err:.3e})")
+        if abs(det - 1.0) > ORTHONORMALITY_TOL:
+            raise ValueError(f"matrix determinant {det:.17g} is not +1")
+
+
+def _check_outcome(check, ms) -> str | None:
+    try:
+        check(ms)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRotationCheckParity:
+    """_check_rotations screens entries on Python floats; it passes and raises
+    on the same stacks as the NumPy expressions, naming the same entry with the
+    same message bytes."""
+
+    @staticmethod
+    def near_tolerance(seed: int) -> np.ndarray:
+        """Rotations stretched by a symmetric I + S (residual ~2 max|S|) or scaled
+        by 1 + c (residual ~2c, det ~1 + 3c), with both around the 1e-9 gate."""
+        rng = Seed(seed).rng()
+        rots = random_rotation_matrices(Seed(seed), 48)
+        sym = rng.uniform(-1.0, 1.0, (48, 3, 3))
+        sym = (sym + np.swapaxes(sym, 1, 2)) / 2.0
+        sym /= np.abs(sym).max(axis=(1, 2), keepdims=True)
+        size = ORTHONORMALITY_TOL * rng.uniform(0.1, 0.7, 48)[:, None, None]
+        stretched = rots @ (np.eye(3) + size * sym)
+        scaled = rots * (1.0 + size * np.where(rng.random((48, 1, 1)) < 0.5, 1.0, -1.0))
+        return np.concatenate([stretched, scaled])
+
+    def assert_same(self, ms):
+        want = _check_outcome(_reference_check_rotations, ms)
+        assert _check_outcome(_check_rotations, ms) == want
+        return want
+
+    def test_the_rotation_tests_cases(self):
+        good = random_rotation(Seed(64)).m
+        skew, flip = np.eye(3) + 1e-3, np.diag([1.0, 1.0, -1.0])
+        for stack in ([good], [skew], [flip], [good, skew, flip], [good, flip, skew], [good, good.T],
+                      [np.eye(3)], [-np.eye(3)], [np.eye(3) * np.array([1.0, -0.0, 1.0])]):
+            self.assert_same(np.array(stack))
+        assert self.assert_same(np.array([good, skew, flip])).startswith("matrix is not orthonormal")
+        assert self.assert_same(np.array([good, flip, skew])).startswith("matrix determinant")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_stacks_near_the_tolerance(self, seed):
+        ms = self.near_tolerance(seed)
+        outcomes = [self.assert_same(ms[k:k + 1]) for k in range(len(ms))]
+        assert None in outcomes and any(o and "orthonormal" in o for o in outcomes)
+        assert any(o and "determinant" in o for o in outcomes)
+        for start in range(0, len(ms), 8):  # stacks whose first failing entry varies
+            self.assert_same(ms[start:start + 8])
+        self.assert_same(ms)
+
+    def test_huge_and_nan_entries(self):
+        good = random_rotation(Seed(65)).m
+        for bad in (good * 1e200, np.where(np.eye(3) > 0, np.nan, good)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.assert_same(np.array([good, bad, good]))

@@ -31,6 +31,34 @@ class TestMedian:
     def test_empty_is_nan(self):
         assert math.isnan(median([]))
 
+    @staticmethod
+    def assert_matches_np_median(values):
+        with np.errstate(over="ignore", invalid="ignore"):  # 1.7e308 + 1e308, inf + -inf
+            want = np.median(np.array(values, dtype=np.float64))
+        got = median(values)
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got), values
+        else:
+            assert np.float64(got).tobytes() == want.tobytes(), values  # -0.0 against +0.0 too
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_np_median_bit_for_bit(self, seed):
+        """Odd and even counts of signed zeros, infinities, huge values and a
+        NaN now and then; np.median's NaN check imports numpy.ma, this does not."""
+        rng = Seed(seed).rng()
+        pool = np.array([-math.inf, -1.5, -0.0, 0.0, 5e-324, 0.1, 0.2, 1e308, 1.7e308, math.inf])
+        for count in range(1, 10):
+            for _ in range(40):
+                vals = pool[rng.integers(0, len(pool), count)].tolist()
+                if rng.random() < 0.1:
+                    vals[rng.integers(count)] = math.nan
+                self.assert_matches_np_median(vals)
+            self.assert_matches_np_median(rng.standard_normal(count).tolist())
+            self.assert_matches_np_median([-0.0] * count)
+        for count in (1000, 1001):
+            self.assert_matches_np_median((rng.standard_normal(count) * 1e-3).tolist())
+
 
 class TestSummarizeRecords:
     """The one report type: `grr solve`'s summary and the simulator's trial reports."""

@@ -33,7 +33,8 @@ from grr import (
     world_points,
     world_rays,
 )
-from grr.geometry import _rotations
+from grr.geometry import _check_rotations, _rotations
+from grr.solver import DEGENERACY_RTOL, SolveDiagnostics, _svd_rotation
 
 
 def alignment_cost(problem: AlignmentProblem, r: np.ndarray) -> float:
@@ -574,3 +575,85 @@ class TestCachedPathParity:
         assert kind is DegenerateConfiguration
         assert _raised(recover_pose, rays, pts, rp, line) == (
             DegenerateConfiguration, f"point branch: {msg}", "points")
+
+
+def _reference_svd_rotation(hs, branches=None):
+    """The stacked solve's tail as numpy's det and a diag(1, 1, sign) product
+    on every entry: (rotation stack, diagnostics, s, sign), or it raises."""
+    finite = np.isfinite(hs).all(axis=(1, 2)).tolist()
+    u, s, vt = np.linalg.svd(hs if all(finite) else np.where(np.array(finite)[:, None, None], hs, np.eye(3)))
+    n, svals = len(hs), s.tolist()
+    dets = np.linalg.det(np.concatenate((u, vt))).tolist()
+    flip = np.array([[(1.0, 1.0, 1.0 if du * dv > 0.0 else -1.0)]
+                     for du, dv in zip(dets[:n], dets[n:])])
+    r = (u * flip) @ vt
+    for i, (s0, s1, s2) in enumerate(svals):
+        if finite[i] and not (s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
+            continue
+        _check_rotations(r[:i])
+        if not finite[i]:
+            raise ValueError("cross-covariance overflows: correspondences too large")
+        branch = branches[i] if branches else None
+        raise DegenerateConfiguration(
+            f"{branch[:-1] + ' branch: ' if branch else ''}correspondences are collinear to "
+            f"working precision (singular values {s0:.3e}, {s1:.3e}, {s2:.3e})", branch)
+    sign = flip[:, 0, 2]
+    diags = [SolveDiagnostics((s0, s1, s2), sg < 0.0, s0 / s2 if s2 > 0.0 else math.inf)
+             for (s0, s1, s2), sg in zip(svals, sign.tolist())]
+    _check_rotations(r)
+    return r, diags, s, sign
+
+
+class TestSvdTailParity:
+    """_svd_rotation takes its reflection signs from Python-float cofactor
+    determinants and skips the diag(1, 1, 1) product: its rotations, signs,
+    singular values and diagnostics are bitwise those of numpy's det and the
+    full product, and it raises the same on the same entry."""
+
+    @staticmethod
+    def stacks(seed: int) -> list[np.ndarray]:
+        """Seeded (F, 3, 3) stacks: Gaussian entries (about half reflected),
+        the same with signed zeros and exact +-1 patterns, rank-2 entries and
+        mirrored near-planar covariances."""
+        rng = Seed(seed).rng()
+        g = rng.standard_normal((12, 3, 3))
+        special = np.array([0.0, -0.0, 1.0, -1.0])[rng.integers(0, 4, size=(12, 3, 3))]
+        zeros = np.where(rng.random((12, 3, 3)) < 0.3, -0.0, g)
+        rank2 = g.copy()
+        rank2[:, :, 2] = 0.0
+        planar = g * np.array([1.0, 1.0, 1e-7])
+        mirrored = planar * np.array([[1.0], [-1.0], [1.0]])
+        return [g, special + np.diag([3.0, 2.0, -1.0]), zeros, rank2, mirrored, g[:1], g[:2]]
+
+    @staticmethod
+    def assert_same(hs, branches=None):
+        try:
+            want = _reference_svd_rotation(hs, branches)
+        except (ValueError, DegenerateConfiguration):
+            assert _raised(_svd_rotation, hs, branches) == _raised(_reference_svd_rotation, hs, branches)
+            return None
+        rots, diags, factors = _svd_rotation(hs, branches)
+        r, want_diags, s, sign = want
+        assert np.array([rot.m for rot in rots]).tobytes() == r.tobytes()
+        assert repr(diags) == repr(want_diags)  # repr tells -0.0 from 0.0
+        assert factors.s.tobytes() == s.tobytes()
+        assert factors.sign.shape == sign.shape and factors.sign.tobytes() == sign.tobytes()
+        return sign
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_stacks(self, seed):
+        signs = [self.assert_same(hs) for hs in self.stacks(seed)]
+        flipped = np.concatenate([sg for sg in signs if sg is not None])
+        assert (flipped < 0.0).any() and (flipped > 0.0).any()  # both branches of the product ran
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_raising_entries(self, seed):
+        g = Seed(seed).rng().standard_normal((4, 3, 3))
+        collinear = np.outer([0.3, -0.4, 0.5], [1.0, 2.0, -0.0])
+        for k in range(4):
+            for bad in (np.full((3, 3), np.inf), np.where(np.eye(3) > 0, np.nan, g[k]), collinear,
+                        np.zeros((3, 3))):
+                hs = g.copy()
+                hs[k] = bad
+                self.assert_same(hs)
+                self.assert_same(hs, ("rays", "points", "rays", "points"))
