@@ -51,6 +51,7 @@ from .config import (
 from .geometry import (
     Pose,
     Seed,
+    _rotations,
     load_poses,
     random_rotation_matrices,
     save_poses,
@@ -111,9 +112,9 @@ def _out_dir(args) -> str:
 
 def _random_poses(seed: Seed, count: int) -> list[Pose]:
     """count Haar-random rotations with U(-2, 2)^3 camera centers."""
-    mats = random_rotation_matrices(seed, count)
+    rots = _rotations(random_rotation_matrices(seed, count))
     centers = seed.rng(1).uniform(-2.0, 2.0, size=(count, 3))
-    return [Pose(m, c) for m, c in zip(mats, centers)]
+    return [Pose(r, c) for r, c in zip(rots, centers)]
 
 
 def _base_poses(cfg: dict, base_dir: str, seed: Seed) -> list[Pose]:
@@ -290,15 +291,15 @@ def cmd_ablate(args, cfg: dict, base_dir: str) -> int:
 
     grid = _grid(cfg)
     poses = _base_poses(cfg, base_dir, seed)
-    if "perturb" in cfg:
-        poses = sample_poses(poses, perturb_spec_from_config(cfg["perturb"], seed))
-
-    noise_cfgs = _get(cfg, "noise", list, "config")
-    if not noise_cfgs:
-        raise ConfigError("'noise' must list at least one spec")
-    specs = [noise_spec_from_config(d, seed, i) for i, d in enumerate(noise_cfgs)]
-
-    reports = ablation_sweep(grid, poses, specs)
+    # Noise near the float limit overflows the draws, tilts or centroids; the value checks name it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "perturb" in cfg:
+            poses = sample_poses(poses, perturb_spec_from_config(cfg["perturb"], seed))
+        noise_cfgs = _get(cfg, "noise", list, "config")
+        if not noise_cfgs:
+            raise ConfigError("'noise' must list at least one spec")
+        specs = [noise_spec_from_config(d, seed, i) for i, d in enumerate(noise_cfgs)]
+        reports = ablation_sweep(grid, poses, specs)
     out = _out_dir(args)
     write_sweep_csv(specs, reports, os.path.join(out, "sweep.csv"))
     for i, report in enumerate(reports):
@@ -351,14 +352,16 @@ def cmd_loss(args, cfg: dict, base_dir: str) -> int:
             p=p,
         )
         try:
-            # Points past ~1e154 overflow the row norms; the finiteness check below names the frame.
-            with np.errstate(over="ignore"):
+            # Points near the float limit overflow the row norms or the centroid; the checks name the frame.
+            with np.errstate(over="ignore", invalid="ignore"):
                 terms = pipeline_loss(fi)
         except DegenerateConfiguration as exc:
             # One degenerate frame aborts the batch (exit 2); name it.
             raise DegenerateConfiguration(
                 f"frame {idx} (rays {rf}, points {pf}): {exc}", branch=exc.branch
             ) from exc
+        except ValueError as exc:
+            raise ValueError(f"frame {idx} (rays {rf}, points {pf}): {exc}") from exc
         if not np.isfinite(terms.total):
             raise ValueError(f"frame {idx} (rays {rf}, points {pf}): loss components must be finite")
         totals[domains[idx]].append(terms.total)
@@ -377,17 +380,8 @@ def cmd_loss(args, cfg: dict, base_dir: str) -> int:
         dom_real = float(np.mean(by_label[1])) if by_label[1] else 0.0
 
     grand = total_loss(l_syn, l_real, (dom_syn, dom_real), weights)
-    _emit(
-        {
-            "domain_real": dom_real,
-            "domain_syn": dom_syn,
-            "frames": frames,
-            "l_real": l_real,
-            "l_syn": l_syn,
-            "p": p,
-            "total": grand,
-        }
-    )
+    _emit({"domain_real": dom_real, "domain_syn": dom_syn, "frames": frames, "l_real": l_real,
+           "l_syn": l_syn, "p": p, "total": grand})
     return EXIT_OK
 
 

@@ -154,12 +154,13 @@ class Rotation:
 
     @classmethod
     def from_quaternion(cls, q) -> "Rotation":
-        """Unit quaternion (w, x, y, z) to matrix. I/O convenience only."""
+        """Unit quaternion (w, x, y, z) to rotation: the per-frame path for quaternion
+        ground truth (Cambridge Landmarks' poses). The matrix is checked once, by _rotations."""
         arr = _as_float_array(q, (4,), "quaternion")
-        n = float(np.linalg.norm(arr))
+        n = math.sqrt(arr.dot(arr))  # np.linalg.norm's 1-D path, unwrapped
         if abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"quaternion norm {n:.17g} is not 1")
-        return cls(_quat_to_matrix(arr[np.newaxis, :])[0])
+        return _rotations(_quat_to_matrix(arr[np.newaxis]))[0]
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
         if not isinstance(other, Rotation):
@@ -302,19 +303,15 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
 
 
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """(k, 4) unit quaternions (w, x, y, z) to (k, 3, 3) matrices."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((q.shape[0], 3, 3))
-    out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[:, 0, 1] = 2.0 * (x * y - w * z)
-    out[:, 0, 2] = 2.0 * (x * z + w * y)
-    out[:, 1, 0] = 2.0 * (x * y + w * z)
-    out[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[:, 1, 2] = 2.0 * (y * z - w * x)
-    out[:, 2, 0] = 2.0 * (x * z - w * y)
-    out[:, 2, 1] = 2.0 * (y * z + w * x)
-    out[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
+    """(k, 4) unit quaternions (w, x, y, z) to (k, 3, 3) matrices, in one pass over Python floats.
+
+    Each Python operator is the single IEEE double operation NumPy's elementwise ufunc would
+    make, in the same order, so the entries match the column-wise array form bit for bit."""
+    return np.array([
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+         2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+         2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
+        for w, x, y, z in q.tolist()]).reshape(-1, 3, 3)
 
 
 def random_rotation_matrices(seed: Seed, count: int) -> np.ndarray:
@@ -332,7 +329,7 @@ def random_rotation_matrices(seed: Seed, count: int) -> np.ndarray:
 
 def random_rotation(seed: Seed) -> Rotation:
     """One uniform random rotation, deterministic per seed."""
-    return Rotation(random_rotation_matrices(seed, 1)[0])
+    return _rotations(random_rotation_matrices(seed, 1))[0]
 
 
 def save_poses(poses: Iterable[Pose], path) -> None:

@@ -186,10 +186,13 @@ def ablation_sweep(
     for start in range(0, len(poses), _CHUNK):
         chunk = poses[start:start + _CHUNK]
         for idx, pose, gt in zip(range(start, len(poses)), chunk, _world_frames(chunk, rays_cam, pts_cam)):
-            for noise, (state, inc), out in zip(specs, (s[idx] for s in streams), records):
+            for k, (noise, (state, inc), out) in enumerate(zip(specs, (s[idx] for s in streams), records)):
                 rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                            "has_uint32": 0, "uinteger": 0}
-                out.append(_score_frame(idx, pose, rays_cam, pts_cam, gt, noise, rng))
+                try:
+                    out.append(_score_frame(idx, pose, rays_cam, pts_cam, gt, noise, rng))
+                except ValueError as exc:  # noise past the float range: name the spec and the frame
+                    raise ValueError(f"noise[{k}] frame {idx}: {exc}") from exc
     return [summarize_records(r) for r in records]
 
 

@@ -1,5 +1,6 @@
 """Rotation/pose primitives, geodesic metric, seeds, and pose file I/O."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
-from grr.geometry import (ORTHONORMALITY_TOL, _check_rotations, _cross_rows, _mean, _row_norms, _row_sums,
-                          _seed_words, _streams)
+from grr.geometry import (ORTHONORMALITY_TOL, UNIT_TOL, _check_rotations, _cross_rows, _mean, _quat_to_matrix,
+                          _row_norms, _row_sums, _seed_words, _streams)
 
 
 class TestRotation:
@@ -87,6 +88,88 @@ class TestQuaternion:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             Rotation.from_quaternion([1.0, 1.0, 0.0, 0.0])
+
+
+def _quat_to_matrix_columns(q: np.ndarray) -> np.ndarray:
+    """The column-wise NumPy form _quat_to_matrix replaced: one ufunc per operator."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty((q.shape[0], 3, 3))
+    out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[:, 0, 1] = 2.0 * (x * y - w * z)
+    out[:, 0, 2] = 2.0 * (x * z + w * y)
+    out[:, 1, 0] = 2.0 * (x * y + w * z)
+    out[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[:, 1, 2] = 2.0 * (y * z - w * x)
+    out[:, 2, 0] = 2.0 * (x * z - w * y)
+    out[:, 2, 1] = 2.0 * (y * z + w * x)
+    out[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return out
+
+
+class TestQuaternionParity:
+    """_quat_to_matrix runs on Python floats; each entry must keep the array
+    form's bits, and from_quaternion its errors, for the same inputs."""
+
+    @staticmethod
+    def unit_stack(seed: int, k: int) -> np.ndarray:
+        g = np.random.default_rng(seed).standard_normal((k, 4))
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 300])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_seeded_stacks_match_the_array_form(self, seed, k):
+        q = self.unit_stack(seed, k)
+        _assert_bitwise(_quat_to_matrix(q), _quat_to_matrix_columns(q))
+
+    def test_signed_zeros_match_the_array_form(self):
+        signs = np.array(list(itertools.product([1.0, -1.0], repeat=4)))
+        q = np.concatenate([signs * [1.0, 0.0, 0.0, 0.0], signs * [0.0, 0.0, 1.0, 0.0],
+                            signs * [0.0, 0.6, 0.0, 0.8], signs * self.unit_stack(3, 1)])
+        q[np.random.default_rng(4).random(q.shape) < 0.3] *= 0.0  # more zeros, keeping signs
+        got = _quat_to_matrix(q)
+        assert np.signbit(got).any() and (got == 0.0).any()
+        _assert_bitwise(got, _quat_to_matrix_columns(q))
+
+    @pytest.mark.parametrize("off", [1e-10, -1e-10])
+    def test_slightly_off_unit_matches_the_array_form(self, off):
+        q = self.unit_stack(5, 300) * (1.0 + off)
+        _assert_bitwise(_quat_to_matrix(q), _quat_to_matrix_columns(q))
+
+    def test_random_rotation_matrices_keep_the_array_form(self):
+        for seed, count in [(0, 1), (1, 2), (7, 300)]:
+            g = Seed(seed).rng().standard_normal((count, 4))
+            q = g / np.linalg.norm(g, axis=1, keepdims=True)
+            _assert_bitwise(random_rotation_matrices(Seed(seed), count), _quat_to_matrix_columns(q))
+
+    @pytest.mark.parametrize("q, message", [
+        ([1.0, 0.0, 0.0], "quaternion must have shape (4,), got (3,)"),
+        ([[1.0, 0.0, 0.0, 0.0]], "quaternion must have shape (4,), got (1, 4)"),
+        ([1.0, 0.0, math.nan, 0.0], "quaternion contains non-finite entries"),
+        ([1.0, math.inf, 0.0, 0.0], "quaternion contains non-finite entries"),
+        ([1.0, 1.0, 0.0, 0.0], f"quaternion norm {float(np.linalg.norm([1.0, 1.0])):.17g} is not 1"),
+        ([1.0 + 2e-9, 0.0, 0.0, 0.0], f"quaternion norm {1.0 + 2e-9:.17g} is not 1"),
+    ], ids=["short", "2-d", "nan", "inf", "sqrt2", "2e-9 off"])
+    def test_errors_keep_their_type_and_message(self, q, message):
+        with pytest.raises(ValueError) as exc:
+            Rotation.from_quaternion(q)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+    def test_result_is_read_only(self):
+        r = Rotation.from_quaternion(self.unit_stack(6, 1)[0])
+        assert not r.m.flags.writeable
+        with pytest.raises(ValueError):
+            r.m[0, 0] = 0.0
+
+    def test_matrix_that_fails_the_rotation_check_raises_as_rotation_does(self):
+        q = self.unit_stack(8, 1)[0] * (1.0 + 0.9e-9)  # within UNIT_TOL of unit, not its matrix
+        assert abs(np.linalg.norm(q) - 1.0) <= UNIT_TOL
+        with pytest.raises(ValueError) as want:
+            Rotation(_quat_to_matrix_columns(q[np.newaxis])[0])
+        with pytest.raises(ValueError) as got:
+            Rotation.from_quaternion(q)
+        assert "not orthonormal" in str(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestPose:
