@@ -748,8 +748,6 @@ class TestOverflowExitTable:
     stand. Which status an overflowing frame should get in every command is
     still open, so solve and loss disagree on some rows."""
 
-    CASES = OVERFLOW_CASES
-
     @staticmethod
     def argv(dataset, tmp_path, command, what, scale):
         """The case's command line, after writing its inputs under tmp_path."""
@@ -766,9 +764,9 @@ class TestOverflowExitTable:
                         points="world_points_*.csv", gt_poses="gt_poses.txt")
         return [command, "--config", cfg] + (["--out", str(tmp_path / "o")] if command == "solve" else [])
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
     def test_exit_code_without_traceback_or_warning(self, capsys, dataset, tmp_path, case):
-        command, what, scale, code = self.CASES[case]
+        command, what, scale, code = OVERFLOW_CASES[case]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = main(self.argv(dataset, tmp_path, command, what, scale))
@@ -785,7 +783,7 @@ class TestOverflowExitTable:
 
     @pytest.mark.parametrize("case", ["solve points limit", "loss points limit", "ablate point_sigma 1e308"])
     def test_same_exit_code_with_warnings_as_errors(self, dataset, tmp_path, case):
-        command, what, scale, code = self.CASES[case]
+        command, what, scale, code = OVERFLOW_CASES[case]
         src = os.path.dirname(os.path.dirname(grr.__file__))
         r = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "grr.cli",
