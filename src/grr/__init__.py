@@ -32,10 +32,10 @@ _EXPORTS = {
         "domain_bce", "geometry_loss", "pose_loss", "regularization_loss",
         "total_loss",
     ),
-    "metrics": ("FrameRecord", "TrialReport", "median", "summarize_records"),
+    "metrics": ("FrameRecord", "TrialReport", "median", "summarize_records", "write_report_csv"),
     "simulator": (
         "NoiseSpec", "PosePerturbSpec", "ablation_sweep", "perturb_representations",
-        "run_trial", "sample_poses", "write_report_csv", "write_sweep_csv",
+        "run_trial", "sample_poses", "write_sweep_csv",
     ),
     "solver": (
         "AlignmentProblem", "DegenerateConfiguration", "PoseRecovery",

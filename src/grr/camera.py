@@ -173,11 +173,8 @@ def canonical_rays(grid: PatchGrid) -> RayBundle:
     """
     rbounds = grid.row_bounds()
     cbounds = grid.col_bounds()
-    row_counts = np.diff(rbounds)
+    row_counts = np.diff(rbounds)  # each >= 1: PatchGrid keeps n <= min(width, height)
     col_counts = np.diff(cbounds)
-    if np.any(row_counts < 1) or np.any(col_counts < 1):
-        raise ValueError("patch grid has empty patches")
-
     rays = _pixel_rays(grid.intrinsics)
     band_sums = np.add.reduceat(rays, rbounds[:-1], axis=0)
     patch_sums = np.add.reduceat(band_sums, cbounds[:-1], axis=1)

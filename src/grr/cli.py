@@ -188,8 +188,7 @@ def cmd_gen(args, cfg: dict, base_dir: str) -> int:
 
 
 def cmd_solve(args, cfg: dict, base_dir: str) -> int:
-    from .metrics import FrameRecord, _score_degenerate, _score_solved, summarize_records
-    from .simulator import write_report_csv
+    from .metrics import FrameRecord, _score_degenerate, _score_solved, summarize_records, write_report_csv
     from .solver import DegenerateConfiguration, recover_pose
 
     _, rays_cam, pts_cam, files, gt = _dataset(cfg, base_dir, need_gt=False)
@@ -218,8 +217,7 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
     out = _out_dir(args)
     save_poses(poses, os.path.join(out, "solved_poses.txt"))
     write_report_csv(records, os.path.join(out, "frames.csv"), have_gt=gt is not None)
-    report = summarize_records(records, unit_scale=unit_scale, have_gt=gt is not None)
-    _emit(report.to_json_dict())
+    _emit(summarize_records(records).to_json_dict(unit_scale))
     return EXIT_OK
 
 
@@ -285,7 +283,8 @@ def cmd_gradcheck(args, cfg: dict, base_dir: str) -> int:
 
 
 def cmd_ablate(args, cfg: dict, base_dir: str) -> int:
-    from .simulator import ablation_sweep, sample_poses, write_report_csv, write_sweep_csv
+    from .metrics import write_report_csv
+    from .simulator import ablation_sweep, sample_poses, write_sweep_csv
 
     seed = _run_seed(args, cfg)
 

@@ -1,7 +1,8 @@
-"""Per-frame scores and median summaries, shared by the CLI and the simulator reports."""
+"""Per-frame scores, their CSV writer and median summaries, shared by the CLI and the simulator reports."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -11,6 +12,8 @@ from .geometry import Pose, geodesic_distance
 from .solver import DegenerateConfiguration, PoseRecovery
 
 __all__ = _EXPORTS["metrics"]
+
+REPORT_COLUMNS = ["frame", "rot_err_rays_deg", "rot_err_points_deg", "trans_err", "status"]
 
 
 def median(values: Sequence[float]) -> float:
@@ -74,38 +77,54 @@ class TrialReport:
     median_rot_err_points_deg: float
     median_trans_err: float
     failure_count: int
-    unit_scale: float = 1.0
 
     @property
     def frame_count(self) -> int:
         return len(self.records)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, unit_scale: float) -> dict:
         """`grr solve`'s summary. median_translation is multiplied by unit_scale
         (e.g. 100 reports centimeters for meter-scale scenes); both medians are
         None when no frame had ground truth or none solved."""
         scored = not math.isnan(self.median_rot_err_rays_deg)
         return {
             "median_rotation_deg": self.median_rot_err_rays_deg if scored else None,
-            "median_translation": self.median_trans_err * self.unit_scale if scored else None,
+            "median_translation": self.median_trans_err * unit_scale if scored else None,
             "frame_count": self.frame_count,
             "failure_count": self.failure_count,
-            "unit_scale": self.unit_scale,
+            "unit_scale": unit_scale,
         }
 
 
-def summarize_records(
-    records: Sequence[FrameRecord], unit_scale: float = 1.0, have_gt: bool = True
-) -> TrialReport:
-    """The report over `records`; have_gt=False (frames solved without
-    ground-truth poses) leaves every median NaN."""
+def summarize_records(records: Sequence[FrameRecord]) -> TrialReport:
+    """The report over `records`. Frames scored without a ground-truth pose
+    have NaN errors, so their medians are NaN too."""
     ok = [r for r in records if r.status == "ok"]
-    scored = ok if have_gt else []
     return TrialReport(
         records=tuple(records),
-        median_rot_err_rays_deg=median([r.rot_err_rays_deg for r in scored]),
-        median_rot_err_points_deg=median([r.rot_err_points_deg for r in scored]),
-        median_trans_err=median([r.trans_err for r in scored]),
+        median_rot_err_rays_deg=median([r.rot_err_rays_deg for r in ok]),
+        median_rot_err_points_deg=median([r.rot_err_points_deg for r in ok]),
+        median_trans_err=median([r.trans_err for r in ok]),
         failure_count=len(records) - len(ok),
-        unit_scale=unit_scale,
     )
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".17g")
+
+
+def write_report_csv(records: Sequence[FrameRecord], path, have_gt: bool = True) -> None:
+    """Per-frame CSV: frame, rot_err_rays_deg, rot_err_points_deg, trans_err, status.
+
+    have_gt=False leaves the three error columns empty, for frames solved
+    without ground-truth poses.
+    """
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_COLUMNS)
+        for r in records:
+            if have_gt:
+                errors = [_fmt(r.rot_err_rays_deg), _fmt(r.rot_err_points_deg), _fmt(r.trans_err)]
+            else:
+                errors = ["", "", ""]
+            writer.writerow([r.frame, *errors, r.status])

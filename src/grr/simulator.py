@@ -23,14 +23,13 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PatchGrid, PointMap, RayBundle, _world_frames, canonical_points, canonical_rays
-from .geometry import (Pose, Seed, _axis_angle_matrix, _check_rotations, _cross_rows, _freeze, _read_only,
+from .geometry import (Pose, Seed, _as_float_array, _axis_angle_matrix, _cross_rows, _freeze, _read_only,
                        _rotations, _streams)
-from .metrics import FrameRecord, TrialReport, _score_degenerate, _score_solved, summarize_records
+from .metrics import FrameRecord, TrialReport, _fmt, _score_degenerate, _score_solved, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
 __all__ = _EXPORTS["simulator"]
 
-REPORT_COLUMNS = ["frame", "rot_err_rays_deg", "rot_err_points_deg", "trans_err", "status"]
 _CHUNK = 16  # poses per stacked ground-truth build in ablation_sweep
 
 
@@ -92,15 +91,20 @@ def sample_poses(base: Sequence[Pose], spec: PosePerturbSpec) -> list[Pose]:
     a uniform random axis, and an angle |N(0, sigma_r^2)|. The rotation is
     composed on the right (a camera-frame jiggle): R_new = R_base @ dR.
     With both sigmas zero the outputs equal the bases exactly. Drawn as one (n, 7) block.
+    A sigma whose draw overflows raises ValueError naming the first such sample.
     """
     g = spec.seed.rng().standard_normal((len(base) * spec.count, 7))
     if not len(g):
         return []
-    deltas = np.array([_axis_angle_matrix(axis / np.linalg.norm(axis), abs(spec.sigma_r * z))
-                       for axis, z in zip(g[:, 3:6], g[:, 6].tolist())])
-    _check_rotations(deltas)
-    rots = _rotations(np.repeat([pose.r.m for pose in base], spec.count, axis=0) @ deltas)
     ts = np.repeat([pose.t for pose in base], spec.count, axis=0) + spec.sigma_t * g[:, :3]
+    deltas = []
+    for k, (axis, z, t) in enumerate(zip(g[:, 3:6], g[:, 6].tolist(), ts)):
+        try:  # an infinite angle fails in math.sin, an infinite offset in the check
+            deltas.append(_axis_angle_matrix(axis / np.linalg.norm(axis), abs(spec.sigma_r * z)))
+            _as_float_array(t, (3,), "translation")
+        except ValueError as exc:
+            raise ValueError(f"perturb sample {k}: {exc}") from exc
+    rots = _rotations(np.repeat([pose.r.m for pose in base], spec.count, axis=0) @ np.array(deltas))
     return [Pose(r, t) for r, t in zip(rots, ts)]
 
 
@@ -147,23 +151,6 @@ def perturb_representations(
             PointMap(pts.pts + offsets + spec.point_bias))
 
 
-def _score_frame(
-    idx: int,
-    pose: Pose,
-    rays_cam: RayBundle,
-    pts_cam: PointMap,
-    gt: tuple[RayBundle, PointMap],
-    noise: NoiseSpec,
-    rng: np.random.Generator,
-) -> FrameRecord:
-    d_pred, p_pred = perturb_representations(*gt, noise, seed=rng)
-    try:
-        rec = recover_pose(rays_cam, pts_cam, d_pred, p_pred)
-    except DegenerateConfiguration as exc:
-        return _score_degenerate(idx, exc)
-    return _score_solved(idx, rec, pose)
-
-
 def run_trial(grid: PatchGrid, poses: Sequence[Pose], noise: NoiseSpec) -> TrialReport:
     """One trial: for every pose, corrupt the ground-truth representations
     with per-frame-seeded noise, re-solve, and score against the pose.
@@ -190,31 +177,13 @@ def ablation_sweep(
                 rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                            "has_uint32": 0, "uinteger": 0}
                 try:
-                    out.append(_score_frame(idx, pose, rays_cam, pts_cam, gt, noise, rng))
+                    rec = recover_pose(rays_cam, pts_cam, *perturb_representations(*gt, noise, seed=rng))
+                    out.append(_score_solved(idx, rec, pose))
+                except DegenerateConfiguration as exc:
+                    out.append(_score_degenerate(idx, exc))
                 except ValueError as exc:  # noise past the float range: name the spec and the frame
                     raise ValueError(f"noise[{k}] frame {idx}: {exc}") from exc
     return [summarize_records(r) for r in records]
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_report_csv(records: Sequence[FrameRecord], path, have_gt: bool = True) -> None:
-    """Per-frame CSV: frame, rot_err_rays_deg, rot_err_points_deg, trans_err, status.
-
-    have_gt=False leaves the three error columns empty, for frames solved
-    without ground-truth poses.
-    """
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in records:
-            if have_gt:
-                errors = [_fmt(r.rot_err_rays_deg), _fmt(r.rot_err_points_deg), _fmt(r.trans_err)]
-            else:
-                errors = ["", "", ""]
-            writer.writerow([r.frame, *errors, r.status])
 
 
 def write_sweep_csv(specs: Sequence[NoiseSpec], reports: Sequence[TrialReport], path) -> None:

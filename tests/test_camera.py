@@ -92,6 +92,18 @@ class TestPatchGrid:
         with pytest.raises(ValueError, match="exceeds"):
             PatchGrid(intr, n=5)
 
+    def test_every_accepted_grid_has_no_empty_patch(self):
+        """canonical_rays relies on it: with n <= min(W, H), every bounds step
+        floor((k+1)W/n) - floor(kW/n) is at least floor(W/n) >= 1."""
+        for w in range(1, 65):
+            for h in range(1, 65):
+                intr = Intrinsics(fx=1.0, fy=1.0, cx=w / 2, cy=h / 2, width=w, height=h)
+                for n in range(1, min(w, h) + 1):
+                    grid = PatchGrid(intr, n=n)
+                    for bounds, side in ((grid.col_bounds().tolist(), w), (grid.row_bounds().tolist(), h)):
+                        assert (bounds[0], bounds[-1]) == (0, side)
+                        assert min(b - a for a, b in zip(bounds, bounds[1:])) >= 1, (w, h, n)
+
 
 class TestCanonicalRays:
     def test_single_pixel_image_looks_straight_ahead(self):

@@ -727,6 +727,10 @@ OVERFLOW_ABLATE = {
     "ray_sigma 1e308": ({"noise": [{"ray_sigma": 1e308}]}, 3),
     "point_bias 1.7e308": ({"noise": [{"point_bias": [1.7e308, -1.7e308, 0.0]}]}, 3),
     "perturb.sigma_t 1e308": ({"noise": [{"ray_sigma": 0.01}], "perturb": {"sigma_t": 1e308}}, 3),
+    "perturb.sigma_t 1e308 count 20": ({"noise": [{"ray_sigma": 0.01}],
+                                        "perturb": {"sigma_t": 1e308, "count": 20}}, 3),
+    "perturb.sigma_r 1e308 count 20": ({"noise": [{"ray_sigma": 0.01}],
+                                        "perturb": {"sigma_r": 1e308, "count": 20}}, 3),
     "point_sigma 1e200": ({"noise": [{"point_sigma": 1e200}]}, 0),
     "ray_sigma 1e5": ({"noise": [{"ray_sigma": 1e5}]}, 0),
 }
@@ -777,11 +781,20 @@ class TestOverflowExitTable:
         if code:
             assert out == "" and err.count("\n") == 1 and err.startswith("ERROR grr: "), err
         if command == "ablate" and code:
-            assert err.startswith("ERROR grr: noise[0] frame "), err
+            assert err.startswith(self.ablate_prefix(what)), err
         if command == "loss" and code:  # the frame's file is named, by the read or the frame's solve
             assert f"world_{what}_0001.csv" in err, err
 
-    @pytest.mark.parametrize("case", ["solve points limit", "loss points limit", "ablate point_sigma 1e308"])
+    @staticmethod
+    def ablate_prefix(cfg):
+        """An overflow while sampling poses names the sample; one in the sweep, the spec and frame.
+        With count 1 the sampled offsets stay finite, so sigma_t 1e308 overflows only in the sweep."""
+        sampled = cfg.get("perturb", {}).get("count", 1) > 1
+        return "ERROR grr: " + ("perturb sample " if sampled else "noise[0] frame ")
+
+    @pytest.mark.parametrize("case", ["solve points limit", "loss points limit", "ablate point_sigma 1e308",
+                                      "ablate perturb.sigma_t 1e308 count 20",
+                                      "ablate perturb.sigma_r 1e308 count 20"])
     def test_same_exit_code_with_warnings_as_errors(self, dataset, tmp_path, case):
         command, what, scale, code = OVERFLOW_CASES[case]
         src = os.path.dirname(os.path.dirname(grr.__file__))
@@ -792,6 +805,8 @@ class TestOverflowExitTable:
         assert r.returncode == code, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
+        if command == "ablate":
+            assert r.stderr.startswith(self.ablate_prefix(what)), r.stderr
 
 
 class TestOutNamingAFile:

@@ -1,5 +1,6 @@
 """Evaluation metrics: median convention, frame scoring and its pose errors, record summaries."""
 
+import inspect
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from grr import (
     random_rotation,
     summarize_records,
 )
-from grr.metrics import _score_solved
+from grr.metrics import _score_degenerate, _score_solved
+from grr.solver import DegenerateConfiguration
 
 
 class TestMedian:
@@ -93,7 +95,7 @@ class TestSummarizeRecords:
         assert rep.median_trans_err == pytest.approx(0.2, rel=1e-12)
         assert rep.frame_count == 3
         assert rep.failure_count == 1
-        d = rep.to_json_dict()
+        d = rep.to_json_dict(1.0)
         assert d["median_rotation_deg"] == 2.0
         assert d["median_translation"] == rep.median_trans_err
 
@@ -103,29 +105,46 @@ class TestSummarizeRecords:
         assert math.isnan(rep.median_rot_err_points_deg)
         assert math.isnan(rep.median_trans_err)
         assert rep.failure_count == 2
-        d = rep.to_json_dict()
+        d = rep.to_json_dict(2.0)
         assert d["median_rotation_deg"] is None
         assert d["median_translation"] is None
-        assert (d["frame_count"], d["failure_count"]) == (2, 2)
+        assert (d["frame_count"], d["failure_count"], d["unit_scale"]) == (2, 2, 2.0)
 
     def test_no_ground_truth_gives_none(self):
-        rep = summarize_records([self.ok(0, 1.0, 0.5), self.failed(1)], have_gt=False)
-        d = rep.to_json_dict()
+        """The records `grr solve` makes without ground-truth poses: solved
+        frames scored against None, one degenerate frame."""
+        p = Pose(random_rotation(Seed(5)), np.array([0.5, -1.0, 2.0]))
+        solved = [_score_solved(i, PoseRecovery(p, p.r, None, None), None) for i in (0, 2)]
+        recs = [solved[0], _score_degenerate(1, DegenerateConfiguration("collapsed", branch="rays")), solved[1]]
+        assert [r.status for r in recs] == ["ok", "degenerate:rays", "ok"]
+        rep = summarize_records(recs)
+        assert math.isnan(rep.median_rot_err_rays_deg)
+        assert math.isnan(rep.median_rot_err_points_deg)
+        assert math.isnan(rep.median_trans_err)
+        assert rep.failure_count == 1
+        d = rep.to_json_dict(100.0)
         assert d["median_rotation_deg"] is None
         assert d["median_translation"] is None
-        assert (d["frame_count"], d["failure_count"]) == (2, 1)
+        assert (d["frame_count"], d["failure_count"], d["unit_scale"]) == (3, 1, 100.0)
+
+    def test_summary_has_no_unit_scale(self):
+        """unit_scale is an argument of the JSON summary, not part of the report."""
+        assert list(inspect.signature(summarize_records).parameters) == ["records"]
+        rep = summarize_records([self.ok(0, 1.0, 0.5)])
+        assert not hasattr(rep, "unit_scale")
+        assert rep.median_trans_err == 0.5
 
     def test_unit_scale_multiplies_translation_only(self):
-        recs = [self.ok(0, 1.0, 0.5)]
-        rep = summarize_records(recs, unit_scale=100.0)
-        assert rep.median_trans_err == 0.5
-        d = rep.to_json_dict()
-        assert d["median_rotation_deg"] == 1.0
-        assert d["median_translation"] == 50.0
-        assert d["unit_scale"] == 100.0
+        rep = summarize_records([self.ok(i, 1.0, 0.1234567890123) for i in range(3)])
+        for unit_scale in (1e-3, 0.3, 1.0, 100.0, 1e300):
+            d = rep.to_json_dict(unit_scale)
+            assert d["median_rotation_deg"] == 1.0
+            assert d["median_translation"] == 0.1234567890123 * unit_scale
+            assert d["unit_scale"] == unit_scale
+        assert rep.median_trans_err == 0.1234567890123
 
     def test_json_dict_shape(self):
-        d = summarize_records([self.ok(0, 1.5, 0.125)] * 4, unit_scale=2.0).to_json_dict()
+        d = summarize_records([self.ok(0, 1.5, 0.125)] * 4).to_json_dict(2.0)
         assert d == {
             "median_rotation_deg": 1.5,
             "median_translation": 0.25,

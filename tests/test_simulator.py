@@ -351,6 +351,33 @@ class TestSamplePoses:
                 assert g.t.tobytes() == w.t.tobytes()
                 assert not g.r.m.flags.writeable and not g.t.flags.writeable
 
+    @pytest.mark.parametrize("sigma_t, sigma_r", [(1e308, 0.0), (0.0, 1e308), (1e308, 1e308)])
+    def test_overflow_names_the_first_failing_sample(self, sigma_t, sigma_r):
+        """A draw past the float range raises the per-sample loop's error for
+        the first failing sample in base-major order, with the sample named."""
+        base = self.base_poses()
+        failed = 0
+        for seed in range(6):
+            s = PosePerturbSpec(sigma_t, sigma_r, 20, Seed(seed))
+            rng, want = s.seed.rng(), None
+            with np.errstate(over="ignore"):
+                for k in range(len(base) * s.count):
+                    offset, axis, z = sigma_t * rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal()
+                    ref = base[k // s.count]
+                    try:
+                        Pose(ref.r @ Rotation.from_axis_angle(axis, abs(sigma_r * z)), ref.t + offset)
+                    except ValueError as exc:
+                        want = f"perturb sample {k}: {exc}"
+                        break
+                if want is None:
+                    assert len(sample_poses(base, s)) == len(base) * s.count
+                    continue
+                with pytest.raises(ValueError) as info:
+                    sample_poses(base, s)
+            assert str(info.value) == want
+            failed += 1
+        assert failed >= 3
+
     def test_no_base_poses(self):
         assert sample_poses([], PosePerturbSpec(0.1, 0.1, 2, Seed(0))) == []
 
@@ -492,7 +519,7 @@ def report_bits(rep):
     floats = [v for r in rep.records for v in (r.rot_err_rays_deg, r.rot_err_points_deg, r.trans_err)]
     medians = [rep.median_rot_err_rays_deg, rep.median_rot_err_points_deg, rep.median_trans_err]
     return (np.array(floats + medians).tobytes(), [(r.frame, r.status) for r in rep.records],
-            rep.failure_count, rep.unit_scale)
+            rep.failure_count)
 
 
 class TestSweepParity:
