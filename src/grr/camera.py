@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +25,13 @@ from . import _EXPORTS
 from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _read_only, _row_norms, _tangent_basis
 
 __all__ = _EXPORTS["camera"]
+
+
+def _check_integer(obj, name: str) -> None:
+    """Reject a field that is not an int or NumPy integer (bool included), naming it."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,11 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_integer(self, "width")
+        _check_integer(self, "height")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
@@ -56,6 +69,7 @@ class PatchGrid:
     n: int
 
     def __post_init__(self):
+        _check_integer(self, "n")
         if self.n < 1:
             raise ValueError("grid side n must be >= 1")
         if self.n > min(self.intrinsics.width, self.intrinsics.height):

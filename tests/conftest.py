@@ -5,6 +5,8 @@ import pytest
 
 from grr import Intrinsics, PatchGrid, Pose, Seed, random_rotation_matrices
 
+pytest.register_assert_rewrite("reference")  # its assert_same reports both outcomes
+
 
 @pytest.fixture(scope="session")
 def grid16() -> PatchGrid:

@@ -20,7 +20,6 @@ from grr import (
     PointMap,
     Pose,
     RayBundle,
-    Rotation,
     Seed,
     canonical_points,
     canonical_rays,
@@ -31,7 +30,7 @@ from grr import (
     write_xyz_csv,
 )
 from grr.camera import _world_frames
-from grr.geometry import _cross_rows, _row_norms
+from reference import assert_same, bits, switch_rows, tangent_basis, world_frames
 
 
 def loop_canonical_rays(grid: PatchGrid) -> np.ndarray:
@@ -74,6 +73,29 @@ class TestIntrinsics:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Intrinsics(**kwargs)
+
+    GOOD = dict(fx=2.0, fy=2.0, cx=2.0, cy=2.0, width=4, height=4)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("fx", math.inf, "fx must be finite, got inf"),
+        ("fx", math.nan, "fx must be finite, got nan"),
+        ("fy", -math.inf, "fy must be finite, got -inf"),
+        ("width", True, "width must be an integer, got True"),
+        ("width", 4.0, "width must be an integer, got 4.0"),
+        ("height", "4", "height must be an integer, got '4'"),
+        ("n", 2.0, "n must be an integer, got 2.0"),
+        ("n", True, "n must be an integer, got True"),
+    ], ids=["fx-inf", "fx-nan", "fy-neg-inf", "width-bool", "width-float", "height-str", "n-float", "n-bool"])
+    def test_construction_names_the_bad_field(self, field, value, message):
+        """Non-finite focal lengths and non-integer (or bool) sizes fail when built."""
+        intr = {**self.GOOD, field: value} if field != "n" else self.GOOD
+        with pytest.raises(ValueError) as exc:
+            PatchGrid(Intrinsics(**intr), n=value if field == "n" else 2)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_accepted(self):
+        grid = PatchGrid(Intrinsics(**{**self.GOOD, "width": np.int64(4), "height": np.int32(4)}), n=np.int64(2))
+        assert grid.patch_count == 4 and len(canonical_rays(grid)) == 4
 
 
 class TestPatchGrid:
@@ -194,6 +216,11 @@ class TestWorldFrames:
     bundle's tangents, built for a stack of poses at once."""
 
     @staticmethod
+    def arrays(poses, rays, pts):
+        """_world_frames' bundles as the reference's (dirs, norms, unit, tangents, pts, centred) per pose."""
+        return [(r.dirs, r.norms, r.unit, r.tangents, p.pts, p.centred) for r, p in _world_frames(poses, rays, pts)]
+
+    @staticmethod
     def poses(count, seed=20):
         return [Pose(random_rotation(Seed(seed).derive(k)), Seed(seed).rng(k).uniform(-9, 9, 3))
                 for k in range(count)]
@@ -203,18 +230,10 @@ class TestWorldFrames:
         rays = canonical_rays(grid16)
         for pts in (canonical_points(rays), PointMap(rays.dirs * 3.5 + 0.25)):
             poses = self.poses(count)
-            frames = _world_frames(poses, rays, pts)
+            frames = assert_same(self.arrays, world_frames, poses, rays, pts)
             assert len(frames) == count
-            for pose, (ray_bundle, point_map) in zip(poses, frames):
-                want_rays, want_pts = world_rays(pose, rays), world_points(pose, pts)
+            for ray_bundle, point_map in _world_frames(poses, rays, pts):
                 assert isinstance(ray_bundle, RayBundle) and isinstance(point_map, PointMap)
-                assert ray_bundle.dirs.tobytes() == want_rays.dirs.tobytes()
-                assert ray_bundle.norms.tobytes() == want_rays.norms.tobytes()
-                assert ray_bundle.unit.tobytes() == want_rays.unit.tobytes()
-                assert point_map.pts.tobytes() == want_pts.pts.tobytes()
-                assert point_map.centred.tobytes() == want_pts.centred.tobytes()
-                for got, want in zip(ray_bundle.tangents, want_rays.tangents):
-                    assert got.tobytes() == want.tobytes()
                 assert not ray_bundle.norms.flags.writeable
                 for arr in (ray_bundle.dirs, *ray_bundle.tangents, point_map.pts):
                     with pytest.raises(ValueError):  # views of read-only stacks
@@ -243,9 +262,7 @@ class TestWorldFrames:
                 for pose in poses:
                     world_rays(pose, rays), world_points(pose, pts)
             assert str(per_pose.value) == message
-            with pytest.raises(ValueError) as stacked:
-                _world_frames(poses, rays, pts)
-            assert str(stacked.value) == message
+            assert assert_same(self.arrays, world_frames, poses, rays, pts) == (ValueError, message, None)
 
 
 class TestRayBundle:
@@ -341,40 +358,21 @@ class TestCachedFactors:
         assert np.array_equal(moved.centred, PointMap(pts.pts + 1.0).centred)
 
 
-def inline_tangent_basis(d):
-    """The per-ray tangent basis as the ray-tilt noise first built it inline."""
-    u = _cross_rows(d, np.where(np.abs(d[:, 2:3]) < 0.9, np.array([[0.0, 0.0, 1.0]]),
-                                np.array([[1.0, 0.0, 0.0]])))
-    u /= _row_norms(u, keepdims=True)
-    v = _cross_rows(d, u)
-    return u, v
-
-
 class TestTangents:
     """RayBundle.tangents: the (u, v) pair the ray noise tilts in, cached like unit."""
 
     @staticmethod
-    def switch_rows():
-        """Unit rows with |z| on both sides of the 0.9 helper switch, and on it."""
-        z = np.array([1.0, 0.95, 0.9, 0.8999999999999999, 0.5, 0.0])
-        z = np.concatenate([z, -z])
-        rows = np.stack([np.zeros_like(z), np.sqrt(1.0 - z * z), z], axis=1)
-        return RayBundle(np.concatenate([rows, rows[:, [2, 0, 1]], rows[:, [1, 2, 0]]]))
-
-    def bundles(self, grid4):
+    def bundles(grid4):
         rays = canonical_rays(grid4)
         turned = [world_rays(Pose(random_rotation(Seed(60 + k)), np.zeros(3)), rays)
                   for k in range(8)]
-        return [self.switch_rows(), rays, *turned]
+        return [RayBundle(switch_rows()), rays, *turned]
 
     def test_bitwise_equal_to_inline_basis(self, grid4):
         sides = set()
         for rays in self.bundles(grid4):
             sides |= set(np.abs(rays.dirs[:, 2]) < 0.9)
-            u, v = rays.tangents
-            ref_u, ref_v = inline_tangent_basis(rays.dirs)
-            assert u.tobytes() == ref_u.tobytes()
-            assert v.tobytes() == ref_v.tobytes()
+            assert bits(rays.tangents) == bits(tangent_basis(rays.dirs))
         assert sides == {True, False}
 
     def test_orthonormal_to_dirs(self, grid4):

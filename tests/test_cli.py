@@ -33,6 +33,28 @@ def write_cfg(path, **cfg):
     return str(path)
 
 
+def dataset_cfg(directory, name="cfg.json", **extra):
+    """A solve or loss config over the dataset files in directory, written there."""
+    return write_cfg(directory / name, grid=GRID, rays="world_rays_*.csv", points="world_points_*.csv",
+                     gt_poses="gt_poses.txt", **extra)
+
+
+def changed_copy(dataset, tmp_path, name, change):
+    """A copy of the dataset under tmp_path whose file `name` holds change(its rows)."""
+    work = tmp_path / "in"
+    shutil.copytree(dataset, work)
+    write_xyz_csv(work / name, change(read_xyz_csv(work / name)))
+    return work
+
+
+def run_child(argv, warnings_as_errors=False, log="warn"):
+    """`python -m grr.cli argv` in a child process, with RuntimeWarning an error if asked."""
+    flags = ["-W", "error::RuntimeWarning"] if warnings_as_errors else []
+    return subprocess.run([sys.executable, *flags, "-m", "grr.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grr.__file__)),
+                               "GRR_LOG": log})
+
+
 @pytest.fixture
 def run(capsys):
     def _run(argv):
@@ -85,18 +107,8 @@ class TestGen:
 
 
 class TestSolve:
-    def solve_cfg(self, dataset, name="solve.json", **extra):
-        return write_cfg(
-            dataset / name,
-            grid=GRID,
-            rays="world_rays_*.csv",
-            points="world_points_*.csv",
-            gt_poses="gt_poses.txt",
-            **extra,
-        )
-
     def test_recovers_generated_poses(self, run, dataset, tmp_path):
-        cfg = self.solve_cfg(dataset)
+        cfg = dataset_cfg(dataset)
         code, payload, _ = run(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert code == 0
         assert payload["frame_count"] == 5
@@ -110,7 +122,7 @@ class TestSolve:
             assert float(np.linalg.norm(s.t - g.t)) < 1e-9
 
     def test_summary_medians_match_frames_csv(self, run, dataset, tmp_path):
-        cfg = self.solve_cfg(dataset)
+        cfg = dataset_cfg(dataset)
         code, payload, _ = run(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert code == 0
         with open(tmp_path / "frames.csv", newline="") as fh:
@@ -122,8 +134,8 @@ class TestSolve:
         assert payload["median_translation"] == median(trans)
 
     def test_unit_scale_scales_translation(self, run, dataset, tmp_path):
-        plain = self.solve_cfg(dataset, name="solve_plain.json")
-        scaled = self.solve_cfg(dataset, name="solve_scaled.json", unit_scale=100.0)
+        plain = dataset_cfg(dataset, name="solve_plain.json")
+        scaled = dataset_cfg(dataset, name="solve_scaled.json", unit_scale=100.0)
         _, a, _ = run(["solve", "--config", plain, "--out", str(tmp_path / "a")])
         _, b, _ = run(["solve", "--config", scaled, "--out", str(tmp_path / "b")])
         assert b["median_translation"] == a["median_translation"] * 100.0
@@ -146,20 +158,10 @@ class TestSolve:
         assert all(r["status"] == "ok" for r in rows)
 
     def test_degenerate_frame_recorded_not_fatal(self, run, dataset, tmp_path):
-        work = tmp_path / "in"
-        shutil.copytree(dataset, work)
         # collapse one frame's rays to a single direction: no rotation is
         # recoverable from it, but the run must still finish
-        rows = read_xyz_csv(work / "world_rays_0001.csv")
-        write_xyz_csv(work / "world_rays_0001.csv", np.tile([[0.0, 0.0, 1.0]], (len(rows), 1)))
-        cfg = write_cfg(
-            work / "solve_degen.json",
-            grid=GRID,
-            rays="world_rays_*.csv",
-            points="world_points_*.csv",
-            gt_poses="gt_poses.txt",
-        )
-        code, payload, _ = run(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        work, _ = TestLoss.degenerate_frame_1(dataset, tmp_path)
+        code, payload, _ = run(["solve", "--config", dataset_cfg(work), "--out", str(tmp_path / "out")])
         assert code == 0
         assert payload["failure_count"] == 1
         assert payload["frame_count"] == 5
@@ -183,17 +185,9 @@ class TestSolve:
     def test_huge_translation_error_is_finite_with_warnings_as_errors(self, dataset, tmp_path):
         """Points scaled by 1e155 solve to a translation whose error squares
         past the float range; the frame is still scored, with a finite error."""
-        work = tmp_path / "in"
-        shutil.copytree(dataset, work)
-        pts = work / "world_points_0002.csv"
-        write_xyz_csv(pts, 1e155 * read_xyz_csv(pts))
-        r = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "grr.cli", "solve",
-             "--config", self.solve_cfg(work), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grr.__file__)),
-                 "GRR_LOG": "warn"},
-        )
+        work = changed_copy(dataset, tmp_path, "world_points_0002.csv", lambda p: 1e155 * p)
+        r = run_child(["solve", "--config", dataset_cfg(work), "--out", str(tmp_path / "o")],
+                      warnings_as_errors=True)
         assert (r.returncode, r.stderr) == (0, "")
         with open(tmp_path / "o" / "frames.csv", newline="") as fh:
             row = list(csv.DictReader(fh))[2]
@@ -266,6 +260,20 @@ class TestAblate:
         code, payload, _ = run(["ablate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 0
         assert payload["frames"] == 18
+
+    def test_poses_file_without_perturb(self, run, dataset, tmp_path):
+        """The sweep over a given poses file: one frame per pose, no sampling, each
+        trial the simulator's report on those poses."""
+        noise = [{"ray_sigma": 0.01}, {"ray_sigma": 0.05, "point_sigma": 0.02, "mode": "per_patch_scaled"}]
+        cfg = write_cfg(tmp_path / "ablate.json", grid=GRID, poses=str(dataset / "gt_poses.txt"), seed=11,
+                        noise=noise)
+        code, payload, _ = run(["ablate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert (code, payload) == (0, {"frames": 5, "trials": 2})
+        specs = [noise_spec_from_config(n, Seed(11), k) for k, n in enumerate(noise)]
+        reports = grr.ablation_sweep(grid_from_config(GRID), load_poses(dataset / "gt_poses.txt"), specs)
+        for k, rep in enumerate(reports):
+            grr.write_report_csv(rep.records, tmp_path / f"want_{k}.csv")
+            assert (tmp_path / "o" / f"trial_{k:03d}.csv").read_bytes() == (tmp_path / f"want_{k}.csv").read_bytes()
 
     @pytest.mark.parametrize("bias", [[True, False, 0], [0, "0.1", 0], [None, 0, 0]])
     def test_point_bias_entries_must_be_numbers(self, run, tmp_path, bias):
@@ -413,18 +421,8 @@ def test_command_outputs_match_recorded_bytes(capsys, monkeypatch, dataset, tmp_
 
 
 class TestLoss:
-    def loss_cfg(self, dataset, name="loss.json", **extra):
-        return write_cfg(
-            dataset / name,
-            grid=GRID,
-            rays="world_rays_*.csv",
-            points="world_points_*.csv",
-            gt_poses="gt_poses.txt",
-            **extra,
-        )
-
     def test_zero_at_ground_truth_with_domain_head(self, run, dataset):
-        cfg = self.loss_cfg(
+        cfg = dataset_cfg(
             dataset,
             domains=[0, 0, 1, 1, 0],
             domain_logits=[0.0, 0.0, 3.0, 3.0, 0.0],
@@ -443,7 +441,7 @@ class TestLoss:
         assert payload["total"] == pytest.approx(0.074173453213368736, abs=1e-9)
 
     def test_domains_default_to_synthetic(self, run, dataset):
-        cfg = self.loss_cfg(dataset, name="loss_default.json")
+        cfg = dataset_cfg(dataset, name="loss_default.json")
         code, payload, _ = run(["loss", "--config", cfg])
         assert code == 0
         assert [fr["domain"] for fr in payload["frames"]] == [0] * 5
@@ -451,7 +449,7 @@ class TestLoss:
         assert payload["domain_syn"] == 0.0
 
     def test_warmup_schedule_switches_norm(self, run, dataset):
-        cfg = self.loss_cfg(
+        cfg = dataset_cfg(
             dataset, name="loss_p1.json", schedule={"warmup_steps": 10, "current_step": 3}
         )
         code, payload, _ = run(["loss", "--config", cfg])
@@ -459,46 +457,34 @@ class TestLoss:
         assert payload["p"] == 1
 
     def test_bad_domains_rejected(self, run, dataset):
-        short = self.loss_cfg(dataset, name="loss_bad1.json", domains=[0, 1])
+        short = dataset_cfg(dataset, name="loss_bad1.json", domains=[0, 1])
         assert run(["loss", "--config", short])[0] == 3
-        wrong = self.loss_cfg(dataset, name="loss_bad2.json", domains=[0, 0, 2, 0, 0])
+        wrong = dataset_cfg(dataset, name="loss_bad2.json", domains=[0, 0, 2, 0, 0])
         assert run(["loss", "--config", wrong])[0] == 3
-        boolean = self.loss_cfg(
+        boolean = dataset_cfg(
             dataset, name="loss_bad3.json", domains=[0, 0, True, 0, 0]
         )
         assert run(["loss", "--config", boolean])[0] == 3
         # 1.0 == 1, but the README labels frames with the integers 0 and 1.
-        floating = self.loss_cfg(dataset, name="loss_bad4.json", domains=[0, 1.0, 0, 1, 0])
+        floating = dataset_cfg(dataset, name="loss_bad4.json", domains=[0, 1.0, 0, 1, 0])
         assert run(["loss", "--config", floating]) == (3, None, "")
 
     def test_canonical_side_is_validated_once(self, run, dataset, canonical_work):
         """All frames share the command's frozen canonical arrays, so one
         RayBundle and one set of canonical pair dots serve the whole batch."""
-        code, payload, _ = run(["loss", "--config", self.loss_cfg(dataset, connectivity=8)])
+        code, payload, _ = run(["loss", "--config", dataset_cfg(dataset, connectivity=8)])
         assert code == 0 and len(payload["frames"]) == 5
         assert canonical_work == ["rays", "dots"]
 
     @staticmethod
     def degenerate_frame_1(dataset, tmp_path):
         """A copy of the dataset whose frame 1 has collinear rays: (its directory, that rays file)."""
-        work = tmp_path / "in"
-        shutil.copytree(dataset, work)
-        rays = work / "world_rays_0001.csv"
-        write_xyz_csv(rays, np.tile([[0.0, 0.0, 1.0]], (len(read_xyz_csv(rays)), 1)))
-        return work, rays
-
-    @staticmethod
-    def run_loss(cfg):
-        src = os.path.dirname(os.path.dirname(grr.__file__))
-        return subprocess.run(
-            [sys.executable, "-m", "grr.cli", "loss", "--config", cfg],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
-        )
+        work = changed_copy(dataset, tmp_path, "world_rays_0001.csv", lambda r: np.tile([[0.0, 0.0, 1.0]], (len(r), 1)))
+        return work, work / "world_rays_0001.csv"
 
     def test_degenerate_frame_aborts_and_is_named(self, dataset, tmp_path):
         work, rays = self.degenerate_frame_1(dataset, tmp_path)
-        r = self.run_loss(self.loss_cfg(work, name="loss_degen.json"))
+        r = run_child(["loss", "--config", dataset_cfg(work, name="loss_degen.json")])
         assert r.returncode == 2
         assert r.stdout == ""
         head = (f"ERROR grr: degenerate input: frame 1 (rays {rays}, "
@@ -511,18 +497,16 @@ class TestLoss:
         """A bad logit is a config error even when a frame is degenerate too:
         the config is checked whole before the first frame is read."""
         work, _ = self.degenerate_frame_1(dataset, tmp_path)
-        cfg = self.loss_cfg(work, name="loss_logits.json", domain_logits=[0.1, "x", 0.3, 0.0, 0.0])
-        r = self.run_loss(cfg)
+        cfg = dataset_cfg(work, name="loss_logits.json", domain_logits=[0.1, "x", 0.3, 0.0, 0.0])
+        r = run_child(["loss", "--config", cfg])
         assert r.returncode == 3
         assert r.stdout == ""
         assert r.stderr == "ERROR grr: 'domain_logits' entries must be numbers\n"
 
     def test_rays_whose_norms_overflow_are_an_input_error(self, dataset, tmp_path):
-        work = tmp_path / "in"
-        shutil.copytree(dataset, work)
+        work = changed_copy(dataset, tmp_path, "world_rays_0002.csv", lambda r: 1e155 * r)
         rays = work / "world_rays_0002.csv"
-        write_xyz_csv(rays, 1e155 * read_xyz_csv(rays))
-        r = self.run_loss(self.loss_cfg(work, name="loss_huge.json"))
+        r = run_child(["loss", "--config", dataset_cfg(work)])
         assert r.returncode == 3
         assert r.stdout == ""
         assert r.stderr == (f"ERROR grr: frame 2 (rays {rays}, points {work / 'world_points_0002.csv'}): "
@@ -535,9 +519,9 @@ class TestLoss:
         for f in sorted(work.glob("world_points_*.csv")):
             pts = read_xyz_csv(f)
             write_xyz_csv(f, pts + 0.01 * rng.normal(size=pts.shape))
-        code, payload, _ = run(["loss", "--config", self.loss_cfg(work, connectivity=8)])
+        code, payload, _ = run(["loss", "--config", dataset_cfg(work, connectivity=8)])
         assert code == 0
-        _, four, _ = run(["loss", "--config", self.loss_cfg(work, name="loss_4.json")])
+        _, four, _ = run(["loss", "--config", dataset_cfg(work, name="loss_4.json")])
         rays = canonical_rays(grid_from_config(GRID))
         pts = canonical_points(rays)
         gt = load_poses(work / "gt_poses.txt")
@@ -552,7 +536,7 @@ class TestLoss:
             assert fr["regularization"] != four["frames"][idx]["regularization"]
 
     def test_connectivity_5_rejected(self, dataset):
-        r = self.run_loss(self.loss_cfg(dataset, name="loss_c5.json", connectivity=5))
+        r = run_child(["loss", "--config", dataset_cfg(dataset, name="loss_c5.json", connectivity=5)])
         assert r.returncode == 3
         assert r.stdout == ""
         assert r.stderr == "ERROR grr: connectivity must be 4 or 8\n"
@@ -607,13 +591,7 @@ class TestNonFiniteConfigFloats:
         tmp_path.mkdir(exist_ok=True)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        src = os.path.dirname(os.path.dirname(grr.__file__))
-        return subprocess.run(
-            [sys.executable, "-m", "grr.cli", command, "--config", str(path),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
-        )
+        return run_child([command, "--config", str(path), "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_3_names_the_key(self, dataset, tmp_path, case):
@@ -643,21 +621,9 @@ class TestOverflowingRaysWithWarningsAsErrors:
 
     @pytest.mark.parametrize("command, what", [("solve", "ray"), ("loss", "target")])
     def test_exit_3_names_the_overflow(self, dataset, tmp_path, command, what):
-        work = tmp_path / "in"
-        shutil.copytree(dataset, work)
-        rays = work / "world_rays_0002.csv"
-        write_xyz_csv(rays, 1e155 * read_xyz_csv(rays))
-        cfg = write_cfg(tmp_path / "cfg.json", grid=GRID, rays=str(work / "world_rays_*.csv"),
-                        points=str(work / "world_points_*.csv"),
-                        gt_poses=str(work / "gt_poses.txt"))
+        work = changed_copy(dataset, tmp_path, "world_rays_0002.csv", lambda r: 1e155 * r)
         out = ["--out", str(tmp_path / "o")] if command == "solve" else []
-        src = os.path.dirname(os.path.dirname(grr.__file__))
-        r = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "grr.cli", command,
-             "--config", cfg, *out],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"},
-        )
+        r = run_child([command, "--config", dataset_cfg(work), *out], warnings_as_errors=True)
         assert r.returncode == 3
         assert r.stdout == ""
         # `loss` names the frame on every input error it meets in the frame's solve.
@@ -674,19 +640,9 @@ class TestOverflowingPoints:
 
     @staticmethod
     def run_cli(dataset, tmp_path, command, scale, warnings_as_errors):
-        work = tmp_path / "in"
-        shutil.copytree(dataset, work)
-        pts = work / "world_points_0002.csv"
-        write_xyz_csv(pts, scale(read_xyz_csv(pts)))
-        cfg = write_cfg(tmp_path / "cfg.json", grid=GRID, rays=str(work / "world_rays_*.csv"),
-                        points=str(work / "world_points_*.csv"),
-                        gt_poses=str(work / "gt_poses.txt"))
+        work = changed_copy(dataset, tmp_path, "world_points_0002.csv", scale)
         out = ["--out", str(tmp_path / "o")] if command == "solve" else []
-        flags = ["-W", "error::RuntimeWarning"] if warnings_as_errors else []
-        src = os.path.dirname(os.path.dirname(grr.__file__))
-        r = subprocess.run([sys.executable, *flags, "-m", "grr.cli", command, "--config", cfg, *out],
-                           capture_output=True, text=True,
-                           env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"})
+        r = run_child([command, "--config", dataset_cfg(work), *out], warnings_as_errors)
         assert r.returncode == 3, r.stderr
         assert r.stdout == ""
         return r.stderr, work
@@ -758,15 +714,10 @@ class TestOverflowExitTable:
         if command == "ablate":
             cfg = write_cfg(tmp_path / "cfg.json", grid=GRID, frames=3, seed=5, **what)
             return ["ablate", "--config", cfg, "--out", str(tmp_path / "o")]
-        work = tmp_path / "in"
-        shutil.copytree(dataset, work)
-        path = work / f"world_{what}_0001.csv"
         with np.errstate(over="ignore"):  # 1.7e308 times an entry past 1 is written as inf
-            a = read_xyz_csv(path)
-            write_xyz_csv(path, np.where(a < 0.0, -1.7e308, 1.7e308) if scale is None else scale * a)
-        cfg = write_cfg(work / "cfg.json", grid=GRID, rays="world_rays_*.csv",
-                        points="world_points_*.csv", gt_poses="gt_poses.txt")
-        return [command, "--config", cfg] + (["--out", str(tmp_path / "o")] if command == "solve" else [])
+            work = changed_copy(dataset, tmp_path, f"world_{what}_0001.csv",
+                                lambda a: np.where(a < 0.0, -1.7e308, 1.7e308) if scale is None else scale * a)
+        return [command, "--config", dataset_cfg(work)] + (["--out", str(tmp_path / "o")] if command == "solve" else [])
 
     @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
     def test_exit_code_without_traceback_or_warning(self, capsys, dataset, tmp_path, case):
@@ -797,11 +748,7 @@ class TestOverflowExitTable:
                                       "ablate perturb.sigma_r 1e308 count 20"])
     def test_same_exit_code_with_warnings_as_errors(self, dataset, tmp_path, case):
         command, what, scale, code = OVERFLOW_CASES[case]
-        src = os.path.dirname(os.path.dirname(grr.__file__))
-        r = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "grr.cli",
-             *self.argv(dataset, tmp_path, command, what, scale)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "GRR_LOG": "warn"})
+        r = run_child(self.argv(dataset, tmp_path, command, what, scale), warnings_as_errors=True)
         assert r.returncode == code, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
@@ -905,12 +852,7 @@ class TestExitCodes:
     def test_info_line_of_a_child_process(self, tmp_path):
         cfg = write_cfg(tmp_path / "g.json", grid=GRID, frames=1)
         out = tmp_path / "o"
-        r = subprocess.run(
-            [sys.executable, "-m", "grr.cli", "gen", "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grr.__file__)),
-                 "GRR_LOG": "info"},
-        )
+        r = run_child(["gen", "--config", cfg, "--out", str(out)], log="info")
         assert r.returncode == 0, r.stderr
         assert r.stderr == f"INFO grr: gen: wrote 1 frames to {out}\n"
 
@@ -918,27 +860,14 @@ class TestExitCodes:
 class TestDeterminism:
     def test_every_subcommand_is_byte_identical_across_runs(self, run, dataset, tmp_path):
         gen_cfg = write_cfg(tmp_path / "gen.json", grid=GRID, frames=3, seed=5)
-        solve_cfg = write_cfg(
-            dataset / "det_solve.json",
-            grid=GRID,
-            rays="world_rays_*.csv",
-            points="world_points_*.csv",
-            gt_poses="gt_poses.txt",
-        )
+        solve_cfg = dataset_cfg(dataset, "det_solve.json")
         gc_cfg = write_cfg(tmp_path / "gc.json", op="rigid", seed=9)
         abl_cfg = write_cfg(
             tmp_path / "abl.json", grid=GRID, frames=4, seed=6,
             noise=[{"ray_sigma": 0.01, "point_sigma": 0.02}],
         )
-        loss_cfg = write_cfg(
-            dataset / "det_loss.json",
-            grid=GRID,
-            rays="world_rays_*.csv",
-            points="world_points_*.csv",
-            gt_poses="gt_poses.txt",
-            domains=[0, 1, 0, 1, 0],
-            domain_logits=[-1.0, 2.0, 0.5, 1.5, -0.25],
-        )
+        loss_cfg = dataset_cfg(dataset, "det_loss.json", domains=[0, 1, 0, 1, 0],
+                               domain_logits=[-1.0, 2.0, 0.5, 1.5, -0.25])
         cases = [
             (["gen", "--config", gen_cfg], True),
             (["solve", "--config", solve_cfg], True),

@@ -1,6 +1,5 @@
 """Rotation/pose primitives, geodesic metric, seeds, and pose file I/O."""
 
-import itertools
 import math
 
 import numpy as np
@@ -16,8 +15,10 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
-from grr.geometry import (ORTHONORMALITY_TOL, UNIT_TOL, _check_rotations, _cross_rows, _mean, _quat_to_matrix,
-                          _row_norms, _row_sums, _seed_words, _streams)
+from grr.geometry import (UNIT_TOL, _check_rotations, _cross_rows, _mean, _quat_to_matrix, _row_norms, _row_sums,
+                          _seed_words, _streams)
+from reference import (assert_same, bits, check_rotations, near_rotations, quat_to_matrix, row_cases, row_norms,
+                       row_sums, rows, signed_zero_quaternions, unit_quaternions)
 
 
 class TestRotation:
@@ -90,56 +91,30 @@ class TestQuaternion:
             Rotation.from_quaternion([1.0, 1.0, 0.0, 0.0])
 
 
-def _quat_to_matrix_columns(q: np.ndarray) -> np.ndarray:
-    """The column-wise NumPy form _quat_to_matrix replaced: one ufunc per operator."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((q.shape[0], 3, 3))
-    out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[:, 0, 1] = 2.0 * (x * y - w * z)
-    out[:, 0, 2] = 2.0 * (x * z + w * y)
-    out[:, 1, 0] = 2.0 * (x * y + w * z)
-    out[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[:, 1, 2] = 2.0 * (y * z - w * x)
-    out[:, 2, 0] = 2.0 * (x * z - w * y)
-    out[:, 2, 1] = 2.0 * (y * z + w * x)
-    out[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
-
-
 class TestQuaternionParity:
     """_quat_to_matrix runs on Python floats; each entry must keep the array
     form's bits, and from_quaternion its errors, for the same inputs."""
 
-    @staticmethod
-    def unit_stack(seed: int, k: int) -> np.ndarray:
-        g = np.random.default_rng(seed).standard_normal((k, 4))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-
     @pytest.mark.parametrize("k", [1, 2, 300])
     @pytest.mark.parametrize("seed", [0, 17])
     def test_seeded_stacks_match_the_array_form(self, seed, k):
-        q = self.unit_stack(seed, k)
-        _assert_bitwise(_quat_to_matrix(q), _quat_to_matrix_columns(q))
+        assert_same(_quat_to_matrix, quat_to_matrix, unit_quaternions(seed, k))
 
     def test_signed_zeros_match_the_array_form(self):
-        signs = np.array(list(itertools.product([1.0, -1.0], repeat=4)))
-        q = np.concatenate([signs * [1.0, 0.0, 0.0, 0.0], signs * [0.0, 0.0, 1.0, 0.0],
-                            signs * [0.0, 0.6, 0.0, 0.8], signs * self.unit_stack(3, 1)])
-        q[np.random.default_rng(4).random(q.shape) < 0.3] *= 0.0  # more zeros, keeping signs
+        q = signed_zero_quaternions()
         got = _quat_to_matrix(q)
         assert np.signbit(got).any() and (got == 0.0).any()
-        _assert_bitwise(got, _quat_to_matrix_columns(q))
+        assert_same(_quat_to_matrix, quat_to_matrix, q)
 
     @pytest.mark.parametrize("off", [1e-10, -1e-10])
     def test_slightly_off_unit_matches_the_array_form(self, off):
-        q = self.unit_stack(5, 300) * (1.0 + off)
-        _assert_bitwise(_quat_to_matrix(q), _quat_to_matrix_columns(q))
+        assert_same(_quat_to_matrix, quat_to_matrix, unit_quaternions(5, 300) * (1.0 + off))
 
     def test_random_rotation_matrices_keep_the_array_form(self):
         for seed, count in [(0, 1), (1, 2), (7, 300)]:
             g = Seed(seed).rng().standard_normal((count, 4))
             q = g / np.linalg.norm(g, axis=1, keepdims=True)
-            _assert_bitwise(random_rotation_matrices(Seed(seed), count), _quat_to_matrix_columns(q))
+            assert bits(random_rotation_matrices(Seed(seed), count)) == bits(quat_to_matrix(q))
 
     @pytest.mark.parametrize("q, message", [
         ([1.0, 0.0, 0.0], "quaternion must have shape (4,), got (3,)"),
@@ -156,16 +131,16 @@ class TestQuaternionParity:
         assert str(exc.value) == message
 
     def test_result_is_read_only(self):
-        r = Rotation.from_quaternion(self.unit_stack(6, 1)[0])
+        r = Rotation.from_quaternion(unit_quaternions(6, 1)[0])
         assert not r.m.flags.writeable
         with pytest.raises(ValueError):
             r.m[0, 0] = 0.0
 
     def test_matrix_that_fails_the_rotation_check_raises_as_rotation_does(self):
-        q = self.unit_stack(8, 1)[0] * (1.0 + 0.9e-9)  # within UNIT_TOL of unit, not its matrix
+        q = unit_quaternions(8, 1)[0] * (1.0 + 0.9e-9)  # within UNIT_TOL of unit, not its matrix
         assert abs(np.linalg.norm(q) - 1.0) <= UNIT_TOL
         with pytest.raises(ValueError) as want:
-            Rotation(_quat_to_matrix_columns(q[np.newaxis])[0])
+            Rotation(quat_to_matrix(q[np.newaxis])[0])
         with pytest.raises(ValueError) as got:
             Rotation.from_quaternion(q)
         assert "not orthonormal" in str(want.value)
@@ -361,93 +336,46 @@ class TestPoseFileIO:
         assert str(exc.value) == f"{path}:3: {message}"
 
 
-def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
-    """Same shape, dtype and bytes: catches -0.0 against +0.0 too."""
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
 class TestRowHelpers:
     """The private row-wise cross product, row sum and row norm agree bit for
     bit with np.cross, sum(axis=-1) and np.linalg.norm(axis=-1), which they
     replace on the solve and training paths."""
 
-    @staticmethod
-    def rows(seed: int) -> np.ndarray:
-        """Random rows, rows of signed zeros and ones, and rows on both sides
-        of the |z| < 0.9 helper-axis switch of the ray tilt."""
-        rng = Seed(seed).rng()
-        special = np.array([0.0, -0.0, 1.0, -1.0])
-        picks = special[rng.integers(0, 4, size=(64, 3))]
-        z = np.array([0.0, 0.5, 0.8999999999999999, 0.9, 0.95, 1.0])
-        z = np.concatenate([z, -z])
-        pole_side = np.stack([np.sqrt(1.0 - z * z), np.zeros_like(z), z], axis=1)
-        return np.concatenate([rng.standard_normal((200, 3)), picks, pole_side,
-                               rng.standard_normal((8, 3)) * 1e-160])
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cross_rows_matches_np_cross(self, seed):
-        a = self.rows(seed)
-        b = self.rows(seed + 100)
-        _assert_bitwise(_cross_rows(a, b), np.cross(a, b))
-        _assert_bitwise(_cross_rows(b, a), np.cross(b, a))
+        a, b = rows(seed), rows(seed + 100)
+        assert_same(_cross_rows, np.cross, a, b)
+        assert_same(_cross_rows, np.cross, b, a)
 
     @pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
     def test_cross_rows_broadcasts_one_row(self, row):
-        a = self.rows(3)
-        b = np.array([row])
-        _assert_bitwise(_cross_rows(a, b), np.cross(a, b))
-        _assert_bitwise(_cross_rows(b, a), np.cross(b, a))
+        a, b = rows(3), np.array([row])
+        assert_same(_cross_rows, np.cross, a, b)
+        assert_same(_cross_rows, np.cross, b, a)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_cross_rows_matches_np_cross_on_stacks(self, seed):
-        a = np.stack([self.rows(seed + k) for k in range(4)])  # (F, m, 3), signed zeros included
-        b = np.stack([self.rows(seed + 50 + k) for k in range(4)])
-        _assert_bitwise(_cross_rows(a, b), np.cross(a, b))
-        _assert_bitwise(_cross_rows(b, a), np.cross(b, a))
+        a = np.stack([rows(seed + k) for k in range(4)])  # (F, m, 3), signed zeros included
+        b = np.stack([rows(seed + 50 + k) for k in range(4)])
+        assert_same(_cross_rows, np.cross, a, b)
+        assert_same(_cross_rows, np.cross, b, a)
 
     @pytest.mark.parametrize("keepdims", [False, True])
     def test_row_norms_match_linalg_norm(self, keepdims):
-        x = np.concatenate([self.rows(4), [[1e200, 1e200, 0.0], [5e-324, -0.0, 0.0]]])
+        x = np.concatenate([rows(4), [[1e200, 1e200, 0.0], [5e-324, -0.0, 0.0]]])
         with np.errstate(over="ignore"):  # 1e200 squared overflows on both sides
-            _assert_bitwise(_row_norms(x, keepdims=keepdims),
-                            np.linalg.norm(x, axis=1, keepdims=keepdims))
+            assert_same(_row_norms, row_norms, x, keepdims=keepdims)
 
-    @staticmethod
-    def sum_cases() -> dict:
-        """Row sets for the row-sum and row-norm parity checks."""
-        rng = Seed(7).rng()
-        spread = rng.standard_normal((256, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (256, 3))
-        pairs = rng.standard_normal((40, 2, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (40, 2, 3))
-        # Products of these rows are all -0.0, all +0.0, or mixed zeros.
-        a = np.array([[-0.0, 1.0, -2.0], [0.0, -0.0, 3.0], [-0.0, -0.0, -0.0], [1.0, 0.0, -0.0]])
-        b = np.array([[1.0, -0.0, 0.0], [-1.0, -2.0, -0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])
-        big = np.array([[1e200, 1e200, 0.0], [1e308, 1e308, -1e308], [-1e308, -1e308, 1.0]])
-        inf = np.array([[np.inf, 1.0, 2.0], [np.inf, -np.inf, 0.0], [-np.inf, -np.inf, 5e-324]])
-        nan = np.array([[np.nan, 1.0, 2.0], [0.0, np.nan, -0.0], [1.0, 2.0, np.nan]])
-        return {
-            "spread": spread,
-            "strided": pairs[:, 0],
-            "zero-rows": np.zeros((0, 3)),
-            "one-row": spread[:1],
-            "signed-zero-products": a * b,
-            "overflow": big,
-            "inf": inf,
-            "nan": nan,
-        }
-
-    @pytest.mark.parametrize("case", ["spread", "strided", "zero-rows", "one-row",
-                                      "signed-zero-products", "overflow", "inf", "nan"])
+    @pytest.mark.parametrize("case", sorted(row_cases()))
     def test_row_sums_and_norms_match_numpy(self, case):
-        x = self.sum_cases()[case]
+        x = row_cases()[case]
         with np.errstate(over="ignore", invalid="ignore"):
-            _assert_bitwise(_row_sums(x), x.sum(axis=-1))
+            assert_same(_row_sums, row_sums, x)
             for keepdims in (False, True):
-                _assert_bitwise(_row_norms(x, keepdims=keepdims),
-                                np.linalg.norm(x, axis=-1, keepdims=keepdims))
+                assert_same(_row_norms, row_norms, x, keepdims=keepdims)
 
     def test_signed_zero_case_has_negative_zero_products(self):
-        x = self.sum_cases()["signed-zero-products"]
+        x = row_cases()["signed-zero-products"]
         assert np.signbit(x[0]).all() and not np.signbit(x[1]).all()
         assert x.sum(axis=-1)[0] == 0.0 and not np.signbit(x.sum(axis=-1)[0])
 
@@ -489,47 +417,16 @@ class TestRowHelpers:
             assert geodesic_distance(a, b) == math.atan2(s, max(-1.0, min(1.0, c)))
 
 
-def _reference_check_rotations(ms: np.ndarray) -> None:
-    """The stacked rotation check as NumPy expressions on the whole stack."""
-    errs = np.abs(np.swapaxes(ms, 1, 2) @ ms - np.eye(3)).max(axis=(1, 2))
-    for err, det in zip(errs.tolist(), np.linalg.det(ms).tolist()):
-        if err > ORTHONORMALITY_TOL:
-            raise ValueError(f"matrix is not orthonormal (max residual {err:.3e})")
-        if abs(det - 1.0) > ORTHONORMALITY_TOL:
-            raise ValueError(f"matrix determinant {det:.17g} is not +1")
-
-
-def _check_outcome(check, ms) -> str | None:
-    try:
-        check(ms)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 class TestRotationCheckParity:
     """_check_rotations screens entries on Python floats; it passes and raises
     on the same stacks as the NumPy expressions, naming the same entry with the
     same message bytes."""
 
     @staticmethod
-    def near_tolerance(seed: int) -> np.ndarray:
-        """Rotations stretched by a symmetric I + S (residual ~2 max|S|) or scaled
-        by 1 + c (residual ~2c, det ~1 + 3c), with both around the 1e-9 gate."""
-        rng = Seed(seed).rng()
-        rots = random_rotation_matrices(Seed(seed), 48)
-        sym = rng.uniform(-1.0, 1.0, (48, 3, 3))
-        sym = (sym + np.swapaxes(sym, 1, 2)) / 2.0
-        sym /= np.abs(sym).max(axis=(1, 2), keepdims=True)
-        size = ORTHONORMALITY_TOL * rng.uniform(0.1, 0.7, 48)[:, None, None]
-        stretched = rots @ (np.eye(3) + size * sym)
-        scaled = rots * (1.0 + size * np.where(rng.random((48, 1, 1)) < 0.5, 1.0, -1.0))
-        return np.concatenate([stretched, scaled])
-
-    def assert_same(self, ms):
-        want = _check_outcome(_reference_check_rotations, ms)
-        assert _check_outcome(_check_rotations, ms) == want
-        return want
+    def assert_same(ms):
+        """The message of what both raise, or None."""
+        got = assert_same(_check_rotations, check_rotations, ms)
+        return got[1] if got else None
 
     def test_the_rotation_tests_cases(self):
         good = random_rotation(Seed(64)).m
@@ -542,7 +439,7 @@ class TestRotationCheckParity:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_stacks_near_the_tolerance(self, seed):
-        ms = self.near_tolerance(seed)
+        ms = near_rotations(seed)
         outcomes = [self.assert_same(ms[k:k + 1]) for k in range(len(ms))]
         assert None in outcomes and any(o and "orthonormal" in o for o in outcomes)
         assert any(o and "determinant" in o for o in outcomes)

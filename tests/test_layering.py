@@ -47,6 +47,25 @@ def test_no_upward_imports(module):
     assert imported & FORBIDDEN[module] == set()
 
 
+# The fast paths tests/reference.py gates, and the fast entry points built on them:
+# a reference form that used one would compare it with itself.
+GATED = {"_row_sums", "_row_norms", "_cross_rows", "_normalized_rows", "_tangent_basis", "_check_rotations",
+         "_rotations", "_det3", "_svd_rotation", "_kabsch_stack", "_quat_to_matrix", "_streams", "_seed_words",
+         "_world_frames", "_tilt_rays", "_ramp", "_pair_grads", "_polar_h_cotangent", "_h_cotangents",
+         "_kabsch_backward", "_rigid_backward", "_frame_forward", "_mean", "median", "_score_solved",
+         "summarize_records", "sample_poses", "ablation_sweep", "run_trial", "pipeline_loss", "pipeline_loss_grad"}
+
+
+def test_reference_forms_import_no_fast_path():
+    """tests/reference.py imports no gated fast path, and no grr module to reach one through."""
+    tree = ast.parse((pathlib.Path(__file__).parent / "reference.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = {a.asname or a.name for n in imports for a in n.names}
+    assert {"recover_pose", "perturb_representations"} <= names  # the public per-frame forms it builds on
+    assert not any(a.name.split(".")[0] == "grr" for n in imports if isinstance(n, ast.Import) for a in n.names)
+    assert names & (GATED | set(grr._EXPORTS)) == set()
+
+
 # -- lazy loading: `import grr` and each command load only what they run --
 
 HEAVY = {"grr.solver", "grr.metrics", "grr.simulator", "grr.losses", "grr.solver_grad"}

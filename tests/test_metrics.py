@@ -18,6 +18,7 @@ from grr import (
 )
 from grr.metrics import _score_degenerate, _score_solved
 from grr.solver import DegenerateConfiguration
+from reference import bits, median as np_median, trans_err, translation_errors
 
 
 class TestMedian:
@@ -35,14 +36,9 @@ class TestMedian:
 
     @staticmethod
     def assert_matches_np_median(values):
-        with np.errstate(over="ignore", invalid="ignore"):  # 1.7e308 + 1e308, inf + -inf
-            want = np.median(np.array(values, dtype=np.float64))
-        got = median(values)
+        got, want = median(values), np_median(values)
         assert type(got) is float
-        if math.isnan(want):
-            assert math.isnan(got), values
-        else:
-            assert np.float64(got).tobytes() == want.tobytes(), values  # -0.0 against +0.0 too
+        assert bits(got) == bits(want) or math.isnan(got) and math.isnan(want), values  # -0.0 against +0.0 too
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_np_median_bit_for_bit(self, seed):
@@ -201,6 +197,18 @@ class TestScoreSolved:
         gt = Pose(r, np.array([1.0, -2.0, 0.5]))
         rec = self.score(Pose(r, gt.t + scale * np.array([3.0, 4.0, 12.0])), gt)
         assert rec.trans_err == pytest.approx(13.0 * scale, rel=1e-15)
+
+    @pytest.mark.parametrize("case", sorted(translation_errors(0)))
+    def test_trans_err_keeps_each_side_of_the_switch(self, case):
+        """Below 1e150 per axis trans_err is np.linalg.norm's bits, past it math.hypot's;
+        the two differ on some of these vectors, so the switch cannot move unseen."""
+        r, differ = random_rotation(Seed(3)), 0
+        for est, gt in translation_errors(0)[case]:
+            rec = self.score(Pose(r, est), Pose(r, gt))
+            assert bits(rec.trans_err) == bits(trans_err(est, gt))
+            with np.errstate(over="ignore"):  # past ~1e154 the squares overflow
+                differ += math.hypot(*(est - gt)) != math.sqrt((est - gt).dot(est - gt))
+        assert differ >= 50
 
     def test_unrepresentable_trans_err_is_inf(self):
         r = random_rotation(Seed(3))

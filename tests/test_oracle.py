@@ -27,6 +27,7 @@ from grr import (
     rigid_align_vjp,
 )
 from grr.solver import _svd_rotation
+from reference import COLLINEAR, REGIMES, unit_rows, wahba_covariances, wahba_problem
 
 EPS = np.finfo(np.float64).eps
 # The quaternion map and the geodesic metric read <= 1.1e-15 against scipy.
@@ -39,10 +40,6 @@ SOLVE_UNITS = 64
 def solve_tol(diag) -> float:
     s1, s2, _ = diag.singular_values
     return SOLVE_UNITS * EPS * s1 / s2
-
-
-def unit_rows(a: np.ndarray) -> np.ndarray:
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
 class TestQuaternionMap:
@@ -72,41 +69,6 @@ class TestGeodesicDistance:
             ref = (SciRotation.from_matrix(a).inv() * SciRotation.from_matrix(b)).magnitude()
             assert abs(ours - ref) <= MAP_TOL
             assert abs(ours - angle) <= MAP_TOL
-
-
-REGIMES = ["generic", "m3", "zero_weights", "planar_mirrored", "offset_1e3", "near_pi",
-           "offset_huge"]
-
-
-def wahba_problem(rng, regime: str):
-    """(source, target, weights): noisy rotated copies of a random point set."""
-    m = 3 if regime == "m3" else int(rng.integers(4, 300))
-    r = random_rotation_matrices(Seed(int(rng.integers(2**63))), 1)[0]
-    if regime == "near_pi":
-        # A half turn, or within 1e-12..1e-3 rad of one, about a random axis.
-        gap = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-12, -3)
-        r = Rotation.from_axis_angle(rng.normal(size=3), math.pi - gap).m
-    w = rng.uniform(0.1, 2.0, m)
-    if regime == "zero_weights":
-        w[3:][rng.random(m - 3) < 0.5] = 0.0
-    src = rng.normal(size=(m, 3))
-    if regime == "planar_mirrored":
-        # A thin slab mirrored through its plane: the best orthogonal map is
-        # a reflection, so the determinant correction must fire.
-        src[:, 2] *= 1e-3
-        tgt = (src * np.array([1.0, 1.0, -1.0])) @ r.T + 1e-5 * rng.normal(size=(m, 3))
-    else:
-        tgt = src @ r.T + 0.05 * rng.normal(size=(m, 3))
-    if regime in ("offset_1e3", "offset_huge"):
-        src += 1e3 * rng.normal(size=3)
-        tgt += 1e3 * rng.normal(size=3)
-    if regime == "offset_huge":
-        # Offset sets scaled by up to 1e150. The products in H overflow near
-        # 1e154, long before centring can (~1e306); past that edge the solvers
-        # raise ValueError (test_solver's TestFailureParity).
-        scale = 10.0 ** rng.uniform(100.0, 150.0)
-        src, tgt = scale * src, scale * tgt
-    return src, tgt, w
 
 
 class TestWahbaSolvers:
@@ -145,21 +107,15 @@ class TestStackedCore:
     as its own stack of one is (which is what the public solvers run) and
     matches align_vectors to the bound above."""
 
-    LINE = np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 0.25])  # rank one: collinear
-
     @staticmethod
     def mixed_stack():
         rng = Seed(10).rng()
         hs, refs = [], []
         for _ in range(20):
             for regime in REGIMES:
-                src, tgt, w = wahba_problem(rng, regime)
-                s_unit, t_unit = unit_rows(src), unit_rows(tgt)
-                hs.append((w[:, np.newaxis] * t_unit).T @ s_unit)
-                refs.append(SciRotation.align_vectors(t_unit, s_unit, weights=w)[0].as_matrix())
-                s_c, t_c = src - (w @ src) / w.sum(), tgt - (w @ tgt) / w.sum()
-                hs.append((w[:, np.newaxis] * t_c).T @ s_c)
-                refs.append(SciRotation.align_vectors(t_c, s_c, weights=w)[0].as_matrix())
+                for h, tgt, src, w in wahba_covariances(rng, regime):
+                    hs.append(h)
+                    refs.append(SciRotation.align_vectors(tgt, src, weights=w)[0].as_matrix())
         order = rng.permutation(len(hs))
         return np.stack(hs)[order], [refs[i] for i in order]
 
@@ -180,9 +136,9 @@ class TestStackedCore:
         hs, _ = self.mixed_stack()
         pos = {"first": 0, "middle": len(hs) // 2, "last": len(hs)}[where]
         with pytest.raises(DegenerateConfiguration) as want:
-            _svd_rotation(self.LINE[np.newaxis])
+            _svd_rotation(COLLINEAR[np.newaxis])
         with pytest.raises(DegenerateConfiguration) as got:
-            _svd_rotation(np.insert(hs, pos, self.LINE, axis=0))
+            _svd_rotation(np.insert(hs, pos, COLLINEAR, axis=0))
         assert str(got.value) == str(want.value)
         assert got.value.branch is None
 
@@ -192,8 +148,8 @@ class TestStackedCore:
         reported before a later degenerate one."""
         hs, _ = self.mixed_stack()
         overflow = np.full((3, 3), bad)
-        for first, second, kind in ((self.LINE, overflow, DegenerateConfiguration),
-                                    (overflow, self.LINE, ValueError)):
+        for first, second, kind in ((COLLINEAR, overflow, DegenerateConfiguration),
+                                    (overflow, COLLINEAR, ValueError)):
             with pytest.raises(kind):
                 _svd_rotation(np.concatenate((hs[:5], [first], hs[5:9], [second], hs[9:])))
 

@@ -18,7 +18,6 @@ from grr import (
     Pose,
     PosePerturbSpec,
     RayBundle,
-    Rotation,
     Seed,
     TrialReport,
     ablation_sweep,
@@ -30,12 +29,11 @@ from grr import (
     run_trial,
     sample_poses,
     summarize_records,
-    world_points,
-    world_rays,
     write_report_csv,
     write_sweep_csv,
 )
-from grr.metrics import _score_degenerate, _score_solved
+from reference import (bits, kabsch, outcome, perturb, posed_frame, sample_poses as reference_sample_poses, sweep,
+                       switch_rows)
 
 
 def spec(ray=0.0, pt=0.0, bias=(0.0, 0.0, 0.0), mode="iid_gaussian", seed=0):
@@ -145,75 +143,20 @@ class TestPerturbRepresentations:
             perturb_representations(rays, PointMap(pts.pts[:-1]), spec())
 
 
-def reference_perturb(rays, pts, noise):
-    """perturb_representations as first written: np.cross, np.linalg.norm,
-    list-literal helper axes and an explicit all-ones scale."""
-    m = len(rays)
-    rng = noise.seed.rng()
-    phi = rng.uniform(0.0, 2.0 * math.pi, m)
-    theta = np.abs(rng.standard_normal(m)) * noise.ray_sigma
-    offsets = rng.standard_normal((m, 3)) * noise.point_sigma
-    if noise.mode == "per_patch_scaled" and m > 1:
-        scale = 0.5 + np.arange(m) / (m - 1)
-    else:
-        scale = np.ones(m)
-    theta = theta * scale
-    offsets = offsets * scale[:, np.newaxis]
-    d = rays.dirs
-    helper = np.where(np.abs(d[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-    u = np.cross(d, helper)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(d, u)
-    axis = np.cos(phi)[:, np.newaxis] * u + np.sin(phi)[:, np.newaxis] * v
-    ct = np.cos(theta)[:, np.newaxis]
-    st = np.sin(theta)[:, np.newaxis]
-    return d * ct + np.cross(axis, d) * st, pts.pts + offsets + noise.point_bias
-
-
-def reference_kabsch(src, tgt, normalize):
-    """Unit-weight Kabsch with the sign taken from two separate det calls."""
-    if normalize:
-        src = src / np.linalg.norm(src, axis=1, keepdims=True)
-        tgt = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
-    w = np.ones(src.shape[0])
-    u, s, vt = np.linalg.svd((w[:, np.newaxis] * tgt).T @ src)
-    sign = 1.0 if float(np.linalg.det(u) * np.linalg.det(vt)) > 0.0 else -1.0
-    r = (u * np.array([1.0, 1.0, -1.0])) @ vt if sign < 0.0 else u @ vt
-    return r, (float(s[0]), float(s[1]), float(s[2])), sign < 0.0, float(s[0] / s[2])
-
-
 class TestReferenceParity:
     """The lean per-frame path gives the same bits as the reference forms."""
 
     @staticmethod
-    def frame(grid, k, mirror=False):
-        rays = canonical_rays(grid)
-        pts = canonical_points(rays)
-        pose = Pose(random_rotation(Seed(700 + k)), Seed(700 + k).rng(1).normal(size=3))
-        wr = RayBundle(rays.dirs @ pose.r.m.T)
-        cam = pts.pts * np.array([1.0, 1.0, -1.0]) if mirror else pts.pts
-        wp = PointMap(cam @ pose.r.m.T + pose.t)
-        return rays, pts, wr, wp
-
-    @staticmethod
     def check_recovery(rays, pts, d_pred, p_pred):
+        """recover_pose against the reference Kabsch solve of each branch, the
+        points centred on their unit-weight centroids."""
         rec = recover_pose(rays, pts, d_pred, p_pred)
-        r_rays, s_rays, refl_rays, cond_rays = reference_kabsch(rays.dirs, d_pred.dirs, True)
+        r_rays, diag_rays = kabsch(rays.dirs, d_pred.dirs, True)
         w = np.ones(len(pts))
-        c_src = (w @ pts.pts) / float(w.sum())
-        c_tgt = (w @ p_pred.pts) / float(w.sum())
-        r_pts, s_pts, refl_pts, cond_pts = reference_kabsch(
-            pts.pts - c_src, p_pred.pts - c_tgt, False
-        )
-        assert rec.pose.r.m.tobytes() == r_rays.tobytes()
-        assert rec.rotation_from_points.m.tobytes() == r_pts.tobytes()
-        assert rec.pose.t.tobytes() == (c_tgt - r_pts @ c_src).tobytes()
-        assert rec.ray_diagnostics.singular_values == s_rays
-        assert rec.point_diagnostics.singular_values == s_pts
-        assert rec.ray_diagnostics.reflection_corrected == refl_rays
-        assert rec.point_diagnostics.reflection_corrected == refl_pts
-        assert rec.ray_diagnostics.condition == cond_rays
-        assert rec.point_diagnostics.condition == cond_pts
+        c_src, c_tgt = (w @ pts.pts) / float(w.sum()), (w @ p_pred.pts) / float(w.sum())
+        r_pts, diag_pts = kabsch(pts.pts - c_src, p_pred.pts - c_tgt, False)
+        assert bits((rec.pose.r, rec.rotation_from_points, rec.pose.t, rec.ray_diagnostics, rec.point_diagnostics)) \
+            == bits((r_rays, r_pts, c_tgt - r_pts @ c_src, diag_rays, diag_pts))
         return rec
 
     @pytest.mark.parametrize("mode", ["iid_gaussian", "per_patch_scaled"])
@@ -221,32 +164,29 @@ class TestReferenceParity:
     def test_perturb_and_recover_bitwise(self, grid4, mode, bias):
         both_sides = set()
         for k in range(12):
-            rays, pts, wr, wp = self.frame(grid4, k)
+            _, rays, pts, wr, wp = posed_frame(grid4, 700 + k)
             both_sides |= set(np.abs(wr.dirs[:, 2]) < 0.9)
             noise = spec(ray=0.02, pt=0.01, bias=bias, mode=mode, seed=k)
             d_pred, p_pred = perturb_representations(wr, wp, noise)
-            d_ref, p_ref = reference_perturb(wr, wp, noise)
+            d_ref, p_ref = perturb(wr, wp, noise)
             assert d_pred.dirs.tobytes() == d_ref.tobytes()
             assert p_pred.pts.tobytes() == p_ref.tobytes()
             self.check_recovery(rays, pts, d_pred, p_pred)
         assert both_sides == {True, False}  # both helper axes were used
 
     def test_tilt_on_both_sides_of_the_helper_switch(self):
-        z = np.array([1.0, 0.95, 0.9, 0.8999999999999999, 0.5, 0.0])
-        z = np.concatenate([z, -z])
-        rows = np.stack([np.zeros_like(z), np.sqrt(1.0 - z * z), z], axis=1)
-        rays = RayBundle(np.concatenate([rows, rows[:, [2, 0, 1]], rows[:, [1, 2, 0]]]))
+        rays = RayBundle(switch_rows())
         pts = PointMap(rays.dirs)
         for mode in ("iid_gaussian", "per_patch_scaled"):
             noise = spec(ray=0.03, pt=0.01, bias=(0.0, -0.0, 0.5), mode=mode, seed=9)
             d_pred, p_pred = perturb_representations(rays, pts, noise)
-            d_ref, p_ref = reference_perturb(rays, pts, noise)
+            d_ref, p_ref = perturb(rays, pts, noise)
             assert d_pred.dirs.tobytes() == d_ref.tobytes()
             assert p_pred.pts.tobytes() == p_ref.tobytes()
 
     def test_reflection_corrected_point_set(self, grid4):
         for k in range(4):
-            rays, pts, wr, wp = self.frame(grid4, k, mirror=True)
+            _, rays, pts, wr, wp = posed_frame(grid4, 700 + k, mirror=True)
             d_pred, p_pred = perturb_representations(wr, wp, spec(ray=0.01, pt=0.01, seed=k))
             rec = self.check_recovery(rays, pts, d_pred, p_pred)
             assert rec.point_diagnostics.reflection_corrected
@@ -323,20 +263,6 @@ class TestSamplePoses:
                 assert np.array_equal(pose.r.m, base[k // count].r.m)
                 assert np.array_equal(pose.t, base[k // count].t)
 
-    @staticmethod
-    def reference_sample_poses(base, spec):
-        """sample_poses as first written: three draws per sample and a checked Rotation for each step."""
-        rng = spec.seed.rng()
-        out = []
-        for pose in base:
-            for _ in range(spec.count):
-                offset = spec.sigma_t * rng.standard_normal(3)
-                axis = rng.standard_normal(3)
-                axis /= np.linalg.norm(axis)
-                angle = abs(spec.sigma_r * rng.standard_normal())
-                out.append(Pose(pose.r @ Rotation.from_axis_angle(axis, angle), pose.t + offset))
-        return out
-
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("sigma_t, sigma_r", [(0.05, 0.01), (0.0, 0.3), (2.0, 3.0), (1e-9, 0.0)])
     def test_stacked_draws_match_per_sample_loop(self, count, sigma_t, sigma_r):
@@ -344,38 +270,22 @@ class TestSamplePoses:
                 for i in range(7)]
         for seed in (0, 5, 2**64 - 1):
             s = PosePerturbSpec(sigma_t, sigma_r, count, Seed(seed))
-            got, want = sample_poses(base, s), self.reference_sample_poses(base, s)
-            assert len(got) == len(want) == 7 * count
-            for g, w in zip(got, want):
-                assert g.r.m.tobytes() == w.r.m.tobytes()
-                assert g.t.tobytes() == w.t.tobytes()
-                assert not g.r.m.flags.writeable and not g.t.flags.writeable
+            got = sample_poses(base, s)
+            assert len(got) == 7 * count
+            assert bits(got) == bits(reference_sample_poses(base, s))
+            assert all(not g.r.m.flags.writeable and not g.t.flags.writeable for g in got)
 
     @pytest.mark.parametrize("sigma_t, sigma_r", [(1e308, 0.0), (0.0, 1e308), (1e308, 1e308)])
     def test_overflow_names_the_first_failing_sample(self, sigma_t, sigma_r):
         """A draw past the float range raises the per-sample loop's error for
         the first failing sample in base-major order, with the sample named."""
-        base = self.base_poses()
-        failed = 0
+        base, failed = self.base_poses(), 0
         for seed in range(6):
             s = PosePerturbSpec(sigma_t, sigma_r, 20, Seed(seed))
-            rng, want = s.seed.rng(), None
             with np.errstate(over="ignore"):
-                for k in range(len(base) * s.count):
-                    offset, axis, z = sigma_t * rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal()
-                    ref = base[k // s.count]
-                    try:
-                        Pose(ref.r @ Rotation.from_axis_angle(axis, abs(sigma_r * z)), ref.t + offset)
-                    except ValueError as exc:
-                        want = f"perturb sample {k}: {exc}"
-                        break
-                if want is None:
-                    assert len(sample_poses(base, s)) == len(base) * s.count
-                    continue
-                with pytest.raises(ValueError) as info:
-                    sample_poses(base, s)
-            assert str(info.value) == want
-            failed += 1
+                got = outcome(sample_poses, base, s)
+                assert got == outcome(reference_sample_poses, base, s)
+            failed += got[0] is ValueError and got[1].startswith("perturb sample ")
         assert failed >= 3
 
     def test_no_base_poses(self):
@@ -493,35 +403,6 @@ class TestRunTrial:
         assert meds[2] > meds[0]
 
 
-def spec_major_sweep(grid, poses, specs):
-    """ablation_sweep as first written: one trial per spec, each rebuilding
-    every pose's ground-truth bundles."""
-    rays_cam = canonical_rays(grid)
-    pts_cam = canonical_points(rays_cam)
-    reports = []
-    for noise in specs:
-        records = []
-        for idx, pose in enumerate(poses):
-            d_gt, p_gt = world_rays(pose, rays_cam), world_points(pose, pts_cam)
-            d_pred, p_pred = perturb_representations(d_gt, p_gt, noise, seed=noise.seed.derive(idx))
-            try:
-                rec = recover_pose(rays_cam, pts_cam, d_pred, p_pred)
-            except DegenerateConfiguration as exc:
-                records.append(_score_degenerate(idx, exc))
-                continue
-            records.append(_score_solved(idx, rec, pose))
-        reports.append(summarize_records(records))
-    return reports
-
-
-def report_bits(rep):
-    """A TrialReport as exact bytes: NaN-safe, and -0.0 differs from 0.0."""
-    floats = [v for r in rep.records for v in (r.rot_err_rays_deg, r.rot_err_points_deg, r.trans_err)]
-    medians = [rep.median_rot_err_rays_deg, rep.median_rot_err_points_deg, rep.median_trans_err]
-    return (np.array(floats + medians).tobytes(), [(r.frame, r.status) for r in rep.records],
-            rep.failure_count)
-
-
 class TestSweepParity:
     """The pose-major sweep gives the spec-major loop's reports bit for bit."""
 
@@ -541,20 +422,17 @@ class TestSweepParity:
     def test_matches_spec_major_loop(self, grid4, count):
         poses = self.poses(count)
         got = ablation_sweep(grid4, poses, self.SPECS)
-        want = spec_major_sweep(grid4, poses, self.SPECS)
-        assert len(got) == len(want) == len(self.SPECS)
-        assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
+        assert len(got) == len(self.SPECS)
+        assert bits(got) == bits(sweep(grid4, poses, self.SPECS))
         for k, noise in enumerate(self.SPECS):
-            assert report_bits(run_trial(grid4, poses, noise)) == report_bits(got[k])
+            assert bits(run_trial(grid4, poses, noise)) == bits(got[k])
 
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
     def test_chunk_edges_match_per_frame_reference(self, grid4, n):
         """Ground-truth frames are built 16 poses at a time; sizes around that edge."""
         poses = self.poses(12)[:n]
         assert len(poses) == n
-        got = ablation_sweep(grid4, poses, self.SPECS)
-        want = spec_major_sweep(grid4, poses, self.SPECS)
-        assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
+        assert bits(ablation_sweep(grid4, poses, self.SPECS)) == bits(sweep(grid4, poses, self.SPECS))
 
     def test_empty_inputs(self, grid4):
         assert ablation_sweep(grid4, self.poses(1), []) == []
@@ -606,7 +484,7 @@ class TestSweepParity:
         assert math.isnan(reports[2].records[1].trans_err)
         monkeypatch.undo()
         clean = ablation_sweep(grid4, poses, self.SPECS)
-        assert [report_bits(r) for r in reports[:2]] == [report_bits(r) for r in clean[:2]]
+        assert bits(reports[:2]) == bits(clean[:2])
         for k in (0, 2):
             assert reports[2].records[k] == clean[2].records[k]
 

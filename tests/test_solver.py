@@ -18,7 +18,6 @@ from grr import (
     Rotation,
     Seed,
     VjpRequest,
-    canonical_points,
     canonical_rays,
     geodesic_distance,
     kabsch_rotation,
@@ -30,11 +29,11 @@ from grr import (
     recover_pose,
     rigid_align,
     rigid_align_vjp,
-    world_points,
     world_rays,
 )
-from grr.geometry import _check_rotations, _rotations
-from grr.solver import DEGENERACY_RTOL, SolveDiagnostics, _svd_rotation
+from grr.geometry import _rotations
+from grr.solver import _svd_rotation
+from reference import assert_same, bits, covariance_stacks, posed_frame, raised, svd_rotation
 
 
 def alignment_cost(problem: AlignmentProblem, r: np.ndarray) -> float:
@@ -248,14 +247,8 @@ class TestRigidAlign:
 
 
 class TestRecoverPose:
-    def exact_frame(self, grid, seed: int):
-        pose = Pose(random_rotation(Seed(seed)), Seed(seed).rng(1).normal(size=3))
-        rays = canonical_rays(grid)
-        pts = canonical_points(rays)
-        return pose, rays, pts, world_rays(pose, rays), world_points(pose, pts)
-
     def test_exact_inversion_single_frame(self, grid16):
-        pose, rays, pts, wr, wp = self.exact_frame(grid16, 30)
+        pose, rays, pts, wr, wp = posed_frame(grid16, 30)
         rec = recover_pose(rays, pts, wr, wp)
         assert geodesic_distance(rec.pose.r, pose.r) < math.radians(1e-7)
         assert np.linalg.norm(rec.pose.t - pose.t) < 1e-9
@@ -263,7 +256,7 @@ class TestRecoverPose:
         assert geodesic_distance(rec.rotation_from_points, pose.r) < math.radians(1e-6)
 
     def test_point_offset_moves_translation_only(self, grid16):
-        pose, rays, pts, wr, wp = self.exact_frame(grid16, 31)
+        pose, rays, pts, wr, wp = posed_frame(grid16, 31)
         delta = np.array([0.25, -1.5, 0.75])
         base = recover_pose(rays, pts, wr, wp)
         moved = recover_pose(rays, pts, wr, PointMap(wp.pts + delta))
@@ -271,7 +264,7 @@ class TestRecoverPose:
         np.testing.assert_allclose(moved.pose.t - base.pose.t, delta, atol=1e-12)
 
     def test_ray_corruption_leaves_translation_alone(self, grid16):
-        pose, rays, pts, wr, wp = self.exact_frame(grid16, 32)
+        pose, rays, pts, wr, wp = posed_frame(grid16, 32)
         spun = world_rays(
             Pose(Rotation.from_axis_angle([0, 1, 0], 0.2) @ pose.r, np.zeros(3)), rays
         )
@@ -281,7 +274,7 @@ class TestRecoverPose:
         assert geodesic_distance(base.pose.r, moved.pose.r) > 0.1
 
     def test_conjugation_equivariance(self, grid16):
-        pose, rays, pts, wr, wp = self.exact_frame(grid16, 33)
+        pose, rays, pts, wr, wp = posed_frame(grid16, 33)
         q = random_rotation(Seed(34))
         wr2 = RayBundle(wr.dirs @ q.m.T)
         wp2 = PointMap(wp.pts @ q.m.T)
@@ -290,7 +283,7 @@ class TestRecoverPose:
         np.testing.assert_allclose(rec.pose.t, q.m @ pose.t, atol=1e-9)
 
     def test_degeneracy_reports_branch(self, grid16):
-        pose, rays, pts, wr, wp = self.exact_frame(grid16, 35)
+        pose, rays, pts, wr, wp = posed_frame(grid16, 35)
         z = np.tile(np.array([0.0, 0.0, 1.0]), (len(rays), 1))
         with pytest.raises(DegenerateConfiguration) as exc_info:
             recover_pose(rays, pts, RayBundle(z), wp)
@@ -301,18 +294,10 @@ class TestRecoverPose:
         assert exc_info.value.branch == "points"
 
     def test_length_mismatch_rejected(self, grid16, grid4):
-        _, rays16, pts16, wr16, wp16 = self.exact_frame(grid16, 36)
+        _, rays16, pts16, wr16, wp16 = posed_frame(grid16, 36)
         rays4 = canonical_rays(grid4)
         with pytest.raises(ValueError, match="length"):
             recover_pose(rays4, pts16, wr16, wp16)
-
-
-def _raised(fn, *args):
-    """(type, message, branch) of what fn(*args) raises."""
-    with pytest.raises(Exception) as exc_info:
-        fn(*args)
-    exc = exc_info.value
-    return type(exc), str(exc), getattr(exc, "branch", None)
 
 
 def _collinear_message(prefix: str, h: np.ndarray) -> str:
@@ -327,27 +312,17 @@ class TestFailureParity:
     from the definitions, not read back from the code under test."""
 
     @staticmethod
-    def frame(grid, seed=60):
-        pose = Pose(random_rotation(Seed(seed)), Seed(seed).rng(1).normal(size=3))
-        rays = canonical_rays(grid)
-        pts = canonical_points(rays)
-        return rays, pts, world_rays(pose, rays), world_points(pose, pts)
-
-    @staticmethod
-    def training_raised(rays, pts, rays_pred, pts_pred):
-        """What pipeline_loss and pipeline_loss_grad raise on the same frame
-        recover_pose gets, wrapped as training inputs."""
-        fi = FrameInputs(rays.dirs, pts.pts, rays_pred.dirs, pts_pred.pts, Pose.identity(),
-                         NeighborSet.grid(math.isqrt(len(rays))), LossWeights(), 2)
-        return _raised(pipeline_loss, fi), _raised(pipeline_loss_grad, fi)
+    def frame(grid):
+        return posed_frame(grid, 60)[1:]
 
     @staticmethod
     def training_raised_on(rays_cam, pts_cam, rays_pred, pts_pred):
-        """The same on raw arrays, which the value types may reject. Every case
-        fails before the pair terms, so one neighbor pair serves any length."""
+        """What pipeline_loss and pipeline_loss_grad raise on the frame's arrays,
+        which the value types may reject. Every case fails before the pair
+        terms, so one neighbor pair serves any length."""
         fi = FrameInputs(rays_cam, pts_cam, rays_pred, pts_pred, Pose.identity(),
                          NeighborSet(len(rays_cam), [(0, 1)]), LossWeights(), 2)
-        return _raised(pipeline_loss, fi), _raised(pipeline_loss_grad, fi)
+        return raised(pipeline_loss, fi), raised(pipeline_loss_grad, fi)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rays(self, grid4, bad):
@@ -355,31 +330,31 @@ class TestFailureParity:
         d = wr.dirs.copy()
         d[3, 1] = bad
         nonfinite = (ValueError, "dirs contains non-finite entries", None)
-        assert _raised(RayBundle, d) == nonfinite
+        assert raised(RayBundle, d) == nonfinite
         with np.errstate(invalid="ignore"):  # inf / inf while normalizing
-            assert _raised(RayBundle.from_array, d) == nonfinite
-        assert _raised(AlignmentProblem, rays.dirs, d) == (
+            assert raised(RayBundle.from_array, d) == nonfinite
+        assert raised(AlignmentProblem, rays.dirs, d) == (
             ValueError, "correspondences contain non-finite entries", None)
 
     def test_zero_norm_ray_row(self, grid4):
         rays, _, wr, _ = self.frame(grid4)
         d = wr.dirs.copy()
         d[2] = 0.0
-        assert _raised(RayBundle.from_array, d) == (
+        assert raised(RayBundle.from_array, d) == (
             ValueError, "cannot normalize near-zero ray rows", None)
-        assert _raised(RayBundle, d) == (
+        assert raised(RayBundle, d) == (
             ValueError, f"ray norms deviate from 1 by up to {1.0:.3e}", None)
-        assert _raised(kabsch_rotation, AlignmentProblem(rays.dirs, d)) == (
+        assert raised(kabsch_rotation, AlignmentProblem(rays.dirs, d)) == (
             ValueError, "cannot normalize near-zero target rows", None)
-        assert _raised(kabsch_rotation, AlignmentProblem(d, rays.dirs)) == (
+        assert raised(kabsch_rotation, AlignmentProblem(d, rays.dirs)) == (
             ValueError, "cannot normalize near-zero source rows", None)
 
     def test_two_correspondences(self, grid4):
         rays, pts, wr, wp = self.frame(grid4)
         few = (ValueError, "need at least 3 correspondences", None)
-        assert _raised(AlignmentProblem, rays.dirs[:2], wr.dirs[:2]) == few
-        assert _raised(recover_pose, RayBundle(rays.dirs[:2]), PointMap(pts.pts[:2]),
-                       RayBundle(wr.dirs[:2]), PointMap(wp.pts[:2])) == few
+        assert raised(AlignmentProblem, rays.dirs[:2], wr.dirs[:2]) == few
+        assert raised(recover_pose, RayBundle(rays.dirs[:2]), PointMap(pts.pts[:2]),
+                      RayBundle(wr.dirs[:2]), PointMap(wp.pts[:2])) == few
 
     def test_points_that_overflow_when_centered(self, grid4):
         rays, pts, wr, _ = self.frame(grid4)
@@ -388,8 +363,8 @@ class TestFailureParity:
         huge[1:, 0] = -1.7e308
         overflow = (ValueError, "correspondences contain non-finite entries", None)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _raised(rigid_align, AlignmentProblem(pts.pts, huge)) == overflow
-            assert _raised(recover_pose, rays, pts, wr, PointMap(huge)) == overflow
+            assert raised(rigid_align, AlignmentProblem(pts.pts, huge)) == overflow
+            assert raised(recover_pose, rays, pts, wr, PointMap(huge)) == overflow
 
     def test_cross_covariance_that_overflows(self, grid4):
         """Rows near 1e155 overflow the products in H (centring stays finite)."""
@@ -398,10 +373,10 @@ class TestFailureParity:
         problem = AlignmentProblem(src, src + 1.0)
         overflow = (ValueError, "cross-covariance overflows: correspondences too large", None)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _raised(rigid_align, problem) == overflow
-            assert _raised(kabsch_rotation, problem, False) == overflow
-            assert _raised(rigid_align_vjp, VjpRequest(problem, np.eye(3), np.ones(3))) == overflow
-            assert _raised(recover_pose, rays, PointMap(src), wr, PointMap(src + 1.0)) == overflow
+            assert raised(rigid_align, problem) == overflow
+            assert raised(kabsch_rotation, problem, False) == overflow
+            assert raised(rigid_align_vjp, VjpRequest(problem, np.eye(3), np.ones(3))) == overflow
+            assert raised(recover_pose, rays, PointMap(src), wr, PointMap(src + 1.0)) == overflow
             assert self.training_raised_on(rays.dirs, src, wr.dirs, src + 1.0) == (overflow,) * 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -412,7 +387,7 @@ class TestFailureParity:
         ray_want = (ValueError, "rays_pred contains non-finite entries", None)
         assert self.training_raised_on(rays.dirs, pts.pts, d, wp.pts) == (ray_want,) * 2
         pt_want = (ValueError, "pts contains non-finite entries", None)
-        assert _raised(PointMap, p) == pt_want
+        assert raised(PointMap, p) == pt_want
         assert self.training_raised_on(rays.dirs, pts.pts, wr.dirs, p) == (pt_want,) * 2
 
     def test_training_rejects_a_zero_norm_ray_row(self, grid4):
@@ -420,7 +395,7 @@ class TestFailureParity:
         d = wr.dirs.copy()
         d[2] = 0.0
         want = (ValueError, "cannot normalize near-zero target rows", None)
-        assert _raised(kabsch_rotation, AlignmentProblem(rays.dirs, d)) == want
+        assert raised(kabsch_rotation, AlignmentProblem(rays.dirs, d)) == want
         assert self.training_raised_on(rays.dirs, pts.pts, d, wp.pts) == (want,) * 2
 
     def test_rows_whose_norms_overflow(self, grid4):
@@ -432,9 +407,9 @@ class TestFailureParity:
             return ValueError, f"cannot normalize {what} rows: their norms overflow", None
 
         with np.errstate(over="ignore"):
-            assert _raised(kabsch_rotation, AlignmentProblem(huge, huge + 1.0)) == want("source")
-            assert _raised(kabsch_rotation, AlignmentProblem(rays.dirs, huge)) == want("target")
-            assert _raised(RayBundle.from_array, huge) == want("ray")
+            assert raised(kabsch_rotation, AlignmentProblem(huge, huge + 1.0)) == want("source")
+            assert raised(kabsch_rotation, AlignmentProblem(rays.dirs, huge)) == want("target")
+            assert raised(RayBundle.from_array, huge) == want("ray")
             assert self.training_raised_on(rays.dirs, pts.pts, huge, wp.pts) == (
                 want("target"),) * 2
 
@@ -459,7 +434,7 @@ class TestFailureParity:
         doubled = 2.0 * rays.dirs
         dev = float(np.abs(np.linalg.norm(doubled, axis=1) - 1.0).max())
         want = (ValueError, f"ray norms deviate from 1 by up to {dev:.3e}", None)
-        assert _raised(RayBundle, doubled) == want
+        assert raised(RayBundle, doubled) == want
         assert self.training_raised_on(doubled, pts.pts, wr.dirs, wp.pts) == (want,) * 2
 
     def test_collinear_rays_report_the_ray_branch(self, grid4):
@@ -467,8 +442,8 @@ class TestFailureParity:
         z = np.tile(np.array([0.0, 0.6, 0.8]), (len(rays), 1))
         src = rays.dirs / np.linalg.norm(rays.dirs, axis=1, keepdims=True)
         want = (DegenerateConfiguration, _collinear_message("ray branch: ", z.T @ src), "rays")
-        assert _raised(recover_pose, rays, pts, RayBundle(z), wp) == want
-        assert self.training_raised(rays, pts, RayBundle(z), wp) == (want, want)
+        assert raised(recover_pose, rays, pts, RayBundle(z), wp) == want
+        assert self.training_raised_on(rays.dirs, pts.pts, z, wp.pts) == (want, want)
 
     def test_collinear_points_report_the_point_branch(self, grid4):
         rays, pts, wr, _ = self.frame(grid4)
@@ -476,8 +451,8 @@ class TestFailureParity:
         w = np.ones(len(pts))
         h = (line - (w @ line) / w.sum()).T @ (pts.pts - (w @ pts.pts) / w.sum())
         want = (DegenerateConfiguration, _collinear_message("point branch: ", h), "points")
-        assert _raised(recover_pose, rays, pts, wr, PointMap(line)) == want
-        assert self.training_raised(rays, pts, wr, PointMap(line)) == (want, want)
+        assert raised(recover_pose, rays, pts, wr, PointMap(line)) == want
+        assert self.training_raised_on(rays.dirs, pts.pts, wr.dirs, line) == (want, want)
 
     @pytest.mark.parametrize("overflow", ["centring", "cross-covariance"])
     def test_collinear_rays_come_before_points_that_overflow(self, grid4, overflow):
@@ -495,17 +470,17 @@ class TestFailureParity:
         src = rays.dirs / np.linalg.norm(rays.dirs, axis=1, keepdims=True)
         want = (DegenerateConfiguration, _collinear_message("ray branch: ", z.T @ src), "rays")
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _raised(recover_pose, rays, PointMap(pts_cam), RayBundle(z),
-                           PointMap(pts_pred)) == want
+            assert raised(recover_pose, rays, PointMap(pts_cam), RayBundle(z),
+                          PointMap(pts_pred)) == want
             assert self.training_raised_on(rays.dirs, pts_cam, z, pts_pred) == (want, want)
 
     def test_non_orthonormal_rotation(self):
         m = np.eye(3) + 1e-3
         err = float(np.abs(m.T @ m - np.eye(3)).max())
-        assert _raised(Rotation, m) == (
+        assert raised(Rotation, m) == (
             ValueError, f"matrix is not orthonormal (max residual {err:.3e})", None)
         flip = np.diag([1.0, 1.0, -1.0])
-        assert _raised(Rotation, flip) == (
+        assert raised(Rotation, flip) == (
             ValueError, f"matrix determinant {np.linalg.det(flip):.17g} is not +1", None)
 
     def test_stacked_rotation_check_names_the_first_failing_entry(self):
@@ -514,7 +489,7 @@ class TestFailureParity:
         good = random_rotation(Seed(64)).m
         skew, flip = np.eye(3) + 1e-3, np.diag([1.0, 1.0, -1.0])
         for stack, first in (([good, skew, flip], skew), ([good, flip, skew], flip)):
-            assert _raised(_rotations, np.array(stack)) == _raised(Rotation, first)
+            assert raised(_rotations, np.array(stack)) == raised(Rotation, first)
         rots = _rotations(np.array([good, good.T]))
         assert [r.m.tobytes() for r in rots] == [good.tobytes(), good.T.tobytes()]
         assert not rots[0].m.flags.writeable
@@ -527,23 +502,17 @@ class TestCachedPathParity:
 
     @staticmethod
     def noisy_frame(grid, seed):
-        rays = canonical_rays(grid)
-        pts = canonical_points(rays)
-        pose = Pose(random_rotation(Seed(seed)), Seed(seed).rng(1).normal(size=3))
+        _, rays, pts, wr, wp = posed_frame(grid, seed)
         noise = NoiseSpec(0.01, 0.02, np.array([0.1, 0.0, -0.05]), "iid_gaussian", Seed(seed))
-        pred = perturb_representations(world_rays(pose, rays), world_points(pose, pts), noise)
-        return (rays, pts) + pred
+        return (rays, pts) + perturb_representations(wr, wp, noise)
 
     @staticmethod
     def assert_parity(rays, pts, rays_pred, pts_pred):
         rec = recover_pose(rays, pts, rays_pred, pts_pred)
         r, r_diag = kabsch_rotation(AlignmentProblem(rays.dirs, rays_pred.dirs))
         pose, p_diag = rigid_align(AlignmentProblem(pts.pts, pts_pred.pts))
-        assert rec.pose.r.m.tobytes() == r.m.tobytes()
-        assert rec.pose.t.tobytes() == pose.t.tobytes()
-        assert rec.rotation_from_points.m.tobytes() == pose.r.m.tobytes()
-        assert rec.ray_diagnostics == r_diag
-        assert rec.point_diagnostics == p_diag
+        assert bits((rec.pose, rec.rotation_from_points, rec.ray_diagnostics, rec.point_diagnostics)) \
+            == bits((Pose(r, pose.t), pose.r, r_diag, p_diag))
         return rec
 
     def test_unweighted(self, grid16):
@@ -563,45 +532,18 @@ class TestCachedPathParity:
     def test_degenerate_ray_frame(self, grid16):
         rays, pts, _, pp = self.noisy_frame(grid16, 78)
         z = RayBundle(np.tile(np.array([0.0, 0.6, 0.8]), (len(rays), 1)))
-        kind, msg, _ = _raised(kabsch_rotation, AlignmentProblem(rays.dirs, z.dirs))
+        kind, msg, _ = raised(kabsch_rotation, AlignmentProblem(rays.dirs, z.dirs))
         assert kind is DegenerateConfiguration
-        assert _raised(recover_pose, rays, pts, z, pp) == (
+        assert raised(recover_pose, rays, pts, z, pp) == (
             DegenerateConfiguration, f"ray branch: {msg}", "rays")
 
     def test_degenerate_point_frame(self, grid16):
         rays, pts, rp, _ = self.noisy_frame(grid16, 79)
         line = PointMap(np.outer(np.linspace(-1.0, 2.0, len(pts)), np.array([0.3, -0.4, 0.5])))
-        kind, msg, _ = _raised(rigid_align, AlignmentProblem(pts.pts, line.pts))
+        kind, msg, _ = raised(rigid_align, AlignmentProblem(pts.pts, line.pts))
         assert kind is DegenerateConfiguration
-        assert _raised(recover_pose, rays, pts, rp, line) == (
+        assert raised(recover_pose, rays, pts, rp, line) == (
             DegenerateConfiguration, f"point branch: {msg}", "points")
-
-
-def _reference_svd_rotation(hs, branches=None):
-    """The stacked solve's tail as numpy's det and a diag(1, 1, sign) product
-    on every entry: (rotation stack, diagnostics, s, sign), or it raises."""
-    finite = np.isfinite(hs).all(axis=(1, 2)).tolist()
-    u, s, vt = np.linalg.svd(hs if all(finite) else np.where(np.array(finite)[:, None, None], hs, np.eye(3)))
-    n, svals = len(hs), s.tolist()
-    dets = np.linalg.det(np.concatenate((u, vt))).tolist()
-    flip = np.array([[(1.0, 1.0, 1.0 if du * dv > 0.0 else -1.0)]
-                     for du, dv in zip(dets[:n], dets[n:])])
-    r = (u * flip) @ vt
-    for i, (s0, s1, s2) in enumerate(svals):
-        if finite[i] and not (s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
-            continue
-        _check_rotations(r[:i])
-        if not finite[i]:
-            raise ValueError("cross-covariance overflows: correspondences too large")
-        branch = branches[i] if branches else None
-        raise DegenerateConfiguration(
-            f"{branch[:-1] + ' branch: ' if branch else ''}correspondences are collinear to "
-            f"working precision (singular values {s0:.3e}, {s1:.3e}, {s2:.3e})", branch)
-    sign = flip[:, 0, 2]
-    diags = [SolveDiagnostics((s0, s1, s2), sg < 0.0, s0 / s2 if s2 > 0.0 else math.inf)
-             for (s0, s1, s2), sg in zip(svals, sign.tolist())]
-    _check_rotations(r)
-    return r, diags, s, sign
 
 
 class TestSvdTailParity:
@@ -610,41 +552,13 @@ class TestSvdTailParity:
     singular values and diagnostics are bitwise those of numpy's det and the
     full product, and it raises the same on the same entry."""
 
-    @staticmethod
-    def stacks(seed: int) -> list[np.ndarray]:
-        """Seeded (F, 3, 3) stacks: Gaussian entries (about half reflected),
-        the same with signed zeros and exact +-1 patterns, rank-2 entries and
-        mirrored near-planar covariances."""
-        rng = Seed(seed).rng()
-        g = rng.standard_normal((12, 3, 3))
-        special = np.array([0.0, -0.0, 1.0, -1.0])[rng.integers(0, 4, size=(12, 3, 3))]
-        zeros = np.where(rng.random((12, 3, 3)) < 0.3, -0.0, g)
-        rank2 = g.copy()
-        rank2[:, :, 2] = 0.0
-        planar = g * np.array([1.0, 1.0, 1e-7])
-        mirrored = planar * np.array([[1.0], [-1.0], [1.0]])
-        return [g, special + np.diag([3.0, 2.0, -1.0]), zeros, rank2, mirrored, g[:1], g[:2]]
-
-    @staticmethod
-    def assert_same(hs, branches=None):
-        try:
-            want = _reference_svd_rotation(hs, branches)
-        except (ValueError, DegenerateConfiguration):
-            assert _raised(_svd_rotation, hs, branches) == _raised(_reference_svd_rotation, hs, branches)
-            return None
-        rots, diags, factors = _svd_rotation(hs, branches)
-        r, want_diags, s, sign = want
-        assert np.array([rot.m for rot in rots]).tobytes() == r.tobytes()
-        assert repr(diags) == repr(want_diags)  # repr tells -0.0 from 0.0
-        assert factors.s.tobytes() == s.tobytes()
-        assert factors.sign.shape == sign.shape and factors.sign.tobytes() == sign.tobytes()
-        return sign
-
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_stacks(self, seed):
-        signs = [self.assert_same(hs) for hs in self.stacks(seed)]
-        flipped = np.concatenate([sg for sg in signs if sg is not None])
-        assert (flipped < 0.0).any() and (flipped > 0.0).any()  # both branches of the product ran
+        stacks = covariance_stacks(seed)
+        for hs in stacks.values():
+            assert_same(_svd_rotation, svd_rotation, hs)
+        signs = np.concatenate([_svd_rotation(hs)[2].sign for name, hs in stacks.items() if name != "collinear last"])
+        assert (signs < 0.0).any() and (signs > 0.0).any()  # both branches of the product ran
 
     @pytest.mark.parametrize("seed", range(3))
     def test_raising_entries(self, seed):
@@ -655,5 +569,5 @@ class TestSvdTailParity:
                         np.zeros((3, 3))):
                 hs = g.copy()
                 hs[k] = bad
-                self.assert_same(hs)
-                self.assert_same(hs, ("rays", "points", "rays", "points"))
+                assert_same(_svd_rotation, svd_rotation, hs)
+                assert_same(_svd_rotation, svd_rotation, hs, ("rays", "points", "rays", "points"))
