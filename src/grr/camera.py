@@ -22,16 +22,19 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _read_only, _row_norms, _tangent_basis
+from .geometry import (Pose, UNIT_TOL, _cached, _freeze, _normalized_rows, _read_only, _row_norms, _tangent_basis,
+                       _trusted)
 
 __all__ = _EXPORTS["camera"]
 
 
-def _check_integer(obj, name: str) -> None:
-    """Reject a field that is not an int or NumPy integer (bool included), naming it."""
+def _check_kind(obj, name: str, real: bool = False) -> None:
+    """Reject a field that is not an int or NumPy integer (with real, or a float or NumPy
+    float), or is a bool, naming it."""
     value = getattr(obj, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {'a real number' if real else 'an integer'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,13 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            _check_kind(self, name, real=True)
         for name in ("fx", "fy"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        _check_integer(self, "width")
-        _check_integer(self, "height")
+        _check_kind(self, "width")
+        _check_kind(self, "height")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
@@ -69,7 +74,7 @@ class PatchGrid:
     n: int
 
     def __post_init__(self):
-        _check_integer(self, "n")
+        _check_kind(self, "n")
         if self.n < 1:
             raise ValueError("grid side n must be >= 1")
         if self.n > min(self.intrinsics.width, self.intrinsics.height):
@@ -112,12 +117,12 @@ class RayBundle:
         _freeze(self, "dirs", d)
         object.__setattr__(self, "norms", _read_only(norms))
 
-    @functools.cached_property
+    @_cached
     def unit(self) -> np.ndarray:
         """dirs / norms, the unit rows the ray solve aligns."""
         return _read_only(self.dirs / self.norms)
 
-    @functools.cached_property
+    @_cached
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """(u, v): per-row unit tangents orthogonal to dirs, the frame the noise tilts in."""
         return tuple(_read_only(t) for t in _tangent_basis(self.dirs))
@@ -140,7 +145,7 @@ class RayBundle:
 class PointMap:
     """Row-stack of 3D points, one per patch, row-major order.
 
-    `centroid` and `centred` are computed once, like RayBundle.unit.
+    `centroid`, `centred` and whether centring stayed finite are computed once, like RayBundle.unit.
     """
 
     pts: np.ndarray
@@ -156,15 +161,20 @@ class PointMap:
     def __len__(self) -> int:
         return self.pts.shape[0]
 
-    @functools.cached_property
+    @_cached
     def centroid(self) -> np.ndarray:
         """(1 @ pts) / m: the rigid solve's centroid under uniform weights."""
         return _read_only((np.ones(len(self)) @ self.pts) / len(self))
 
-    @functools.cached_property
+    @_cached
     def centred(self) -> np.ndarray:
         """pts - centroid."""
         return _read_only(self.pts - self.centroid)
+
+    @_cached
+    def _centred_finite(self) -> bool:
+        """Whether centred is finite: centring can overflow."""
+        return bool(np.isfinite(self.centred).all())
 
 
 def _pixel_rays(intr: Intrinsics) -> np.ndarray:
@@ -222,20 +232,15 @@ def world_points(pose: Pose, pts: PointMap) -> PointMap:
 def _world_frames(poses: Sequence[Pose], rays: RayBundle, pts: PointMap) -> list[tuple[RayBundle, PointMap]]:
     """[(world_rays(p, rays), world_points(p, pts)) for p in poses] bit for bit, tangents filled, as
     views of stacks built and checked at once; a failing stack is rebuilt pose by pose to raise."""
-    r_t = np.swapaxes(np.array([pose.r.m for pose in poses]), 1, 2)
+    r_t = np.array([pose.r.m for pose in poses]).transpose(0, 2, 1)
     d = rays.dirs @ r_t
     p = pts.pts @ r_t + np.array([pose.t for pose in poses])[:, np.newaxis]
     norms = _row_norms(d, keepdims=True)
     if not (np.isfinite(d).all() and np.isfinite(p).all()
             and np.abs(norms - 1.0).max(initial=0.0) <= UNIT_TOL):
         return [(world_rays(pose, rays), world_points(pose, pts)) for pose in poses]
-    frames = []
-    for dk, nk, uk, vk, pk in zip(*map(_read_only, (d, norms, *_tangent_basis(d), p))):
-        ray_bundle, point_map = object.__new__(RayBundle), object.__new__(PointMap)
-        ray_bundle.__dict__.update(dirs=dk, norms=nk, tangents=(uk, vk))
-        point_map.__dict__["pts"] = pk
-        frames.append((ray_bundle, point_map))
-    return frames
+    return [(_trusted(RayBundle, dirs=dk, norms=nk, tangents=(uk, vk)), _trusted(PointMap, pts=pk))
+            for dk, nk, uk, vk, pk in zip(*map(_read_only, (d, norms, *_tangent_basis(d), p)))]
 
 
 _XYZ_HEADER = "i,x,y,z"

@@ -37,7 +37,10 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     NumPy adds the three columns in order onto its identity +0.0; the trailing
     + 0.0 is that identity, which only turns an all -0.0 row's sum into +0.0.
     """
-    return (x[..., 0] + x[..., 1]) + x[..., 2] + 0.0
+    sums = x[..., 0] + x[..., 1]
+    sums += x[..., 2]
+    sums += 0.0
+    return sums
 
 
 def _mean(x: np.ndarray) -> np.float64:
@@ -47,7 +50,8 @@ def _mean(x: np.ndarray) -> np.float64:
 
 def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """np.linalg.norm(x, axis=-1, keepdims=keepdims) bit for bit, without its dispatch."""
-    norms = np.sqrt(_row_sums(x * x))
+    norms = _row_sums(x * x)
+    np.sqrt(norms, out=norms)
     return norms[..., np.newaxis] if keepdims else norms
 
 
@@ -111,7 +115,7 @@ def _check_rotations(ms: np.ndarray) -> None:
             break
     else:
         return
-    errs = np.abs(np.swapaxes(ms, 1, 2) @ ms - _EYE3).max(axis=(1, 2))
+    errs = np.abs(ms.transpose(0, 2, 1) @ ms - _EYE3).max(axis=(1, 2))
     for err, det in zip(errs.tolist(), np.linalg.det(ms).tolist()):
         if err > ORTHONORMALITY_TOL:
             raise ValueError(f"matrix is not orthonormal (max residual {err:.3e})")
@@ -126,6 +130,34 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _freeze(obj, field: str, arr: np.ndarray) -> None:
     object.__setattr__(obj, field, _read_only(arr.copy()))
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls over values already checked, without __post_init__.
+
+    Array values are made read-only in place, not copied: pass a fresh array or a view the
+    caller never writes through. Names that are not fields (a _cached value) are filled too."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+class _cached:
+    """functools.cached_property without the lock Python 3.10 and 3.11 take on every first
+    access (grr runs single-threaded): the value computed on first access is stored in the
+    instance __dict__, which later lookups find before this non-data descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -186,10 +218,7 @@ def _axis_angle_matrix(axis, angle: float) -> np.ndarray:
 def _rotations(ms: np.ndarray) -> list[Rotation]:
     """Rotations viewing an (F, 3, 3) stack, which becomes read-only, under one stacked check."""
     _check_rotations(ms)
-    rots = [object.__new__(Rotation) for _ in ms]
-    for rot, m in zip(rots, _read_only(ms)):
-        object.__setattr__(rot, "m", m)
-    return rots
+    return [_trusted(Rotation, m=m) for m in _read_only(ms)]
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation, _mean, _read_only, _row_norms, _row_sums, geodesic_distance
+from .geometry import Pose, Rotation, _cached, _mean, _read_only, _row_norms, _row_sums, geodesic_distance
 
 __all__ = _EXPORTS["losses"]
 
@@ -97,13 +96,13 @@ class NeighborSet:
     def __len__(self) -> int:
         return self.pairs.shape[0]
 
-    @cached_property
+    @_cached
     def _scatter_index(self) -> np.ndarray:
         """Read-only flat bins (part * n_items + item) * 3 + column of a
-        (2, n_items, 3) array, for (2, 2k, 3) rows that list, in each part,
-        every pair's i, then every pair's j. Cached once from the frozen
-        pairs; not a field, so equality and repr are unchanged."""
-        bins = (self.pairs.T.reshape(-1, 1) * 3 + np.arange(3)).ravel()
+        (2, n_items, 3) array, for (2, 3, 2k) columns that list, in each part
+        and column, every pair's i, then every pair's j. Cached once from the
+        frozen pairs; not a field, so equality and repr are unchanged."""
+        bins = (self.pairs.T.reshape(1, -1) * 3 + np.arange(3)[:, np.newaxis]).ravel()
         return _read_only(np.concatenate([bins, bins + 3 * self.n_items]))
 
     @classmethod
@@ -148,8 +147,8 @@ def _check_p(p: int) -> int:
 
 def _vec_pnorm(v: np.ndarray, p: int) -> float:
     if p == 1:
-        return float(np.abs(v).sum())
-    return float(np.linalg.norm(v))
+        return float(np.add.reduce(np.abs(v)))  # ndarray.sum's reduction
+    return math.sqrt(v.dot(v))  # np.linalg.norm's 1-D path
 
 
 def _row_pnorms(a: np.ndarray, p: int) -> np.ndarray:
@@ -201,7 +200,7 @@ def _geometry_terms(d_hat, d_gt, p_hat, p_gt, weights: LossWeights, p: int):
     cos_dev = 1.0 - _row_sums(d_hat * d_gt)
     resid = p_hat - p_gt
     point_norms = _row_pnorms(resid, p)
-    cos_term = float(_mean(np.clip(cos_dev, 0.0, 2.0)))
+    cos_term = float(_mean(cos_dev.clip(0.0, 2.0)))
     point_term = float(_mean(point_norms))
     return weights.w_geo_r * cos_term + weights.w_geo_p * point_term, cos_dev, resid, point_norms
 
@@ -246,17 +245,19 @@ def _pair_terms(d_hat, p_hat, d_cam, p_gt, neighbors: NeighborSet, weights: Loss
         raise ValueError(
             f"neighbor set is over {neighbors.n_items} items, bundles have {d_hat.shape[0]}"
         )
-    # Rows i and j of each array in one gather, as contiguous halves: a[0] is
-    # a[i], a[1] is a[j]. Row-wise products on strided (k, 2, 3) halves cost
-    # one loop call per pair.
-    d_ij, p_ij, g_ij = (np.take(a, neighbors.pairs.T, axis=0) for a in (d_hat, p_hat, p_gt))
+    # Rows i and j of the three arrays in one gather, as contiguous halves:
+    # rows[a, 0] is array a at every pair's i, rows[a, 1] at its j. Row-wise
+    # products on strided (k, 2, 3) halves cost one loop call per pair.
+    rows = np.array((d_hat, p_hat, p_gt)).take(neighbors.pairs.T, axis=1)
     if cam_dots is None:
-        c_ij = np.take(d_cam, neighbors.pairs.T, axis=0)
+        c_ij = d_cam.take(neighbors.pairs.T, axis=0)
         cam_dots = _row_sums(c_ij[0] * c_ij[1])
+    d_ij = rows[0]
     ray_dev = _row_sums(d_ij[0] * d_ij[1]) - cam_dots
-    delta = p_ij[0] - p_ij[1]
-    dist_hat = _row_norms(delta)
-    dist_dev = dist_hat - _row_norms(g_ij[0] - g_ij[1])
+    deltas = rows[1:, 0] - rows[1:, 1]  # predicted, then ground-truth, p_i - p_j
+    dists = _row_norms(deltas)
+    delta, dist_hat = deltas[0], dists[0]
+    dist_dev = dist_hat - dists[1]
     per_pair = weights.w_reg_r * _scalar_pow(ray_dev, p) + weights.w_reg_p * _scalar_pow(
         dist_dev, p
     )
@@ -267,16 +268,18 @@ def _pair_grads(neighbors: NeighborSet, coef, d_ij, pull, delta) -> np.ndarray:
     """(2, m, 3) pair-term gradients w.r.t. the rays, then the points.
 
     Pair (i, j) adds coef * d_j to ray i and coef * d_i to ray j, pull * delta
-    to point i and its negation to point j. One np.bincount over the neighbor
-    set's flat bins sums the repeated rows, each bin in pair order, i sides first.
+    to point i and its negation to point j (coef and pull are (k,)). One
+    np.bincount over the neighbor set's flat bins sums the repeated rows, each
+    bin in pair order, i sides first. The terms are laid out column by column,
+    so each product runs along the k pairs, not along 3-wide rows.
     """
     k = len(neighbors)
-    rows = np.empty((2, 2 * k, 3))
-    np.multiply(coef, d_ij[1], out=rows[0, :k])
-    np.multiply(coef, d_ij[0], out=rows[0, k:])
-    np.multiply(pull, delta, out=rows[1, :k])
-    np.negative(rows[1, :k], out=rows[1, k:])
-    summed = np.bincount(neighbors._scatter_index, weights=rows.ravel(),
+    cols = np.empty((2, 3, 2 * k))
+    np.multiply(coef, d_ij[1].T, out=cols[0, :, :k])
+    np.multiply(coef, d_ij[0].T, out=cols[0, :, k:])
+    np.multiply(pull, delta.T, out=cols[1, :, :k])
+    np.negative(cols[1, :, :k], out=cols[1, :, k:])
+    summed = np.bincount(neighbors._scatter_index, weights=cols.ravel(),
                          minlength=6 * neighbors.n_items)
     return summed.reshape(2, -1, 3)
 

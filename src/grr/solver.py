@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import _EYE3, Pose, Rotation, _check_rotations, _det3, _normalized_rows, _rotations
+from .geometry import _EYE3, Pose, Rotation, _check_rotations, _det3, _normalized_rows, _rotations, _trusted
 
 __all__ = _EXPORTS["solver"]
 
@@ -131,7 +131,7 @@ def _svd_rotation(hs: np.ndarray, branches: tuple[str, ...] | None = None):
     array call each). U and V^T are orthogonal (det +-1), so cofactor
     determinants give each the sign numpy's det gives; only the sign is used.
     """
-    finite = np.isfinite(hs).all(axis=(1, 2)).tolist()  # rows past ~1e154 overflow the products
+    finite = np.logical_and.reduce(np.isfinite(hs), axis=(1, 2)).tolist()  # rows past ~1e154 overflow H
     u, s, vt = np.linalg.svd(hs if all(finite) else np.where(np.array(finite)[:, None, None], hs, _EYE3))
     svals = s.tolist()
     signs = [1.0 if _det3(du) * _det3(dv) > 0.0 else -1.0 for du, dv in zip(u.tolist(), vt.tolist())]
@@ -162,7 +162,10 @@ def _kabsch_stack(rows, branches=None) -> tuple[list[_KabschSolve], _Factors]:
 
 
 def _rigid_pose(kabsch: _KabschSolve, c_src, c_tgt, wsum: float) -> _RigidSolve:
-    return _RigidSolve(Pose(kabsch.rotation, c_tgt - kabsch.rotation.m @ c_src), kabsch, c_src, wsum)
+    t = c_tgt - kabsch.rotation.m @ c_src  # a fresh (3,) array, checked as Pose checks it
+    if not all(map(math.isfinite, t.tolist())):
+        raise ValueError("translation contains non-finite entries")
+    return _RigidSolve(_trusted(Pose, r=kabsch.rotation, t=t), kabsch, c_src, wsum)
 
 
 def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> tuple[_KabschSolve, _Factors]:
@@ -196,7 +199,7 @@ def _solve_frame(rays_cam: RayBundle, pts_cam: PointMap, pred_unit: np.ndarray, 
         raise ValueError("need at least 3 correspondences")
     rays = (rays_cam.unit, pred_unit, None, rays_cam.norms, pred_norms)
     pts = (pts_cam.centred, pts_pred.centred, None, None, None)
-    if not (np.isfinite(pts[0]).all() and np.isfinite(pts[1]).all()):  # centring can overflow
+    if not (pts_cam._centred_finite and pts_pred._centred_finite):
         _kabsch_stack([rays], ("rays",))  # the ray branch's checks come first
         raise ValueError("correspondences contain non-finite entries")
     (rays, pts), svd = _kabsch_stack([rays, pts], ("rays", "points"))
@@ -257,10 +260,8 @@ def recover_pose(
         raise ValueError("canonical and predicted pointmaps differ in length")
     # The value types checked shapes, finiteness and unit ray norms.
     rays, pts, _ = _solve_frame(rays_cam, pts_cam, rays_pred.unit, rays_pred.norms, pts_pred)
-    pose = object.__new__(Pose)  # _rigid_pose checked and froze t, and _rotations the rotation
-    pose.__dict__.update(r=rays.rotation, t=pts.pose.t)
     return PoseRecovery(
-        pose=pose,
+        pose=_trusted(Pose, r=rays.rotation, t=pts.pose.t),  # each checked by _rigid_pose or _rotations
         rotation_from_points=pts.pose.r,
         ray_diagnostics=rays.diag,
         point_diagnostics=pts.kabsch.diag,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import Intrinsics, PatchGrid, PointMap, RayBundle, canonical_points, canonical_rays
-from .geometry import (Pose, Seed, _normalized_rows, _read_only, _row_sums, _tangent_basis,
+from .geometry import (Pose, Seed, _normalized_rows, _read_only, _row_sums, _tangent_basis, _trusted,
                        geodesic_distance, random_rotation)
 from .losses import (
     LossWeights,
@@ -94,17 +94,17 @@ class VjpRequest:
 def _cotangent(value, name: str) -> np.ndarray:
     shape, kind = ((3, 3), "3x3 array") if name == "rotation_grad" else ((3,), "3-vector")
     g = np.asarray(value, dtype=np.float64)
-    if g.shape != shape or not np.isfinite(g).all():
+    if g.shape != shape or not all(map(math.isfinite, g.ravel().tolist())):
         raise ValueError(f"{name} must be a finite {kind}")
     return g
 
 
 @dataclass(frozen=True)
 class VjpResult:
-    """Gradients with respect to the problem rows (source None when not asked for)."""
+    """Gradients with respect to the problem rows."""
 
     target: np.ndarray
-    source: np.ndarray | None
+    source: np.ndarray
 
 
 def _polar_h_cotangent(k: np.ndarray, s: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -121,14 +121,14 @@ def _polar_h_cotangent(k: np.ndarray, s: np.ndarray, sign: np.ndarray) -> np.nda
                 f"{NEAR_SINGULAR_TOL:g} (singular values {s0:.3e}, {s1:.3e}, {s2:.3e}); "
                 "gradient unreliable near degenerate or reflective configurations")
         p01, p02, p12 = (k01 - k10) / den01, (k02 - d * k20) / den02, (k12 - d * k21) / den12
-        out.append(((0.0, p01, p02), (-p01, 0.0, p12), (-d * p02, -d * p12, 0.0)))
-    return np.array(out)
+        out += (0.0, p01, p02, -p01, 0.0, p12, -d * p02, -d * p12, 0.0)
+    return np.array(out).reshape(-1, 3, 3)
 
 
 def _h_cotangents(svd: _Factors, rotation_grads: np.ndarray) -> np.ndarray:
     """Hbar = U Pbar V^T for each entry of a stacked solve, from its dL/dR stack."""
     u, s, vt, sign = svd
-    k = np.swapaxes(u, 1, 2) @ rotation_grads @ np.swapaxes(vt, 1, 2)
+    k = u.transpose(0, 2, 1) @ rotation_grads @ vt.transpose(0, 2, 1)
     return u @ _polar_h_cotangent(k, s, sign) @ vt
 
 
@@ -140,25 +140,30 @@ def _side_grad(rows, norms, other, w, hbar) -> np.ndarray:
     return (grad - _row_sums(grad * rows)[:, np.newaxis] * rows) / norms
 
 
-def _kabsch_backward(fwd: _KabschSolve, hbar: np.ndarray, source: bool = True) -> VjpResult:
-    """Row gradients of one solve from its Hbar; source=False leaves the
-    source side None, for constant sources."""
-    return VjpResult(
-        target=_side_grad(fwd.tgt, fwd.tgt_norms, fwd.src, fwd.w, hbar),
-        source=_side_grad(fwd.src, fwd.src_norms, fwd.tgt, fwd.w, hbar.T) if source else None,
-    )
+def _kabsch_backward(fwd: _KabschSolve, hbar: np.ndarray) -> VjpResult:
+    """Row gradients of one solve from its Hbar."""
+    return VjpResult(target=_side_grad(fwd.tgt, fwd.tgt_norms, fwd.src, fwd.w, hbar),
+                     source=_side_grad(fwd.src, fwd.src_norms, fwd.tgt, fwd.w, hbar.T))
 
 
-def _rigid_backward(fwd: _RigidSolve, hbar, g_t, source: bool = True) -> VjpResult:
-    """The centred solve's row gradients, from the Hbar of its dL/dR less
-    g_t c_src^T (t = c_tgt - R c_src), plus each row's share w_i / sum(w) of
-    the translation cotangent g_t through the centroids."""
-    grads = _kabsch_backward(fwd.kabsch, hbar, source)
-    share = (1.0 if fwd.kabsch.w is None else fwd.kabsch.w[:, np.newaxis]) / fwd.wsum
-    return VjpResult(
-        target=grads.target + share * g_t,
-        source=grads.source - share * (fwd.pose.r.m.T @ g_t) if source else None,
-    )
+def _centroid_share(fwd: _RigidSolve):
+    """Each row's share w_i / sum(w) of a cotangent through the centroids."""
+    return (1.0 if fwd.kabsch.w is None else fwd.kabsch.w[:, np.newaxis]) / fwd.wsum
+
+
+def _rigid_target(fwd: _RigidSolve, hbar, g_t) -> np.ndarray:
+    """The centred solve's target-row gradient, from the Hbar of its dL/dR less
+    g_t c_src^T (t = c_tgt - R c_src), plus each row's share of the
+    translation cotangent g_t through the target centroid."""
+    k = fwd.kabsch
+    return _side_grad(k.tgt, k.tgt_norms, k.src, k.w, hbar) + _centroid_share(fwd) * g_t
+
+
+def _rigid_backward(fwd: _RigidSolve, hbar, g_t) -> VjpResult:
+    """_rigid_target and the source-row gradient, less each row's share of R^T g_t."""
+    target, k = _rigid_target(fwd, hbar, g_t), fwd.kabsch
+    source = _side_grad(k.src, k.src_norms, k.tgt, k.w, hbar.T) - _centroid_share(fwd) * (fwd.pose.r.m.T @ g_t)
+    return VjpResult(target, source)
 
 
 def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
@@ -186,7 +191,7 @@ def rigid_align_vjp(req: VjpRequest) -> VjpResult:
     """
     fwd, svd = _rigid_solve(req.problem)
     g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
-    g_rot = req.rotation_grad - np.outer(g_t, fwd.c_src)
+    g_rot = req.rotation_grad - g_t[:, np.newaxis] * fwd.c_src  # np.outer's products
     return _rigid_backward(fwd, _h_cotangents(svd, g_rot[np.newaxis])[0], g_t)
 
 
@@ -251,21 +256,25 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     global _memo
     if not np.isfinite(fi.rays_pred).all():  # a NaN row would pass the near-zero check
         raise ValueError("rays_pred contains non-finite entries")
-    frozen = not any(a.flags.writeable or a.base is not None for a in (fi.rays_cam, fi.pts_cam))
+    rays_cam, pts_cam = fi.rays_cam, fi.pts_cam
+    frozen = not (rays_cam.flags.writeable or pts_cam.flags.writeable) and rays_cam.base is pts_cam.base is None
     canon = _memo
-    if not (frozen and canon[0] is fi.rays_cam and canon[1] is fi.pts_cam):
-        canon = [fi.rays_cam, fi.pts_cam, RayBundle(fi.rays_cam), PointMap(fi.pts_cam), (None, None)]
+    if not (frozen and canon[0] is rays_cam and canon[1] is pts_cam):
+        canon = [rays_cam, pts_cam, RayBundle(rays_cam), PointMap(pts_cam), (None, None)]
         _memo = canon if frozen else _memo
-    rays, pts, svd = _solve_frame(canon[2], canon[3],
-                                  *_normalized_rows(fi.rays_pred, "target"), PointMap(fi.pts_pred))
-    d_gt = fi.rays_cam @ fi.gt.r.m.T
-    p_gt = fi.pts_cam @ fi.gt.r.m.T + fi.gt.t
+    unit, norms = _normalized_rows(fi.rays_pred, "target")
+    if not np.isfinite(fi.pts_pred).all():  # PointMap's check; the view below never leaves the frame
+        raise ValueError("pts contains non-finite entries")
+    rays, pts, svd = _solve_frame(canon[2], canon[3], unit, norms, _trusted(PointMap, pts=fi.pts_pred.view()))
+    r_t = fi.gt.r.m.T
+    d_gt = rays_cam @ r_t
+    p_gt = pts_cam @ r_t + fi.gt.t
     w, p = fi.weights, _check_p(fi.p)
     dist = geodesic_distance(rays.rotation, fi.gt.r)
     t_resid = pts.pose.t - fi.gt.t
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
     known, dots = canon[4]  # read once: the set and its dots stay one pair
-    pairs = _pair_terms(fi.rays_pred, fi.pts_pred, fi.rays_cam, p_gt, fi.neighbors, w, p,
+    pairs = _pair_terms(fi.rays_pred, fi.pts_pred, rays_cam, p_gt, fi.neighbors, w, p,
                         dots if known is fi.neighbors else None)
     canon[4] = fi.neighbors, _read_only(pairs.cam_dots)
     terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
@@ -317,7 +326,7 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
         trans_dir = np.sign(f.t_resid)
     else:
         rot_grad = -w.w_pose_r * _d_over_sin(f.dist) * fi.gt.r.m
-        nrm = float(np.linalg.norm(f.t_resid))
+        nrm = math.sqrt(f.t_resid.dot(f.t_resid))  # np.linalg.norm's 1-D path
         if nrm < 1e-12:
             raise NearSingularJacobian("translation residual too small for an L2 gradient")
         trans_dir = f.t_resid / nrm
@@ -331,9 +340,10 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
     except ValueError:
         _polar_h_cotangent(np.zeros((1, 3, 3)), f.svd.s[:1], f.svd.sign[:1])  # the ray's check
         raise
-    hbar = _h_cotangents(f.svd, np.array((g_rays, np.zeros((3, 3)) - np.outer(g_t, f.pts.c_src))))
-    grad_rays = _kabsch_backward(f.rays, hbar[0], source=False).target
-    grad_pts = _rigid_backward(f.pts, hbar[1], g_t, source=False).target
+    hbar = _h_cotangents(f.svd, np.array((g_rays, 0.0 - g_t[:, np.newaxis] * f.pts.c_src)))
+    rays = f.rays
+    grad_rays = _side_grad(rays.tgt, rays.tgt_norms, rays.src, rays.w, hbar[0])
+    grad_pts = _rigid_target(f.pts, hbar[1], g_t)
 
     # Geometry term, direct paths. The cosine clip only binds at round-off.
     _, cos_dev, point_resid, point_norms = f.geo
@@ -350,10 +360,10 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
     # Pairwise term: pair (i, j) adds to rows i and j of both gradients.
     pr = f.pairs
     k_pairs = len(fi.neighbors)
-    coef = ((w.w_reg_r / k_pairs) * _dpow(pr.ray_dev, p))[:, np.newaxis]
+    coef = (w.w_reg_r / k_pairs) * _dpow(pr.ray_dev, p)
     if (pr.dist_hat < 1e-12).any():
         raise NearSingularJacobian("coincident neighbor points; pair distance gradient undefined")
-    pull = ((w.w_reg_p / k_pairs) * _dpow(pr.dist_dev, p) / pr.dist_hat)[:, np.newaxis]
+    pull = (w.w_reg_p / k_pairs) * _dpow(pr.dist_dev, p) / pr.dist_hat
     pair_rays, pair_pts = _pair_grads(fi.neighbors, coef, pr.d_ij, pull, pr.delta)
     grad_rays += pair_rays
     grad_pts += pair_pts

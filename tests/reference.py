@@ -10,8 +10,10 @@ test compares a fast path with itself.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,20 @@ from grr import (AlignmentProblem, DegenerateConfiguration, FrameInputs, FrameRe
 from grr.geometry import ORTHONORMALITY_TOL, UNIT_TOL
 from grr.solver import DEGENERACY_RTOL, SolveDiagnostics
 from grr.solver_grad import NEAR_SINGULAR_TOL
+
+# The build the golden hashes were recorded on: NumPy 2.4.6 with its OpenBLAS 0.3.31,
+# x86-64, AVX512_SPR dispatch. Another NumPy, BLAS kernel or SIMD target may
+# round the SVDs, sums or sines differently in the last bit, which a hash shows.
+GOLDEN_BUILD = ("2.4.6", "x86_64", True)
+
+
+def numpy_build() -> tuple[str, str, bool]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
+    return np.__version__, platform.machine(), bool(cpu.get("AVX512_SPR"))
+
 
 # -- outcome helpers --
 
@@ -451,7 +467,11 @@ def covariance_stacks(seed: int) -> dict[str, np.ndarray]:
 
 def near_rotations(seed: int) -> np.ndarray:
     """Rotations stretched by a symmetric I + S (residual ~2 max|S|) or scaled
-    by 1 + c (residual ~2c, det ~1 + 3c), both around the 1e-9 gate."""
+    by 1 + c (residual ~2c, det ~1 + 3c), both around the 1e-9 gate; and rotations
+    stretched along one axis by s (largest residual ~2s, residuals summing to ~3s)
+    or one axis pair (~2s, summing to ~2s), with s in 0.3..1.5 times the gate, so
+    the summed residual of those the gate rejects lies between half the gate and
+    three times it."""
     rng = Seed(seed).rng()
     rots = random_rotation_matrices(Seed(seed), 48)
     sym = rng.uniform(-1.0, 1.0, (48, 3, 3))
@@ -460,7 +480,11 @@ def near_rotations(seed: int) -> np.ndarray:
     size = ORTHONORMALITY_TOL * rng.uniform(0.1, 0.7, 48)[:, None, None]
     stretched = rots @ (np.eye(3) + size * sym)
     scaled = rots * (1.0 + size * np.where(rng.random((48, 1, 1)) < 0.5, 1.0, -1.0))
-    return np.concatenate([stretched, scaled])
+    lone = np.zeros((48, 3, 3))
+    a, b = rng.integers(0, 3, (2, 48))
+    lone[np.arange(48), a, b] = lone[np.arange(48), b, a] = 1.0
+    lone_size = ORTHONORMALITY_TOL * rng.uniform(0.3, 1.5, 48)[:, None, None]
+    return np.concatenate([stretched, scaled, rots @ (np.eye(3) + lone_size * lone)])
 
 
 def unit_quaternions(seed: int, k: int) -> np.ndarray:
@@ -508,10 +532,64 @@ def row_cases() -> dict[str, np.ndarray]:
         "zero-rows": np.zeros((0, 3)),
         "one-row": spread[:1],
         "signed-zero-products": a * b,
+        # Rows of -0.0 alone, whose sums NumPy's +0.0 identity makes +0.0, flat and stacked.
+        "negative-zero-rows": np.full((5, 3), -0.0),
+        "negative-zero-stack": np.array([[[-0.0, -0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [1.0, -0.0, -0.0]],
+                                         [[-0.0, -0.0, -0.0]] * 4]),
         "overflow": np.array([[1e200, 1e200, 0.0], [1e308, 1e308, -1e308], [-1e308, -1e308, 1.0]]),
         "inf": np.array([[np.inf, 1.0, 2.0], [np.inf, -np.inf, 0.0], [-np.inf, -np.inf, 5e-324]]),
         "nan": np.array([[np.nan, 1.0, 2.0], [0.0, np.nan, -0.0], [1.0, 2.0, np.nan]]),
     }
+
+
+# The NumPy calls the training frame replaced, each a plain form its replacement
+# must match bit for bit, and the rows they are gated on.
+
+def take_pairs(a, idx):
+    return np.take(a, idx, axis=0)
+
+
+def swapped_product(u, g, vt):
+    return np.swapaxes(u, 1, 2) @ g @ np.swapaxes(vt, 1, 2)
+
+
+def minus_outer(g, c):
+    return np.zeros((3, 3)) - np.outer(g, c)
+
+
+def vector_norm(v) -> float:
+    return float(np.linalg.norm(v))
+
+
+def vector_abs_sum(v) -> float:
+    return float(np.abs(v).sum())
+
+
+def finite_entries(hs):
+    return np.isfinite(hs).all(axis=(1, 2))
+
+
+def clipped_cosines(x):
+    return np.clip(x, 0.0, 2.0)
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.0, -2.5]
+
+
+def special_vectors(seed: int) -> np.ndarray:
+    """Every 3-vector over SPECIAL_VALUES (signed zeros, NaN, +-inf, 1e+-300, a subnormal),
+    then seeded Gaussian vectors over 60 decades."""
+    rng = Seed(seed).rng()
+    grid = np.array(list(itertools.product(SPECIAL_VALUES, repeat=3)))
+    return np.concatenate([grid, rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-30.0, 30.0, (200, 3))])
+
+
+def special_stacks(seed: int) -> np.ndarray:
+    """(64, 3, 3) stacks: seeded Gaussian entries with a fifth of them replaced by SPECIAL_VALUES."""
+    rng = Seed(seed).rng()
+    g = rng.standard_normal((64, 3, 3))
+    picks = np.array(SPECIAL_VALUES)[rng.integers(0, len(SPECIAL_VALUES), g.shape)]
+    return np.where(rng.random(g.shape) < 0.2, picks, g)
 
 
 def translation_errors(seed: int, count: int = 1000) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
@@ -583,3 +661,42 @@ AGREEMENT_CASES = {
     **{f"m3-p{p}": (lambda p=p: three_patch_frame(140, p)) for p in (1, 2)},
     **{f"reflective-points-p{p}": (lambda p=p: mirrored_points_frame(150, p)) for p in (1, 2)},
 }
+
+
+def training_batch() -> list[FrameInputs]:
+    """A seeded 16x16 training batch: p = 1 and p = 2 frames on one frozen canonical
+    pair and one neighbor set (so the per-batch memo is hit), one on a writable copy of
+    that pair and one with 8-connected pairs, a near-converged frame at each p (p = 1
+    raises NearSingularJacobian), a frame whose predicted rays all point one way
+    (DegenerateConfiguration) and one whose points are scaled by 1e155 (its pair term
+    overflows to inf)."""
+    frames = [random_frame_inputs(Seed(200 + s), n=16, p=1 + s % 2) for s in range(8)]
+    first = frames[0]
+    frames = [replace(fi, rays_cam=first.rays_cam, pts_cam=first.pts_cam, neighbors=first.neighbors)
+              for fi in frames]
+    near = [replace(random_frame_inputs(Seed(210), n=16, p=p, noise=1e-10),
+                    rays_cam=first.rays_cam, pts_cam=first.pts_cam) for p in (1, 2)]
+    writable = replace(frames[1], rays_cam=first.rays_cam.copy(), pts_cam=first.pts_cam.copy())
+    return frames + near + [
+        writable,
+        replace(frames[2], neighbors=NeighborSet.grid(16, connectivity=8)),
+        replace(frames[3], rays_pred=np.tile(frames[3].rays_pred[:1], (len(first.rays_cam), 1))),
+        replace(frames[4], pts_pred=frames[4].pts_pred * 1e155),
+        frames[5],  # the memo again, after the writable pair
+    ]
+
+
+def training_digest(loss_grad_fn, frames) -> str:
+    """SHA-256 over each frame's loss terms and gradient bytes, or the type and
+    message of what loss_grad_fn raised on it, with overflow ignored as grr loss ignores it."""
+    h = hashlib.sha256()
+    for fi in frames:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms, grad_rays, grad_pts = loss_grad_fn(fi)
+        except Exception as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        h.update(np.array([terms.pose, terms.geometry, terms.regularization]).tobytes())
+        h.update(grad_rays.tobytes() + grad_pts.tobytes())
+    return h.hexdigest()

@@ -93,6 +93,21 @@ class TestIntrinsics:
             PatchGrid(Intrinsics(**intr), n=value if field == "n" else 2)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("field, value", [
+        ("fx", "1"), ("fy", None), ("cx", "1"), ("cy", [2.0]), ("fx", True), ("cy", np.bool_(True)),
+    ], ids=["fx-str", "fy-none", "cx-str", "cy-list", "fx-bool", "cy-numpy-bool"])
+    def test_focal_length_and_principal_point_must_be_real_numbers(self, field, value):
+        """A non-number or bool focal length or principal point fails naming the field,
+        not with whatever TypeError a comparison raises."""
+        with pytest.raises(ValueError) as exc:
+            Intrinsics(**{**self.GOOD, field: value})
+        assert str(exc.value) == f"{field} must be a real number, got {value!r}"
+
+    def test_numpy_floats_accepted(self):
+        intr = Intrinsics(**{**self.GOOD, "fx": np.float64(2.0), "fy": np.float32(2.0), "cx": np.float64(2.0),
+                             "cy": np.int64(2)})
+        assert len(canonical_rays(PatchGrid(intr, n=2))) == 4
+
     def test_numpy_integers_accepted(self):
         grid = PatchGrid(Intrinsics(**{**self.GOOD, "width": np.int64(4), "height": np.int32(4)}), n=np.int64(2))
         assert grid.patch_count == 4 and len(canonical_rays(grid)) == 4

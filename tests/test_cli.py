@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import os
-import platform
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -24,6 +24,7 @@ from grr import (ConfigError, FrameInputs, LossWeights, NeighborSet, Seed, canon
                  write_xyz_csv)
 from grr.cli import main
 from grr.config import grid_from_config, noise_spec_from_config
+from reference import GOLDEN_BUILD, numpy_build
 
 GRID = {"fx": 48.0, "fy": 48.0, "cx": 32.0, "cy": 32.0, "width": 64, "height": 64, "n": 4}
 
@@ -307,18 +308,8 @@ GOLDEN_SHA256 = {
     "trial_001.csv": "2cef9bd8917f804aa55c081bffefff72e9d30f5ab50fd80fcb6de181ec56e88e",
     "trial_002.csv": "ccc7b2157effd19a5f80a6d8afcfa2351a293a11fd53d747d896b427ff157ef8",
 }
-# The build the hashes were recorded on: NumPy 2.4.6 with its OpenBLAS 0.3.31,
-# x86-64, AVX512_SPR dispatch. Another NumPy, BLAS kernel or SIMD target may
-# round the SVDs, sums or sines differently in the last bit, which %.17g shows.
-GOLDEN_BUILD = ("2.4.6", "x86_64", True)
-
-
-def numpy_build() -> tuple[str, str, bool]:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as cpu
-    except ImportError:  # NumPy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__ as cpu
-    return np.__version__, platform.machine(), bool(cpu.get("AVX512_SPR"))
+# Recorded on GOLDEN_BUILD: another NumPy, BLAS kernel or SIMD target may round
+# the SVDs, sums or sines differently in the last bit, which %.17g shows.
 
 
 @pytest.mark.skipif(numpy_build() != GOLDEN_BUILD,
@@ -887,17 +878,34 @@ class TestDeterminism:
             assert trees[0] == trees[1], argv[0]
 
 
-def test_console_entry_point(tmp_path):
+def console_script_target(name: str = "grr") -> str:
+    """The module:function that pyproject.toml's [project.scripts] names for name, read as
+    text (Python 3.10 has no tomllib)."""
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    targets = dict(line.split("=", 1) for line in section.splitlines() if "=" in line)
+    return {key.strip(): value.strip().strip('"') for key, value in targets.items()}[name]
+
+
+def run_gen(cmd, tmp_path):
     cfg = write_cfg(tmp_path / "gen.json", grid=GRID, frames=1, seed=4)
-    exe = shutil.which("grr")
-    if exe:
-        cmd = [exe]
-    else:
-        cmd = [sys.executable, "-c",
-               "import sys; from grr.cli import main; sys.exit(main(sys.argv[1:]))"]
-    r = subprocess.run(
-        cmd + ["gen", "--config", cfg, "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
-    )
+    r = subprocess.run(cmd + ["gen", "--config", cfg, "--out", str(tmp_path / "o")],
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == {"frames": 1, "patches": 16}
+
+
+def test_console_entry_point(tmp_path):
+    """The function the grr console script calls, found from pyproject.toml, in a child process."""
+    module, function = console_script_target().split(":")
+    assert (module, function) == ("grr.cli", "main")
+    run_gen([sys.executable, "-c", f"import sys; from {module} import {function}; sys.exit({function}(sys.argv[1:]))"],
+            tmp_path)
+
+
+def test_installed_console_script(tmp_path):
+    """The installed grr script; skipped, with a reason that -rs shows, where none is installed."""
+    exe = shutil.which("grr")
+    if exe is None:
+        pytest.skip("no grr console script on PATH: install the package (pip install -e .) to run it")
+    run_gen([exe], tmp_path)

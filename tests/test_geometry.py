@@ -1,5 +1,6 @@
 """Rotation/pose primitives, geodesic metric, seeds, and pose file I/O."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from grr import (
     random_rotation_matrices,
     save_poses,
 )
-from grr.geometry import (UNIT_TOL, _check_rotations, _cross_rows, _mean, _quat_to_matrix, _row_norms, _row_sums,
-                          _seed_words, _streams)
+from grr.geometry import (UNIT_TOL, _cached, _check_rotations, _cross_rows, _mean, _quat_to_matrix, _row_norms,
+                          _row_sums, _seed_words, _streams, _trusted)
 from reference import (assert_same, bits, check_rotations, near_rotations, quat_to_matrix, row_cases, row_norms,
                        row_sums, rows, signed_zero_quaternions, unit_quaternions)
 
@@ -156,6 +157,42 @@ class TestPose:
         p = Pose.identity()
         assert np.array_equal(p.r.m, np.eye(3))
         assert np.array_equal(p.t, np.zeros(3))
+
+
+class TestTrustedAndCached:
+    """_trusted builds a frozen value type over checked values without copying them;
+    _cached stores a computed attribute in the instance, as cached_property does."""
+
+    def test_trusted_keeps_the_arrays_and_makes_them_read_only(self):
+        t = np.array([1.0, 2.0, 3.0])
+        rot = Rotation.identity()
+        pose = _trusted(Pose, r=rot, t=t)
+        assert type(pose) is Pose and pose.r is rot and pose.t is t
+        assert not t.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pose.t = np.zeros(3)
+
+    def test_trusted_runs_no_check(self):
+        assert np.isnan(_trusted(Pose, r=Rotation.identity(), t=np.full(3, np.nan)).t).all()
+
+    def test_cached_computes_once_per_instance(self):
+        calls = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Box:
+            x: float
+
+            @_cached
+            def doubled(self) -> float:
+                """2 x."""
+                calls.append(self.x)
+                return 2.0 * self.x
+
+        a, b = Box(1.0), Box(2.0)
+        assert (a.doubled, a.doubled, b.doubled) == (2.0, 2.0, 4.0)
+        assert calls == [1.0, 2.0]
+        assert isinstance(Box.doubled, _cached) and Box.doubled.__doc__ == "2 x."
+        assert a == Box(1.0) and repr(a).endswith("Box(x=1.0)")  # not a field
 
 
 class TestGeodesicDistance:

@@ -5,6 +5,7 @@ the arithmetic that produced them.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,9 @@ from grr import (
     regularization_loss,
     total_loss,
 )
+from grr.losses import _vec_pnorm
+from reference import (assert_same, clipped_cosines, finite_entries, minus_outer, special_stacks, special_vectors,
+                       swapped_product, take_pairs, vector_abs_sum, vector_norm)
 
 
 def half_turn_z() -> Rotation:
@@ -379,3 +383,45 @@ class TestComposedLossStructure:
         fi1 = random_frame_inputs(Seed(42), p=NormSchedule(warmup_steps=5, current_step=2).p)
         assert fi2.p == 2 and fi1.p == 1
         assert pipeline_loss(fi1).total != pipeline_loss(fi2).total
+
+
+class TestWrapperForms:
+    """The method and ufunc forms on the training frame's path give the bits of the
+    NumPy wrapper calls they replaced, on signed zeros, NaN, +-inf and 1e+-300."""
+
+    @pytest.mark.parametrize("p, plain", [(1, vector_abs_sum), (2, vector_norm)])
+    def test_vector_pnorm(self, p, plain):
+        """_vec_pnorm: np.add.reduce for the L1 sum, sqrt(v . v) for the L2 norm
+        (pipeline_loss_grad's translation residual norm too)."""
+        with np.errstate(all="ignore"):
+            for v in special_vectors(31):
+                assert_same(functools.partial(_vec_pnorm, p=p), plain, v)
+
+    def test_take(self):
+        rows = special_vectors(32)
+        for idx in (NeighborSet.grid(16).pairs.T, Seed(32).rng().integers(0, len(rows), (2, 500))):
+            assert_same(lambda a, i: a.take(i, axis=0), take_pairs, rows, idx)
+
+    def test_transposed_products(self):
+        with np.errstate(all="ignore"):
+            assert_same(lambda u, g, vt: u.transpose(0, 2, 1) @ g @ vt.transpose(0, 2, 1), swapped_product,
+                        *(special_stacks(s) for s in (33, 34, 35)))
+
+    def test_outer_products(self):
+        """The translation cotangent's share of the rigid solve's dL/dR, from zero and from a rotation cotangent."""
+        vs, gs = special_vectors(36), special_stacks(36)
+        with np.errstate(all="ignore"):
+            for k, (g, c) in enumerate(zip(vs, vs[::-1])):
+                assert_same(lambda g, c: 0.0 - g[:, np.newaxis] * c, minus_outer, g, c)
+                rot = gs[k % len(gs)]
+                assert_same(lambda g, c: rot - g[:, np.newaxis] * c, lambda g, c: rot - np.outer(g, c), g, c)
+
+    def test_finite_entries(self):
+        hs = special_stacks(37)
+        assert_same(lambda h: np.logical_and.reduce(np.isfinite(h), axis=(1, 2)), finite_entries, hs)
+        assert_same(lambda h: np.logical_and.reduce(np.isfinite(h), axis=(1, 2)), finite_entries, hs[:0])
+
+    def test_clip(self):
+        x = np.concatenate([special_vectors(38).ravel(), [2.0, np.nextafter(2.0, 3.0), np.nextafter(0.0, -1.0)]])
+        assert_same(lambda x: x.clip(0.0, 2.0), clipped_cosines, x)
+        assert np.signbit(clipped_cosines(np.array([-0.0]))).all()  # the sign a min/max pair would lose

@@ -38,13 +38,13 @@ from grr.solver_grad import (
     _dpow,
     _frame_forward,
     _h_cotangents,
-    _kabsch_backward,
     _polar_h_cotangent,
-    _rigid_backward,
+    _rigid_target,
+    _side_grad,
 )
-from reference import (AGREEMENT_CASES, BACKWARD_PROBLEMS, UNEVEN_WEIGHTS, bits, kabsch_backward, loss_grad,
-                       mirrored_points_frame, mirrored_slab_problem, outcome, pair_scatter, polar_h_cotangent,
-                       raised, rigid_backward)
+from reference import (AGREEMENT_CASES, BACKWARD_PROBLEMS, GOLDEN_BUILD, UNEVEN_WEIGHTS, bits, kabsch_backward,
+                       loss_grad, mirrored_points_frame, mirrored_slab_problem, numpy_build, outcome, pair_scatter,
+                       polar_h_cotangent, raised, rigid_backward, training_batch, training_digest)
 FD_TOL = 1e-4
 
 
@@ -236,6 +236,14 @@ class TestGuards:
 
 
 class TestPipelineLoss:
+    def test_predicted_arrays_stay_writable(self):
+        """The frame wraps the predictions without copying them, through read-only views."""
+        fi = random_frame_inputs(Seed(41))
+        before = frame_outcome(fi)
+        assert fi.rays_pred.flags.writeable and fi.pts_pred.flags.writeable
+        fi.pts_pred[0] += 1.0  # the caller may still change its arrays between frames
+        assert frame_outcome(fi) != before
+
     def test_terms_nonnegative_and_total_sums(self):
         fi = random_frame_inputs(Seed(40))
         terms = pipeline_loss(fi)
@@ -340,6 +348,17 @@ class TestFailureParity:
         assert from_loss == raised(pipeline_loss_grad, fi)
         assert issubclass(from_loss[0], expected)
 
+    def test_predicted_rays_are_checked_before_the_points(self):
+        """A zero predicted ray is named before a NaN predicted point: the rays are
+        normalized before the points are checked."""
+        fi, _ = self.bad_frames()["nan-point"]
+        rays = fi.rays_pred.copy()
+        rays[3] = 0.0
+        for fn in (pipeline_loss, pipeline_loss_grad):
+            assert raised(fn, replace(fi, rays_pred=rays)) == (
+                ValueError, "cannot normalize near-zero target rows", None)
+            assert raised(fn, fi) == (ValueError, "pts contains non-finite entries", None)
+
     @pytest.mark.parametrize("near_singular", ["points", "both"])
     def test_near_singular_rays_are_reported_first(self, near_singular):
         """A mirrored branch whose two smallest singular values are equal makes
@@ -374,7 +393,8 @@ SCATTER_CASES = ["default-p1-seed100", "default-p2-seed100", "8-connected-p1",
 
 
 class TestBackwardParity:
-    """The backward with source=False and the single-bincount pair scatter give
+    """The target sides alone (_side_grad and _rigid_target, as
+    pipeline_loss_grad builds them) and the single-bincount pair scatter give
     the bytes the full backward and the per-column scatter give."""
 
     @pytest.mark.parametrize("case", sorted(BACKWARD_PROBLEMS))
@@ -385,10 +405,10 @@ class TestBackwardParity:
 
         rays, svd = _kabsch_solve(problem, normalize=True)
         want_target, want_source = kabsch_backward(rays, svd, g_rot)
-        target_only = _kabsch_backward(rays, _h_cotangents(svd, g_rot[np.newaxis])[0], source=False)
-        assert target_only.source is None
+        hbar = _h_cotangents(svd, g_rot[np.newaxis])[0]
+        target_only = _side_grad(rays.tgt, rays.tgt_norms, rays.src, rays.w, hbar)
         full = kabsch_rotation_vjp(VjpRequest(problem, g_rot), normalize=True)
-        assert bits((target_only.target, full.target, full.source)) == bits((want_target, want_target, want_source))
+        assert bits((target_only, full.target, full.source)) == bits((want_target, want_target, want_source))
 
         points, svd = _rigid_solve(problem)
         for req in (VjpRequest(problem, g_rot, g_t), VjpRequest(problem, np.zeros((3, 3)), g_t)):
@@ -396,10 +416,9 @@ class TestBackwardParity:
                 points, svd, req.rotation_grad, req.translation_grad)
             g_centred = req.rotation_grad - np.outer(req.translation_grad, points.c_src)
             hbar = _h_cotangents(svd, g_centred[np.newaxis])[0]
-            target_only = _rigid_backward(points, hbar, req.translation_grad, source=False)
-            assert target_only.source is None
+            target_only = _rigid_target(points, hbar, req.translation_grad)
             full = rigid_align_vjp(req)
-            assert bits((target_only.target, full.target, full.source)) == bits((want_target, want_target, want_source))
+            assert bits((target_only, full.target, full.source)) == bits((want_target, want_target, want_source))
 
     def test_stacked_pbar_matches_per_matrix_formula(self):
         """Each entry of a stacked Pbar is the per-matrix formula's bytes, on
@@ -438,10 +457,11 @@ class TestBackwardParity:
         pr, k, w = _frame_forward(fi).pairs, len(fi.neighbors), fi.weights
         i, j = fi.neighbors.pairs[:, 0], fi.neighbors.pairs[:, 1]
         assert bits((pr.d_ij[0], pr.d_ij[1], pr.delta)) == bits((fi.rays_pred[i], fi.rays_pred[j], fi.pts_pred[i] - fi.pts_pred[j]))
-        coef = ((w.w_reg_r / k) * _dpow(pr.ray_dev, fi.p))[:, np.newaxis]
-        pull = ((w.w_reg_p / k) * _dpow(pr.dist_dev, fi.p) / pr.dist_hat)[:, np.newaxis]
+        coef = (w.w_reg_r / k) * _dpow(pr.ray_dev, fi.p)
+        pull = (w.w_reg_p / k) * _dpow(pr.dist_dev, fi.p) / pr.dist_hat
         got = _pair_grads(fi.neighbors, coef, pr.d_ij, pull, pr.delta)
-        assert bits(np.concatenate(got, axis=1)) == bits(pair_scatter(fi.neighbors, coef, pull, pr.delta, fi.rays_pred))
+        want = pair_scatter(fi.neighbors, coef[:, np.newaxis], pull[:, np.newaxis], pr.delta, fi.rays_pred)
+        assert bits(np.concatenate(got, axis=1)) == bits(want)
 
     def test_scatter_keeps_the_summation_order(self):
         # Coefficients over 60 decades: a bin summed in another order rounds differently.
@@ -451,7 +471,7 @@ class TestBackwardParity:
                       for _ in range(2))
         rays, delta = rng.standard_normal((16, 3)), rng.standard_normal((k, 3))
         i, j = neighbors.pairs[:, 0], neighbors.pairs[:, 1]
-        got = _pair_grads(neighbors, coef, np.stack([rays[i], rays[j]]), pull, delta)
+        got = _pair_grads(neighbors, coef[:, 0], np.stack([rays[i], rays[j]]), pull[:, 0], delta)
         assert bits(np.concatenate(got, axis=1)) == bits(pair_scatter(neighbors, coef, pull, delta, rays))
 
     def test_cached_scatter_index_is_read_only(self):
@@ -471,8 +491,8 @@ class TestBackwardParity:
         assert [f.name for f in fields(a)] == ["n_items", "pairs"]
         assert a == a
         assert a != NeighborSet(2, [[0, 1]])
-        # Bins (part * n_items + item) * 3 + column; a replaced set builds its own.
-        rays_part = [0, 1, 2, 3, 4, 5, 3, 4, 5, 6, 7, 8]
+        # Bins (part * n_items + item) * 3 + column, column by column; a replaced set builds its own.
+        rays_part = [0, 3, 3, 6, 1, 4, 4, 7, 2, 5, 5, 8]
         assert a._scatter_index.tolist() == rays_part + [b + 9 for b in rays_part]
         b = replace(a, n_items=4)
         assert b._scatter_index.tolist() == rays_part + [b + 12 for b in rays_part]
@@ -583,3 +603,15 @@ class TestCanonicalMemo:
             assert str(info.value) == message
         assert canonical_work == ["rays"]
         assert frame_outcome(fi) == frame_outcome(replace(fi, rays_cam=fi.rays_cam.copy()))
+
+
+# SHA-256 of reference.training_batch()'s pass through pipeline_loss_grad, recorded on GOLDEN_BUILD.
+TRAINING_PASS_SHA256 = "a9afeda1a9b880925530e8c68ddc9815180abc2fe74debabb9f7bd9670e4fb77"
+
+
+@pytest.mark.skipif(numpy_build() != GOLDEN_BUILD,
+                    reason=f"golden bytes are recorded for the build {GOLDEN_BUILD}")
+def test_training_pass_matches_recorded_bytes():
+    """Every frame's loss terms and gradient bytes, or its exception, are the recorded
+    ones: the parity gates allow gradients to differ by 1e-12, this pins the last bit."""
+    assert training_digest(pipeline_loss_grad, training_batch()) == TRAINING_PASS_SHA256
