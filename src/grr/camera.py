@@ -13,7 +13,6 @@ Coordinate conventions:
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -277,31 +276,29 @@ def read_xyz_csv(path) -> np.ndarray:
     an index column other than the integers 0..m-1 in order, and non-finite
     values.
     """
-    # Universal newlines: \r\n and \r row ends both reach the parser as \n.
+    # Universal newlines make \r\n and \r row ends \n; str.splitlines would also split at \x0b, \x0c, \x1c-\x1e.
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        body = fh.read()
-    if header.rstrip("\n") != _XYZ_HEADER:
+        header, *rows = fh.read().split("\n")
+    if header != _XYZ_HEADER:
         raise ValueError(f"{path}: expected header {_XYZ_HEADER}, got {header.rstrip()!r}")
-    if not body:
+    if not rows or rows == [""]:
         return np.empty((0, 3))
-    # loadtxt skips empty lines; a blank line is a malformed row here.
-    if body.startswith("\n") or "\n\n" in body:
+    # loadtxt skips empty lines; a blank line is a malformed row here. The last "" ends the file.
+    if "" in rows[:-1]:
         raise ValueError(f"{path}: blank line in the body, expected 4 fields per row")
     # NumPy 1.x parses an index such as "1.0" as an integer with only a
     # DeprecationWarning; raise it so that index is rejected there too.
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", dtype=_XYZ_ROW,
-                              comments=None, ndmin=1)
+            data = np.loadtxt(rows, delimiter=",", dtype=_XYZ_ROW, comments=None, ndmin=1)
         except (ValueError, DeprecationWarning) as exc:
             raise ValueError(f"{path}: expected 4 fields i,x,y,z per row: {exc}") from None
-    misplaced = np.flatnonzero(data["i"] != np.arange(len(data)))
+    misplaced = (data["i"] != np.arange(len(data))).nonzero()[0]
     if misplaced.size:
         k = int(misplaced[0])
-        raise ValueError(f"{path}: row index {data['i'][k]} out of order at line {k}")
+        raise ValueError(f"{path}: row index {data['i'][k]} out of order at line {k + 2}")
     out = np.ascontiguousarray(data["xyz"])
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{path}: non-finite values")
     return out

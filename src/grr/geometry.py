@@ -368,9 +368,8 @@ def save_poses(poses: Iterable[Pose], path) -> None:
     15-significant-digit floor the format requires.
     """
     with open(path, "w", encoding="ascii") as fh:
-        for pose in poses:
-            nums = list(pose.r.m.reshape(-1)) + list(pose.t)
-            fh.write(" ".join(format(x, ".17g") for x in nums) + "\n")
+        rows = [pose.r.m.ravel().tolist() + pose.t.tolist() for pose in poses]
+        fh.write(("%.17g " * 11 + "%.17g\n") * len(rows) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def load_poses(path) -> list[Pose]:

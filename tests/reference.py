@@ -11,15 +11,17 @@ test compares a fast path with itself.
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import platform
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from grr import (AlignmentProblem, DegenerateConfiguration, FrameInputs, FrameRecord, LossWeights,
-                 NearSingularJacobian, NeighborSet, PointMap, Pose, Rotation, Seed, TrialReport, VjpRequest,
+                 NearSingularJacobian, NeighborSet, PointMap, Pose, RayBundle, Rotation, Seed, TrialReport, VjpRequest,
                  canonical_points, canonical_rays, geodesic_distance, geometry_loss, kabsch_rotation,
                  kabsch_rotation_vjp, perturb_representations, pose_loss, random_alignment_problem,
                  random_frame_inputs, random_rigid_problem, random_rotation, random_rotation_matrices, recover_pose,
@@ -204,6 +206,63 @@ def world_frames(poses, rays, pts):
             raise ValueError("pts contains non-finite entries")
         out.append((d, norms, d / norms, tangent_basis(d), p, p - (np.ones(len(p)) @ p) / len(p)))
     return out
+
+
+def ray_bundle(arr):
+    """RayBundle.from_array as the constructor over rows normalized with np.linalg.norm:
+    the bundle's (dirs, norms, unit)."""
+    d = np.asarray(arr, dtype=np.float64)
+    if d.ndim != 2 or d.shape[1] != 3:
+        raise ValueError(f"expected (m, 3) array, got {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError("dirs contains non-finite entries")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot normalize ray rows: their norms overflow")
+    if (norms < 1e-12).any():
+        raise ValueError("cannot normalize near-zero ray rows")
+    rb = RayBundle(d / norms)
+    return rb.dirs, rb.norms, rb.unit
+
+
+XYZ_ROW = np.dtype([("i", np.int64), ("xyz", np.float64, (3,))])
+
+
+def read_xyz(path) -> np.ndarray:
+    """read_xyz_csv as first written: a header readline, blank lines found by string
+    scans, the body parsed through io.StringIO; an index out of order names its file line."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline()
+        body = fh.read()
+    if header.rstrip("\n") != "i,x,y,z":
+        raise ValueError(f"{path}: expected header i,x,y,z, got {header.rstrip()!r}")
+    if not body:
+        return np.empty((0, 3))
+    if body.startswith("\n") or "\n\n" in body:
+        raise ValueError(f"{path}: blank line in the body, expected 4 fields per row")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", dtype=XYZ_ROW, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"{path}: expected 4 fields i,x,y,z per row: {exc}") from None
+    misplaced = np.flatnonzero(data["i"] != np.arange(len(data)))
+    if misplaced.size:
+        k = int(misplaced[0])
+        raise ValueError(f"{path}: row index {data['i'][k]} out of order at line {k + 2}")
+    out = np.ascontiguousarray(data["xyz"])
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{path}: non-finite values")
+    return out
+
+
+def write_poses(poses, path) -> None:
+    """save_poses as first written: one format(x, ".17g") per NumPy scalar, one write per pose."""
+    with open(path, "w", encoding="ascii") as fh:
+        for pose in poses:
+            nums = list(pose.r.m.reshape(-1)) + list(pose.t)
+            fh.write(" ".join(format(x, ".17g") for x in nums) + "\n")
 
 
 def sample_poses(base, spec):
@@ -541,6 +600,54 @@ def row_cases() -> dict[str, np.ndarray]:
         "nan": np.array([[np.nan, 1.0, 2.0], [0.0, np.nan, -0.0], [1.0, 2.0, np.nan]]),
     }
 
+
+def xyz_files() -> dict[str, bytes]:
+    """Whole files for the xyz reader's parity gate: every row end, blank and
+    whitespace lines, the characters str.splitlines would end a row at, headers,
+    indices and fields that loadtxt treats specially, and seeded valid files."""
+    rows = ["0,1,-2.5,3e-3", "1,0.25,4,-7", "2,5e-324,1e308,-1e-308"]
+    files = {}
+    for name, end in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+        files[name] = "i,x,y,z" + end + end.join(rows) + end
+        files[name + "-unterminated"] = "i,x,y,z" + end + end.join(rows)
+    files["mixed"] = "i,x,y,z\r\n" + rows[0] + "\n" + rows[1] + "\r" + rows[2] + "\r\n"
+    files["mixed-unterminated"] = "i,x,y,z\r" + rows[0] + "\r\n" + rows[1] + "\n" + rows[2]
+    body = "\n".join(rows)
+    files.update({
+        "blank-first": "i,x,y,z\n\n" + body + "\n",
+        "blank-middle": "i,x,y,z\n" + rows[0] + "\n\n" + "\n".join(rows[1:]) + "\n",
+        "blank-last": "i,x,y,z\n" + body + "\n\n",
+        "blank-last-crlf": "i,x,y,z\r\n" + body.replace("\n", "\r\n") + "\r\n\r\n",
+        "blank-middle-cr": "i,x,y,z\r" + rows[0] + "\r\r" + rows[1] + "\r",
+        "whitespace-line": "i,x,y,z\n" + rows[0] + "\n \n" + rows[1] + "\n",
+        "whitespace-last": "i,x,y,z\n" + body + "\n\t\n",
+        "header-leading-space": " i,x,y,z\n" + body + "\n",
+        "header-trailing-space": "i,x,y,z \n" + body + "\n",
+        "header-bom": "\ufeffi,x,y,z\n" + body + "\n",
+        "empty": "",
+        "header-only": "i,x,y,z",
+        "header-only-lf": "i,x,y,z\n",
+        "header-only-crlf": "i,x,y,z\r\n",
+        "3-fields": "i,x,y,z\n0,1,2\n",
+        "5-fields": "i,x,y,z\n0,1,2,3,4\n",
+        "comment-line": "i,x,y,z\n# note\n" + body + "\n",
+        "comment-trailing": "i,x,y,z\n" + rows[0] + " # note\n",
+        "out-of-order": "i,x,y,z\n" + rows[0] + "\n" + rows[2] + "\n" + rows[1] + "\n",
+        "index-from-1": "i,x,y,z\n1,0,0,1\n",
+    })
+    for c in "\x0b\x0c\x1c\x1d\x1e":
+        files[f"between-{ord(c):02x}"] = "i,x,y,z\n" + rows[0] + c + rows[1] + "\n"
+        files[f"trailing-{ord(c):02x}"] = "i,x,y,z\n" + rows[0] + c + "\n" + rows[1] + c + "\n"
+    for index in ["1.0", "+1", "01"]:
+        files[f"index-{index}"] = f"i,x,y,z\n0,0,0,1\n{index},0,0,1\n"
+    for field in ["1_0", "0x1p3", "+1", "\t1", " 1 ", "nan", "1e999", "-0", "inf", ""]:
+        files[f"field-{field!r}"] = f"i,x,y,z\n0,1,2,3\n1,{field},0,1\n"
+    rng = Seed(11).rng()
+    for m in [1, 2, 17, 256]:
+        arr = rng.standard_normal((m, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (m, 3))
+        files[f"seeded-{m}"] = "i,x,y,z\r\n" + "".join(
+            f"{i},{x:.17g},{y:.17g},{z:.17g}\r\n" for i, (x, y, z) in enumerate(arr.tolist()))
+    return {name: text.encode("utf-8") for name, text in files.items()}
 
 # The NumPy calls the training frame replaced, each a plain form its replacement
 # must match bit for bit, and the rows they are gated on.

@@ -30,7 +30,10 @@ from grr import (
     write_xyz_csv,
 )
 from grr.camera import _world_frames
-from reference import assert_same, bits, switch_rows, tangent_basis, world_frames
+from reference import (assert_same, bits, outcome, ray_bundle, read_xyz, row_cases, rows, switch_rows, tangent_basis,
+                       world_frames, xyz_files)
+
+XYZ_FILES = xyz_files()
 
 
 def loop_canonical_rays(grid: PatchGrid) -> np.ndarray:
@@ -297,6 +300,33 @@ class TestRayBundle:
         with pytest.raises(ValueError):
             RayBundle(np.array([[np.nan, 0.0, 1.0]]))
 
+    @staticmethod
+    def built(arr):
+        rb = RayBundle.from_array(arr)
+        return rb.dirs, rb.norms, rb.unit
+
+    @pytest.mark.parametrize("case", sorted(row_cases()))
+    def test_from_array_matches_normalizing_then_constructing(self, case):
+        assert_same(self.built, ray_bundle, row_cases()[case])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e100, 1e-160, 1e155, 1e300])
+    def test_from_array_seeded_rows(self, scale):
+        """Rows of norm 1e-160 are near zero, and past 1e154 their norms overflow."""
+        got = assert_same(self.built, ray_bundle, rows(5)[:200] * scale)
+        assert (got[0] is ValueError) == (scale in (1e-160, 1e155, 1e300))
+
+    @pytest.mark.parametrize("arr", [np.zeros((0, 3)), np.zeros((4, 3)), np.zeros((3, 2)), np.ones(3),
+                                     np.array([[1.0, np.inf, 0.0]]), np.array([[np.nan, 1.0, 0.0]])],
+                             ids=["empty", "zero-rows", "3x2", "vector", "inf", "nan"])
+    def test_from_array_edge_inputs(self, arr):
+        assert_same(self.built, ray_bundle, arr)
+
+    def test_from_array_bundle_is_read_only_and_owns_its_rows(self):
+        arr = rows(6)[:50]
+        rb = RayBundle.from_array(arr)
+        assert not (rb.dirs.flags.writeable or rb.norms.flags.writeable) and arr.flags.writeable
+        assert not np.shares_memory(rb.dirs, arr)
+
     def test_frozen(self, grid4):
         rays = canonical_rays(grid4)
         with pytest.raises(ValueError):
@@ -515,9 +545,19 @@ class TestXyzCsv:
 
     def test_rejects_out_of_order_index(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("i,x,y,z\n1,0.0,0.0,1.0\n")
-        with pytest.raises(ValueError, match="order"):
+        path.write_bytes(b"i,x,y,z\r\n0,0,0,1\r\n1,0,0,1\r\n3,0,0,1\r\n2,0,0,1\r\n")
+        with pytest.raises(ValueError) as exc:
             read_xyz_csv(path)
+        assert str(exc.value) == f"{path}: row index 3 out of order at line 4"  # the header is line 1
+
+    def test_non_ascii_byte_is_placed_from_the_start_of_the_file(self, tmp_path):
+        # Past the first 8 KB chunk too: the file is decoded in one piece.
+        text = "i,x,y,z\n" + "".join(f"{i},0.5,0.25,1\n" for i in range(1000))
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("ascii") + b"1000,\xe9,0,1\n")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            read_xyz_csv(path)
+        assert exc.value.start == len(text) + 5
 
     def test_rejects_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -525,6 +565,35 @@ class TestXyzCsv:
         with pytest.raises(ValueError, match="fields"):
             read_xyz_csv(path)
 
+    def test_row_ends_lf_crlf_cr_and_mixed_read_alike(self, tmp_path):
+        outs = []
+        for name in ["lf", "crlf", "cr", "mixed", "lf-unterminated", "cr-unterminated", "mixed-unterminated"]:
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(XYZ_FILES[name])
+            outs.append(bits(read_xyz_csv(path)))
+        assert len(set(outs)) == 1 and outs[0][0] == (3, 3)
+
     def test_write_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_xyz_csv(tmp_path / "x.csv", np.zeros((2, 4)))
+
+
+class TestReaderParity:
+    """read_xyz_csv gives the plain reader's array bits, or its exception type and
+    message, on every file of the corpus, valid or not."""
+
+    @pytest.mark.parametrize("name", sorted(XYZ_FILES))
+    def test_corpus(self, tmp_path, name):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(XYZ_FILES[name])
+        assert_same(read_xyz_csv, read_xyz, path)
+
+    def test_corpus_reads_and_fails(self, tmp_path):
+        """The plain reader reads some files and rejects others both ways, so parity is not
+        met by two readers that reject everything alike."""
+        kinds, path = set(), tmp_path / "rows.csv"
+        for data in XYZ_FILES.values():
+            path.write_bytes(data)
+            got = outcome(read_xyz, path)
+            kinds.add(got[0].__name__ if isinstance(got[0], type) else "read")
+        assert kinds == {"read", "ValueError", "UnicodeDecodeError"}

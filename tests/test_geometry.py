@@ -19,7 +19,7 @@ from grr import (
 from grr.geometry import (UNIT_TOL, _cached, _check_rotations, _cross_rows, _mean, _quat_to_matrix, _row_norms,
                           _row_sums, _seed_words, _streams, _trusted)
 from reference import (assert_same, bits, check_rotations, near_rotations, quat_to_matrix, row_cases, row_norms,
-                       row_sums, rows, signed_zero_quaternions, unit_quaternions)
+                       row_sums, rows, signed_zero_quaternions, unit_quaternions, write_poses)
 
 
 class TestRotation:
@@ -340,6 +340,25 @@ class TestPoseFileIO:
         for a, b in zip(poses, loaded):
             assert np.array_equal(a.r.m, b.r.m)
             assert np.array_equal(a.t, b.t)
+
+    # Signed zeros, the smallest subnormal, a near-overflow value and 1/3 in R and t.
+    SPECIAL_POSES = [
+        (np.array([[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 5e-324, 1.0]]), [-0.0, 5e-324, 1e308]),
+        (np.array([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]]) / 3.0, [1.0 / 3.0, -1e308, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("which", ["special", "seeded", "empty"])
+    def test_bytes_match_the_per_number_writer(self, tmp_path, make_poses, which):
+        poses = {"special": [Pose(r, t) for r, t in self.SPECIAL_POSES], "seeded": make_poses(5, 40),
+                 "empty": []}[which]
+        save_poses(iter(poses), tmp_path / "fast.txt")
+        write_poses(poses, tmp_path / "plain.txt")
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        save_poses([Pose(r, t) for r, t in self.SPECIAL_POSES[:1]], path)
+        assert path.read_bytes() == b"1 -0 0 0 1 -0 -0 4.9406564584124654e-324 1 -0 4.9406564584124654e-324 1e+308\n"
 
     def test_rejects_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.txt"

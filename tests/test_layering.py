@@ -54,7 +54,7 @@ GATED = {"_row_sums", "_row_norms", "_cross_rows", "_normalized_rows", "_tangent
          "_world_frames", "_tilt_rays", "_ramp", "_pair_grads", "_polar_h_cotangent", "_h_cotangents",
          "_kabsch_backward", "_rigid_backward", "_rigid_target", "_frame_forward", "_mean", "median",
          "_score_solved", "summarize_records", "sample_poses", "ablation_sweep", "run_trial", "pipeline_loss",
-         "pipeline_loss_grad"}
+         "pipeline_loss_grad", "read_xyz_csv", "save_poses"}
 
 
 def test_reference_forms_import_no_fast_path():
