@@ -280,7 +280,7 @@ def read_xyz_csv(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         header, *rows = fh.read().split("\n")
     if header != _XYZ_HEADER:
-        raise ValueError(f"{path}: expected header {_XYZ_HEADER}, got {header.rstrip()!r}")
+        raise ValueError(f"{path}: expected header {_XYZ_HEADER}, got {header!r}")
     if not rows or rows == [""]:
         return np.empty((0, 3))
     # loadtxt skips empty lines; a blank line is a malformed row here. The last "" ends the file.

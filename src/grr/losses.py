@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation, _cached, _mean, _read_only, _row_norms, _row_sums, geodesic_distance
+from .geometry import Pose, Rotation, _cached, _freeze, _mean, _read_only, _row_norms, _row_sums, geodesic_distance
 
 __all__ = _EXPORTS["losses"]
 
@@ -91,7 +91,7 @@ class NeighborSet:
             canon = np.sort(pairs, axis=1)
             if np.unique(canon, axis=0).shape[0] != pairs.shape[0]:
                 raise ValueError("duplicate unordered pair in neighbor set")
-        object.__setattr__(self, "pairs", _read_only(pairs))
+        _freeze(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -139,10 +139,9 @@ def _rows(x, what: str) -> np.ndarray:
     return arr
 
 
-def _check_p(p: int) -> int:
+def _check_p(p: int) -> None:
     if p not in (1, 2):
         raise ValueError(f"norm order p must be 1 or 2, got {p!r}")
-    return p
 
 
 def _vec_pnorm(v: np.ndarray, p: int) -> float:

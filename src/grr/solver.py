@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import _EYE3, Pose, Rotation, _check_rotations, _det3, _normalized_rows, _rotations, _trusted
+from .geometry import _EYE3, Pose, Rotation, _check_rotations, _det3, _freeze, _normalized_rows, _rotations, _trusted
 
 __all__ = _EXPORTS["solver"]
 
@@ -69,8 +69,8 @@ class AlignmentProblem:
             raise ValueError("need at least 3 correspondences")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("correspondences contain non-finite entries")
-        object.__setattr__(self, "source", src)
-        object.__setattr__(self, "target", tgt)
+        _freeze(self, "source", src)
+        _freeze(self, "target", tgt)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (src.shape[0],):
@@ -79,7 +79,7 @@ class AlignmentProblem:
                 raise ValueError("weights must be finite and nonnegative")
             if w.sum() <= 0.0:
                 raise ValueError("weights must have a positive sum")
-            object.__setattr__(self, "weights", w)
+            _freeze(self, "weights", w)
 
     @property
     def size(self) -> int:

@@ -39,7 +39,6 @@ from .geometry import (Pose, Seed, _normalized_rows, _read_only, _row_sums, _tan
 from .losses import (
     LossWeights,
     NeighborSet,
-    _check_p,
     _geometry_terms,
     _pair_grads,
     _pair_terms,
@@ -215,10 +214,7 @@ class FrameInputs:
     rays_pred / pts_pred are the free variables the gradient is taken with
     respect to; the canonical sets, ground-truth pose, neighbor pairs,
     weights, and norm order are constants of the frame. rays_cam must be unit
-    rows, as canonical_rays gives them. A frozen canonical pair (read-only arrays owning
-    their data, as canonical_rays and canonical_points give) is validated and factored once
-    per batch; it must not change while frames use it, via an earlier writable view or by
-    setting writeable again. A writable pair, or a view, is validated on every frame.
+    rows, as canonical_rays gives them.
     """
 
     rays_cam: np.ndarray
@@ -247,21 +243,19 @@ class FrameInputs:
 _FramePass = namedtuple("_FramePass", "terms rays pts svd d_gt dist t_resid geo pairs")
 
 
-# The last frozen canonical pair a frame used, held so `is` never meets a recycled
-# address: [rays_cam, pts_cam, RayBundle, PointMap, (NeighborSet, its pair dots)].
-_memo = [None, None, None, None, (None, None)]
+# The canonical pair the last frame used, as bytes, and what was built from it:
+# [rays_cam bytes, pts_cam bytes, RayBundle, PointMap, (NeighborSet, its pair dots)].
+# Equal bytes give bitwise-equal factors; a pair that fails validation is never stored.
+_memo = [None] * 5
 
 
 def _frame_forward(fi: FrameInputs) -> _FramePass:
-    global _memo
     if not np.isfinite(fi.rays_pred).all():  # a NaN row would pass the near-zero check
         raise ValueError("rays_pred contains non-finite entries")
-    rays_cam, pts_cam = fi.rays_cam, fi.pts_cam
-    frozen = not (rays_cam.flags.writeable or pts_cam.flags.writeable) and rays_cam.base is pts_cam.base is None
-    canon = _memo
-    if not (frozen and canon[0] is rays_cam and canon[1] is pts_cam):
-        canon = [rays_cam, pts_cam, RayBundle(rays_cam), PointMap(pts_cam), (None, None)]
-        _memo = canon if frozen else _memo
+    rays_cam, pts_cam, canon = fi.rays_cam, fi.pts_cam, _memo
+    rays_key, pts_key = rays_cam.tobytes(), pts_cam.tobytes()
+    if not (canon[0] == rays_key and canon[1] == pts_key):
+        canon[:] = rays_key, pts_key, RayBundle(rays_cam), PointMap(pts_cam), (None, None)
     unit, norms = _normalized_rows(fi.rays_pred, "target")
     if not np.isfinite(fi.pts_pred).all():  # PointMap's check; the view below never leaves the frame
         raise ValueError("pts contains non-finite entries")
@@ -269,7 +263,7 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     r_t = fi.gt.r.m.T
     d_gt = rays_cam @ r_t
     p_gt = pts_cam @ r_t + fi.gt.t
-    w, p = fi.weights, _check_p(fi.p)
+    w, p = fi.weights, fi.p
     dist = geodesic_distance(rays.rotation, fi.gt.r)
     t_resid = pts.pose.t - fi.gt.t
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)

@@ -36,7 +36,8 @@ def make_poses():
 @pytest.fixture
 def canonical_work(monkeypatch):
     """What the training pass does to the canonical side, one name per time
-    it does it: "rays" per RayBundle built, "dots" per canonical pair-dot set."""
+    it does it: "rays" per RayBundle built, "dots" per canonical pair-dot set.
+    The canonical cache starts empty: it outlives a test, and equal bytes hit it."""
     from grr import solver_grad
 
     done = []
@@ -53,6 +54,7 @@ def canonical_work(monkeypatch):
             done.append("dots")
         return out
 
+    monkeypatch.setattr(solver_grad, "_memo", [None] * 5)
     monkeypatch.setattr(solver_grad, "RayBundle", CountingRayBundle)
     monkeypatch.setattr(solver_grad, "_pair_terms", counting_pair_terms)
     return done

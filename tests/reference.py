@@ -233,10 +233,10 @@ def read_xyz(path) -> np.ndarray:
     """read_xyz_csv as first written: a header readline, blank lines found by string
     scans, the body parsed through io.StringIO; an index out of order names its file line."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
+        header = fh.readline().rstrip("\n")
         body = fh.read()
-    if header.rstrip("\n") != "i,x,y,z":
-        raise ValueError(f"{path}: expected header i,x,y,z, got {header.rstrip()!r}")
+    if header != "i,x,y,z":
+        raise ValueError(f"{path}: expected header i,x,y,z, got {header!r}")
     if not body:
         return np.empty((0, 3))
     if body.startswith("\n") or "\n\n" in body:

@@ -7,19 +7,27 @@ import numpy as np
 import pytest
 
 from grr import (
+    AlignmentProblem,
+    NeighborSet,
+    NoiseSpec,
+    PointMap,
     Pose,
+    RayBundle,
     Rotation,
     Seed,
     geodesic_distance,
     load_poses,
+    perturb_representations,
     random_rotation,
     random_rotation_matrices,
+    rigid_align,
     save_poses,
+    world_points,
 )
 from grr.geometry import (UNIT_TOL, _cached, _check_rotations, _cross_rows, _mean, _quat_to_matrix, _row_norms,
                           _row_sums, _seed_words, _streams, _trusted)
-from reference import (assert_same, bits, check_rotations, near_rotations, quat_to_matrix, row_cases, row_norms,
-                       row_sums, rows, signed_zero_quaternions, unit_quaternions, write_poses)
+from reference import (assert_same, bits, check_rotations, near_rotations, outcome, quat_to_matrix, row_cases,
+                       row_norms, row_sums, rows, signed_zero_quaternions, unit_quaternions, write_poses)
 
 
 class TestRotation:
@@ -193,6 +201,34 @@ class TestTrustedAndCached:
         assert calls == [1.0, 2.0]
         assert isinstance(Box.doubled, _cached) and Box.doubled.__doc__ == "2 x."
         assert a == Box(1.0) and repr(a).endswith("Box(x=1.0)")  # not a field
+
+
+# Value type -> (its writable arrays from a generator, a constructor over them, one result derived from an instance).
+OWNED = {
+    "Rotation": (lambda rng: [random_rotation(Seed(1)).m.copy()], Rotation, lambda r: r @ r),
+    "Pose": (lambda rng: [random_rotation(Seed(1)).m.copy(), rng.standard_normal(3)], Pose,
+             lambda pose: world_points(pose, PointMap(np.eye(3)))),
+    "RayBundle": (lambda rng: [random_rotation(Seed(3)).m.copy()], RayBundle, lambda rb: rb.unit),
+    "PointMap": (lambda rng: [rng.standard_normal((6, 3))], PointMap, lambda pm: pm.centred),
+    "NeighborSet": (lambda rng: [np.array([[0, 1], [1, 2], [3, 2]])], lambda pairs: NeighborSet(4, pairs),
+                    lambda ns: ns._scatter_index),
+    "AlignmentProblem": (lambda rng: [rng.standard_normal((6, 3)), rng.standard_normal((6, 3)), rng.uniform(1, 2, 6)],
+                         AlignmentProblem, rigid_align),
+    "NoiseSpec": (lambda rng: [rng.standard_normal(3)],
+                  lambda bias: NoiseSpec(0.01, 0.02, bias, "iid_gaussian", Seed(2)),
+                  lambda spec: perturb_representations(RayBundle(np.eye(3)), PointMap(np.eye(3)), spec)),
+}
+
+
+@pytest.mark.parametrize("name", OWNED)
+def test_value_type_keeps_its_bits_when_the_callers_arrays_change(name):
+    make, build, derive = OWNED[name]
+    arrays = make(np.random.default_rng(9))
+    fresh = build(*[a.copy() for a in arrays])
+    kept = build(*arrays)
+    for a in arrays:
+        a[...] = -1
+    assert (bits(kept), outcome(derive, kept)) == (bits(fresh), outcome(derive, fresh))
 
 
 class TestGeodesicDistance:

@@ -503,16 +503,15 @@ def frame_outcome(fi):
     return [outcome(pipeline_loss, fi), outcome(pipeline_loss_grad, fi)]
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
+def _refreeze(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 class TestCanonicalMemo:
-    """Frames that share one frozen canonical pair are validated and factored
-    once; the results are bitwise those of per-frame validation, and nothing
-    stale or unvalidated is ever served."""
+    """Frames whose canonical pair has the bytes of the last one are served its
+    factors; every other pair is validated and factored again. The results are
+    bitwise those of a fresh pair, and nothing stale or unvalidated is served."""
 
     @staticmethod
     def batch() -> list[FrameInputs]:
@@ -525,16 +524,21 @@ class TestCanonicalMemo:
         four, eight = NeighborSet.grid(4), NeighborSet.grid(4, connectivity=8)
         return [replace(f, neighbors=four if k < 5 else eight) for k, f in enumerate(frames)]
 
-    def test_shared_frozen_pair_gives_the_bits_of_per_frame_copies(self, canonical_work):
+    def test_shared_pair_gives_the_bits_of_per_frame_copies(self, canonical_work):
         frames = self.batch()
-        rays_cam, pts_cam = _frozen(frames[0].rays_cam), _frozen(frames[0].pts_cam)
+        rays_cam, pts_cam = frames[0].rays_cam.copy(), frames[0].pts_cam.copy()
         shared = [frame_outcome(replace(f, rays_cam=rays_cam, pts_cam=pts_cam)) for f in frames]
         assert canonical_work == ["rays", "dots", "dots"]  # one pair, two neighbour sets
         del canonical_work[:]
         copies = [frame_outcome(replace(f, rays_cam=rays_cam.copy(), pts_cam=pts_cam.copy()))
                   for f in frames]
-        assert canonical_work.count("rays") == 2 * len(frames)  # validated on every call
-        assert shared == copies
+        assert canonical_work == ["dots", "dots"]  # equal bytes are served from the cache
+        fresh = []
+        for f in frames:
+            solver_grad._memo[0] = None  # forget the pair: this frame builds its own
+            fresh.append(frame_outcome(replace(f, rays_cam=rays_cam.copy(), pts_cam=pts_cam.copy())))
+        assert canonical_work.count("rays") == len(frames)
+        assert shared == copies == fresh
         grad_kinds = [out[1][0] if isinstance(out[1][0], type) else "ok" for out in shared]
         assert grad_kinds.count("ok") == len(frames) - 2
         assert grad_kinds[2] is NearSingularJacobian  # only the gradient rejects it
@@ -564,6 +568,20 @@ class TestCanonicalMemo:
         with pytest.raises(ValueError, match="ray norms deviate from 1"):
             pipeline_loss_grad(frame)
 
+    def test_refrozen_pair_gives_the_bits_of_a_fresh_pair(self):
+        """A read-only pair made writable, changed in place and made read-only again."""
+        fi = random_frame_inputs(Seed(5))
+        rays_cam, pts_cam = fi.rays_cam.copy(), fi.pts_cam.copy()
+        _refreeze(rays_cam, pts_cam)
+        frame = replace(fi, rays_cam=rays_cam, pts_cam=pts_cam)
+        before = frame_outcome(frame)
+        rays_cam.flags.writeable = pts_cam.flags.writeable = True
+        rot = random_rotation(Seed(6)).m
+        rays_cam[:], pts_cam[:] = rays_cam @ rot.T, pts_cam @ rot.T + 0.5
+        _refreeze(rays_cam, pts_cam)
+        after = frame_outcome(frame)
+        assert after == frame_outcome(replace(fi, rays_cam=rays_cam.copy(), pts_cam=pts_cam.copy())) != before
+
     def test_read_only_view_of_a_writable_base_is_not_kept(self, canonical_work):
         fi = random_frame_inputs(Seed(220))
         base = fi.rays_cam.copy()
@@ -572,22 +590,21 @@ class TestCanonicalMemo:
         frame = replace(fi, rays_cam=view)
         assert frame.rays_cam is view
         first = frame_outcome(frame)
+        assert canonical_work.count("rays") == 1
         base[:] = base @ random_rotation(Seed(221)).m.T
-        assert canonical_work.count("rays") == 2
         assert frame_outcome(frame) == frame_outcome(replace(fi, rays_cam=base.copy())) != first
-        assert solver_grad._memo[0] is not view
+        assert canonical_work.count("rays") == 2  # rebuilt once after the change
 
-    def test_frozen_non_unit_rays_raise_on_every_call(self, canonical_work):
+    def test_non_unit_rays_raise_on_every_call(self, canonical_work):
         fi = random_frame_inputs(Seed(230))
-        frame = replace(fi, rays_cam=_frozen(1.01 * fi.rays_cam))
+        frame = replace(fi, rays_cam=1.01 * fi.rays_cam)
         messages = set()
         for fn in (pipeline_loss, pipeline_loss_grad, pipeline_loss):
             with pytest.raises(ValueError) as info:
                 fn(frame)
             messages.add(str(info.value))
         assert len(messages) == 1 and messages.pop().startswith("ray norms deviate from 1 by up to")
-        assert canonical_work == ["rays"] * 3
-        assert solver_grad._memo[0] is not frame.rays_cam
+        assert canonical_work == ["rays"] * 3  # a pair that fails validation is never stored
 
     @pytest.mark.parametrize("neighbors,error,message", [
         (NeighborSet.grid(5), ValueError, "neighbor set is over 25 items, bundles have 16"),
