@@ -188,7 +188,7 @@ def cmd_gen(args, cfg: dict, base_dir: str) -> int:
 
 
 def cmd_solve(args, cfg: dict, base_dir: str) -> int:
-    from .metrics import FrameRecord, _score_degenerate, _score_solved, summarize_records, write_report_csv
+    from .metrics import _score_frames, summarize_records, write_report_csv
     from .solver import DegenerateConfiguration, recover_pose
 
     _, rays_cam, pts_cam, files, gt = _dataset(cfg, base_dir, need_gt=False)
@@ -197,7 +197,7 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
         raise ConfigError(f"key 'unit_scale' in config must be positive, got {unit_scale}")
 
     poses: list[Pose] = []
-    records: list[FrameRecord] = []
+    frames: list[tuple] = []  # (frame, outcome, ground-truth pose or None)
     # Points near the float limit overflow in the centroid, centring or cross-covariance; checks name it.
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (rf, pf) in enumerate(files):
@@ -209,10 +209,11 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
                 log.warning("frame %d degenerate: %s", idx, exc)
                 # Placeholder identity pose keeps the output file frame-aligned.
                 poses.append(Pose.identity())
-                records.append(_score_degenerate(idx, exc))
-                continue
-            poses.append(rec.pose)
-            records.append(_score_solved(idx, rec, None if gt is None else gt[idx]))
+                rec = exc
+            else:
+                poses.append(rec.pose)
+            frames.append((idx, rec, None if gt is None else gt[idx]))
+        records = _score_frames(frames)
 
     out = _out_dir(args)
     save_poses(poses, os.path.join(out, "solved_poses.txt"))

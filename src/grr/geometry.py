@@ -27,8 +27,6 @@ UNIT_TOL = 1e-9
 
 _SQRT8 = 2.0 * math.sqrt(2.0)
 _EYE3 = np.eye(3)
-_E_X = np.array([[1.0, 0.0, 0.0]])
-_E_Z = np.array([[0.0, 0.0, 1.0]])
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -79,10 +77,19 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _tangent_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pair (u, v) per unit (..., 3) row of d; the helper axis avoids the pole."""
-    u = _cross_rows(d, np.where(np.abs(d[..., 2:3]) < 0.9, _E_Z, _E_X))
-    u /= _row_norms(u, keepdims=True)
-    return u, _cross_rows(d, u)
+    """Orthonormal tangent pair (u, v) per unit (..., 3) row of d; the helper axis avoids the pole.
+
+    _cross_rows and _row_norms bit for bit, on contiguous columns. The helper axis is e_z or e_x,
+    and its zero components stay as * 0.0 terms, which set the signs of zero products."""
+    x, y, z = np.moveaxis(d, -1, 0).copy()
+    hz = (np.abs(z) < 0.9).astype(np.float64)
+    hx = 1.0 - hz
+    u = np.stack([y * hz - z * 0.0, z * hx - x * hz, x * 0.0 - y * hx])
+    norms = u[0] * u[0] + u[1] * u[1]  # _row_norms(u), column by column: squares sum to +0.0, not -0.0
+    norms += u[2] * u[2]
+    u /= np.sqrt(norms)
+    u0, u1, u2 = u
+    return np.stack([u0, u1, u2], axis=-1), np.stack([y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0], axis=-1)
 
 
 def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -182,7 +189,7 @@ class Rotation:
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Rotation":
         """Rodrigues' formula. axis is normalized here; zero axis is an error."""
-        return cls(_axis_angle_matrix(axis, angle))
+        return cls(_axis_angle_matrices(_as_float_array(axis, (3,), "axis")[np.newaxis], [angle])[0])
 
     @classmethod
     def from_quaternion(cls, q) -> "Rotation":
@@ -200,19 +207,31 @@ class Rotation:
         return Rotation(self.m @ other.m)
 
 
-def _axis_angle_matrix(axis, angle: float) -> np.ndarray:
-    """Rotation.from_axis_angle's matrix, before its orthonormality check."""
-    a = _as_float_array(axis, (3,), "axis")
-    n = float(np.linalg.norm(a))
-    if n < 1e-12:
-        raise ValueError("rotation axis has near-zero norm")
-    a = a / n
-    k = np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+def _vector_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (F, 3) x bit for bit, as (F, 1): its 1-D path is sqrt(x.dot(x))."""
+    return np.sqrt(x[:, np.newaxis] @ x[..., np.newaxis])[:, 0]
+
+
+def _axis_angle_matrices(axes: np.ndarray, angles: Sequence[float], where: str = "") -> np.ndarray:
+    """Rotation.from_axis_angle's matrices for (F, 3) axes, normalized here, and F angles, before
+    their orthonormality check. The first entry k whose axis is not finite or has near-zero norm,
+    or whose angle math.sin rejects, raises ValueError with where.format(k) before its message."""
+    norms = _vector_norms(axes)
+    terms = []  # per entry, (sin, 1 - cos) of its angle
+    for k, (finite, n, angle) in enumerate(zip(np.isfinite(axes).all(axis=1).tolist(), norms.ravel().tolist(), angles)):
+        try:
+            if not finite:
+                raise ValueError("axis contains non-finite entries")
+            if n < 1e-12:
+                raise ValueError("rotation axis has near-zero norm")
+            terms.append((math.sin(angle), 1.0 - math.cos(angle)))
+        except ValueError as exc:
+            raise ValueError(f"{where.format(k)}{exc}") from exc
+    x, y, z = (axes / norms).T
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    s, c = np.array(terms).T[:, :, np.newaxis, np.newaxis]
+    return _EYE3 + s * k + c * (k @ k)
 
 
 def _rotations(ms: np.ndarray) -> list[Rotation]:

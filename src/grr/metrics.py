@@ -7,8 +7,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import _EXPORTS
-from .geometry import Pose, geodesic_distance
+from .geometry import _SQRT8, Pose
 from .solver import DegenerateConfiguration, PoseRecovery
 
 __all__ = _EXPORTS["metrics"]
@@ -40,31 +42,41 @@ class FrameRecord:
     status: str
 
 
-def _score_solved(idx: int, rec: PoseRecovery, gt: Pose | None) -> FrameRecord:
-    """An "ok" record for a solved frame; NaN errors without a ground-truth pose."""
-    if gt is None:
-        return FrameRecord(idx, math.nan, math.nan, math.nan, "ok")
-    # Checked on Python floats, where an overflowing difference is inf without
-    # a warning; below 1e150 per axis the squares sum without overflow.
-    (x, y, z), (u, v, w) = rec.pose.t.tolist(), gt.t.tolist()
+def _trans_err(t: np.ndarray, gt_t: np.ndarray) -> float:
+    """The distance between camera centres. Checked on Python floats, where an overflowing
+    difference is inf without a warning; below 1e150 per axis the squares sum without overflow."""
+    (x, y, z), (u, v, w) = t.tolist(), gt_t.tolist()
     dx, dy, dz = x - u, y - v, z - w
     if -1e150 < dx < 1e150 and -1e150 < dy < 1e150 and -1e150 < dz < 1e150:
-        t_err = rec.pose.t - gt.t
-        trans_err = math.sqrt(t_err.dot(t_err))  # np.linalg.norm's 1-D path
-    else:
-        trans_err = math.hypot(dx, dy, dz)  # finite wherever the error is
-    return FrameRecord(
-        frame=idx,
-        rot_err_rays_deg=math.degrees(geodesic_distance(rec.pose.r, gt.r)),
-        rot_err_points_deg=math.degrees(geodesic_distance(rec.rotation_from_points, gt.r)),
-        trans_err=trans_err,
-        status="ok",
-    )
+        diff = t - gt_t
+        return math.sqrt(diff.dot(diff))  # np.linalg.norm's 1-D path
+    return math.hypot(dx, dy, dz)  # finite wherever the error is
 
 
-def _score_degenerate(idx: int, exc: DegenerateConfiguration) -> FrameRecord:
-    """A "degenerate:<branch>" record with NaN errors for a frame that did not solve."""
-    return FrameRecord(idx, math.nan, math.nan, math.nan, f"degenerate:{exc.branch or 'unknown'}")
+def _score_frames(frames: Sequence[tuple[int, PoseRecovery | DegenerateConfiguration, Pose | None]]
+                  ) -> list[FrameRecord]:
+    """One record per (index, solve outcome, ground-truth pose or None), in order: "ok" for a
+    PoseRecovery, with NaN errors without a pose, and "degenerate:<branch>" with NaN errors for
+    a DegenerateConfiguration. The rotation errors are geodesic_distance's bits in degrees,
+    from one stacked product, trace and antisymmetric norm over every scored rotation."""
+    scored = [(rec, gt) for _, rec, gt in frames if gt is not None and isinstance(rec, PoseRecovery)]
+    if scored:
+        est = np.array([rec.pose.r.m for rec, _ in scored] + [rec.rotation_from_points.m for rec, _ in scored])
+        q = np.swapaxes(est, -1, -2) @ np.array([gt.r.m for _, gt in scored] * 2)
+        cos = 0.5 * (np.trace(q, axis1=1, axis2=2) - 1.0)
+        anti = (q - np.swapaxes(q, -1, -2)).reshape(-1, 1, 9)
+        sin = np.sqrt(anti @ anti.reshape(-1, 9, 1)).ravel() / _SQRT8
+        degs = [math.degrees(math.atan2(s, max(-1.0, min(1.0, c)))) for s, c in zip(sin.tolist(), cos.tolist())]
+        rays_deg, points_deg = iter(degs[:len(scored)]), iter(degs[len(scored):])
+    records = []
+    for idx, rec, gt in frames:
+        if isinstance(rec, DegenerateConfiguration):
+            records.append(FrameRecord(idx, math.nan, math.nan, math.nan, f"degenerate:{rec.branch or 'unknown'}"))
+        elif gt is None:
+            records.append(FrameRecord(idx, math.nan, math.nan, math.nan, "ok"))
+        else:
+            records.append(FrameRecord(idx, next(rays_deg), next(points_deg), _trans_err(rec.pose.t, gt.t), "ok"))
+    return records
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ numpy calls that hold the interpreter lock, so a thread pool only slowed it.
 A sweep runs pose-major on that contract. Each frame's noise stream is computed
 in bulk (geometry._streams) but equals Seed.derive(idx).rng(); NumPy does not
 promise SeedSequence is stable, so tests pin the two together. Ground-truth
-bundles and tangent frames are built 16 poses at a time, shared by every spec.
+bundles and tangent frames are built 16 poses at a time, shared by every spec,
+and each such chunk's solved frames are scored in one call.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PatchGrid, PointMap, RayBundle, _world_frames, canonical_points, canonical_rays
-from .geometry import (Pose, Seed, _as_float_array, _axis_angle_matrix, _cross_rows, _freeze, _read_only,
-                       _rotations, _streams)
-from .metrics import FrameRecord, TrialReport, _fmt, _score_degenerate, _score_solved, summarize_records
+from .geometry import (Pose, Seed, _axis_angle_matrices, _cross_rows, _freeze, _read_only, _rotations, _streams,
+                       _vector_norms)
+from .metrics import FrameRecord, TrialReport, _fmt, _score_frames, summarize_records
 from .solver import DegenerateConfiguration, recover_pose
 
 __all__ = _EXPORTS["simulator"]
@@ -97,14 +98,14 @@ def sample_poses(base: Sequence[Pose], spec: PosePerturbSpec) -> list[Pose]:
     if not len(g):
         return []
     ts = np.repeat([pose.t for pose in base], spec.count, axis=0) + spec.sigma_t * g[:, :3]
-    deltas = []
-    for k, (axis, z, t) in enumerate(zip(g[:, 3:6], g[:, 6].tolist(), ts)):
-        try:  # an infinite angle fails in math.sin, an infinite offset in the check
-            deltas.append(_axis_angle_matrix(axis / np.linalg.norm(axis), abs(spec.sigma_r * z)))
-            _as_float_array(t, (3,), "translation")
-        except ValueError as exc:
-            raise ValueError(f"perturb sample {k}: {exc}") from exc
-    rots = _rotations(np.repeat([pose.r.m for pose in base], spec.count, axis=0) @ np.array(deltas))
+    # Sample k's axis and angle are checked before its translation, so check through the first bad one.
+    bad_t = np.flatnonzero(~np.isfinite(ts).all(axis=1))
+    end = int(bad_t[0]) + 1 if bad_t.size else len(g)
+    axes = g[:end, 3:6] / _vector_norms(g[:end, 3:6])
+    deltas = _axis_angle_matrices(axes, [abs(spec.sigma_r * z) for z in g[:end, 6].tolist()], "perturb sample {}: ")
+    if bad_t.size:
+        raise ValueError(f"perturb sample {end - 1}: translation contains non-finite entries")
+    rots = _rotations(np.repeat([pose.r.m for pose in base], spec.count, axis=0) @ deltas)
     return [Pose(r, t) for r, t in zip(rots, ts)]
 
 
@@ -141,8 +142,9 @@ def perturb_representations(
     m = len(rays)
     rng = seed if isinstance(seed, np.random.Generator) else (spec.seed if seed is None else seed).rng()
     phi = rng.uniform(0.0, 2.0 * math.pi, m)
-    theta = np.abs(rng.standard_normal(m)) * spec.ray_sigma
-    offsets = rng.standard_normal((m, 3)) * spec.point_sigma
+    g = rng.standard_normal(4 * m)  # the two normal draws' values, in one call
+    theta = np.abs(g[:m]) * spec.ray_sigma
+    offsets = g[m:].reshape(m, 3) * spec.point_sigma
     if spec.mode == "per_patch_scaled" and m > 1:  # else every scale is 1 and x * 1.0 == x
         scale = _ramp(m)
         theta *= scale
@@ -172,17 +174,21 @@ def ablation_sweep(
     records: list[list[FrameRecord]] = [[] for _ in specs]
     for start in range(0, len(poses), _CHUNK):
         chunk = poses[start:start + _CHUNK]
+        frames = []  # (frame, outcome, pose), pose-major: the chunk's specs interleaved
         for idx, pose, gt in zip(range(start, len(poses)), chunk, _world_frames(chunk, rays_cam, pts_cam)):
-            for k, (noise, (state, inc), out) in enumerate(zip(specs, (s[idx] for s in streams), records)):
+            for k, (noise, (state, inc)) in enumerate(zip(specs, (s[idx] for s in streams))):
                 rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                            "has_uint32": 0, "uinteger": 0}
                 try:
-                    rec = recover_pose(rays_cam, pts_cam, *perturb_representations(*gt, noise, seed=rng))
-                    out.append(_score_solved(idx, rec, pose))
+                    outcome = recover_pose(rays_cam, pts_cam, *perturb_representations(*gt, noise, seed=rng))
                 except DegenerateConfiguration as exc:
-                    out.append(_score_degenerate(idx, exc))
+                    outcome = exc
                 except ValueError as exc:  # noise past the float range: name the spec and the frame
                     raise ValueError(f"noise[{k}] frame {idx}: {exc}") from exc
+                frames.append((idx, outcome, pose))
+        scored = _score_frames(frames)
+        for k, out in enumerate(records):
+            out.extend(scored[k::len(specs)])
     return [summarize_records(r) for r in records]
 
 

@@ -167,9 +167,9 @@ def kabsch(src, tgt, normalize: bool):
 
 
 def tangent_basis(d):
-    """The per-ray tangent pair (u, v) the ray tilt turns in, helper axis z or x."""
-    u = np.cross(d, np.where(np.abs(d[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    """The per-ray tangent pair (u, v) of (..., 3) rows the ray tilt turns in, helper axis z or x."""
+    u = np.cross(d, np.where(np.abs(d[..., 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
     return u, np.cross(d, u)
 
 
@@ -265,6 +265,22 @@ def write_poses(poses, path) -> None:
             fh.write(" ".join(format(x, ".17g") for x in nums) + "\n")
 
 
+def axis_angle_matrix(axis, angle):
+    """Rotation.from_axis_angle's matrix as first written: Rodrigues' formula on one axis,
+    normalized with np.linalg.norm, before the orthonormality check."""
+    a = np.asarray(axis, dtype=np.float64)
+    if a.shape != (3,):
+        raise ValueError(f"axis must have shape (3,), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("axis contains non-finite entries")
+    n = float(np.linalg.norm(a))
+    if n < 1e-12:
+        raise ValueError("rotation axis has near-zero norm")
+    a = a / n
+    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
 def sample_poses(base, spec):
     """sample_poses as first written: base-major, three draws and checked
     rotations per sample; a failing sample raises its error, naming it."""
@@ -273,7 +289,7 @@ def sample_poses(base, spec):
         ref = base[k // spec.count]
         offset, axis, z = spec.sigma_t * rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal()
         try:
-            delta = Rotation.from_axis_angle(axis / np.linalg.norm(axis), abs(spec.sigma_r * z))
+            delta = Rotation(axis_angle_matrix(axis / np.linalg.norm(axis), abs(spec.sigma_r * z)))
             out.append(Pose(ref.r @ delta, ref.t + offset))
         except ValueError as exc:
             raise ValueError(f"perturb sample {k}: {exc}") from None
@@ -287,6 +303,24 @@ def trans_err(est_t, gt_t) -> float:
     if all(abs(x) < 1e150 for x in diff):
         return float(np.linalg.norm(est_t - gt_t))
     return math.hypot(*diff)
+
+
+def score_solved(idx, rec, gt) -> FrameRecord:
+    """The per-frame scorer as first written: an "ok" record with the two rotations'
+    geodesic_distance to the ground truth in degrees and the translation error, or
+    NaN errors without a ground-truth pose."""
+    if gt is None:
+        return FrameRecord(idx, math.nan, math.nan, math.nan, "ok")
+    return FrameRecord(idx, math.degrees(geodesic_distance(rec.pose.r, gt.r)),
+                       math.degrees(geodesic_distance(rec.rotation_from_points, gt.r)),
+                       trans_err(rec.pose.t, gt.t), "ok")
+
+
+def score_frames(frames):
+    """The stacked scorer's records, frame by frame: score_solved for each (index, recovery,
+    ground truth), or a "degenerate:<branch>" record with NaN errors for an exception."""
+    return [FrameRecord(idx, math.nan, math.nan, math.nan, f"degenerate:{rec.branch or 'unknown'}")
+            if isinstance(rec, DegenerateConfiguration) else score_solved(idx, rec, gt) for idx, rec, gt in frames]
 
 
 def sweep(grid, poses, specs):
@@ -303,11 +337,8 @@ def sweep(grid, poses, specs):
             try:
                 rec = recover_pose(rays_cam, pts_cam, *perturb_representations(*gt, noise, seed=noise.seed.derive(idx)))
             except DegenerateConfiguration as exc:
-                records.append(FrameRecord(idx, math.nan, math.nan, math.nan, f"degenerate:{exc.branch}"))
-                continue
-            records.append(FrameRecord(idx, math.degrees(geodesic_distance(rec.pose.r, pose.r)),
-                                       math.degrees(geodesic_distance(rec.rotation_from_points, pose.r)),
-                                       trans_err(rec.pose.t, pose.t), "ok"))
+                rec = exc
+            records.extend(score_frames([(idx, rec, pose)]))
         ok = [r for r in records if r.status == "ok"]
         reports.append(TrialReport(tuple(records), median([r.rot_err_rays_deg for r in ok]),
                                    median([r.rot_err_points_deg for r in ok]),

@@ -25,9 +25,10 @@ from grr import (
     world_points,
 )
 from grr.geometry import (UNIT_TOL, _cached, _check_rotations, _cross_rows, _mean, _quat_to_matrix, _row_norms,
-                          _row_sums, _seed_words, _streams, _trusted)
-from reference import (assert_same, bits, check_rotations, near_rotations, outcome, quat_to_matrix, row_cases,
-                       row_norms, row_sums, rows, signed_zero_quaternions, unit_quaternions, write_poses)
+                          _row_sums, _seed_words, _streams, _tangent_basis, _trusted)
+from reference import (assert_same, axis_angle_matrix, bits, check_rotations, near_rotations, outcome, quat_to_matrix,
+                       row_cases, row_norms, row_sums, rows, signed_zero_quaternions, switch_rows, tangent_basis,
+                       unit_quaternions, write_poses)
 
 
 class TestRotation:
@@ -68,6 +69,18 @@ class TestRotation:
     def test_axis_angle_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="near-zero"):
             Rotation.from_axis_angle([0.0, 0.0, 0.0], 1.0)
+
+    def test_axis_angle_matches_plain_rodrigues(self):
+        """The stacked Rodrigues build, on a stack of one, gives the per-axis form's bits,
+        and its errors: a bad shape, a non-finite or near-zero axis, an angle math.sin rejects."""
+        rng = Seed(13).rng()
+        cases = [(rng.normal(size=3) * 10.0 ** rng.uniform(-5, 5), rng.normal() * 10.0 ** rng.uniform(-12, 2))
+                 for _ in range(300)]
+        cases += [([0.0, 0.0, 1.0], 0.0), ([-0.0, 0.0, -2.0], math.pi), ([1e-13, 0.0, 0.0], 1.0),
+                  ([0.0, 0.0, 0.0], 1.0), ([np.nan, 0.0, 1.0], 1.0), ([np.inf, 0.0, 1.0], 1.0),
+                  ([0.0, 1.0, 0.0], math.inf), ([0.0, 1.0, 0.0], -math.inf), ([1.0, 2.0], 1.0), (np.eye(3), 1.0)]
+        for axis, angle in cases:
+            assert_same(Rotation.from_axis_angle, lambda a, t: Rotation(axis_angle_matrix(a, t)), axis, angle)
 
     def test_matmul_composes_rotations(self):
         a = random_rotation(Seed(11))
@@ -451,6 +464,18 @@ class TestRowHelpers:
         b = np.stack([rows(seed + 50 + k) for k in range(4)])
         assert_same(_cross_rows, np.cross, a, b)
         assert_same(_cross_rows, np.cross, b, a)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tangent_basis_matches_reference(self, seed):
+        """On (m, 3) rows and (F, m, 3) stacks: signed zeros, rows on both sides of the
+        |z| = 0.9 helper switch and on it, tiny rows; zero rows have no tangent (0/0)."""
+        unit = Seed(seed).rng().standard_normal((16, 256, 3))
+        unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+        unit[:, :len(switch_rows())] = switch_rows()
+        signed = np.array([[-0.0, -0.0, 1.0], [0.0, -0.0, -1.0], [-1.0, 0.0, -0.0], [-0.0, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            for d in (rows(seed), np.stack([rows(seed + k) for k in range(4)]), unit, unit[3], signed, signed[None]):
+                assert_same(_tangent_basis, tangent_basis, d)
 
     @pytest.mark.parametrize("keepdims", [False, True])
     def test_row_norms_match_linalg_norm(self, keepdims):

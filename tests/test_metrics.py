@@ -16,9 +16,9 @@ from grr import (
     random_rotation,
     summarize_records,
 )
-from grr.metrics import _score_degenerate, _score_solved
+from grr.metrics import _score_frames
 from grr.solver import DegenerateConfiguration
-from reference import bits, median as np_median, trans_err, translation_errors
+from reference import assert_same, bits, median as np_median, score_frames, trans_err, translation_errors
 
 
 class TestMedian:
@@ -110,8 +110,9 @@ class TestSummarizeRecords:
         """The records `grr solve` makes without ground-truth poses: solved
         frames scored against None, one degenerate frame."""
         p = Pose(random_rotation(Seed(5)), np.array([0.5, -1.0, 2.0]))
-        solved = [_score_solved(i, PoseRecovery(p, p.r, None, None), None) for i in (0, 2)]
-        recs = [solved[0], _score_degenerate(1, DegenerateConfiguration("collapsed", branch="rays")), solved[1]]
+        rec = PoseRecovery(p, p.r, None, None)
+        recs = _score_frames([(0, rec, None), (1, DegenerateConfiguration("collapsed", branch="rays"), None),
+                              (2, rec, None)])
         assert [r.status for r in recs] == ["ok", "degenerate:rays", "ok"]
         rep = summarize_records(recs)
         assert math.isnan(rep.median_rot_err_rays_deg)
@@ -158,7 +159,7 @@ class TestScoreSolved:
     @staticmethod
     def score(est: Pose, gt: Pose, rotation_from_points=None):
         rec = PoseRecovery(est, rotation_from_points or est.r, None, None)
-        return _score_solved(7, rec, gt)
+        return _score_frames([(7, rec, gt)])[0]
 
     def test_identical_poses(self):
         p = Pose(random_rotation(Seed(1)), np.array([1.0, -2.0, 0.5]))
@@ -186,7 +187,7 @@ class TestScoreSolved:
             gt = Pose(random_rotation(Seed(91).derive(k)), rng.normal(scale=10.0, size=3))
             est = Pose(random_rotation(Seed(92).derive(k)), gt.t + rng.normal(size=3))
             rec = PoseRecovery(est, est.r, None, None)
-            got = _score_solved(k, rec, gt).trans_err
+            got = _score_frames([(k, rec, gt)])[0].trans_err
             t = est.t - gt.t
             assert got == math.sqrt(t.dot(t))
             assert got == float(np.linalg.norm(t))
@@ -215,3 +216,53 @@ class TestScoreSolved:
         rec = self.score(Pose(r, np.array([1.7e308, 0.0, 0.0])),
                          Pose(r, np.array([-1.7e308, 0.0, 0.0])))
         assert rec.trans_err == math.inf
+
+
+class TestScoreFramesParity:
+    """The stacked scorer gives the per-frame plain form's records bit for bit, in order."""
+
+    @staticmethod
+    def recovery(est: Pose, rotation_from_points: Rotation):
+        return PoseRecovery(est, rotation_from_points, None, None)
+
+    @pytest.mark.parametrize("case", sorted(translation_errors(1)))
+    def test_translation_error_table(self, case):
+        """Both sides of the 1e150 switch, as one chunk and as chunks of one."""
+        r = random_rotation(Seed(4))
+        frames = [(k, self.recovery(Pose(r, est), r), Pose(r, gt))
+                  for k, (est, gt) in enumerate(translation_errors(1)[case][:200])]
+        assert_same(_score_frames, score_frames, frames)
+        for frame in frames[:20]:
+            assert_same(_score_frames, score_frames, [frame])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_rotation_pairs(self, seed):
+        """Random pairs, identical rotations (exactly 0.0), pairs within 1e-9 rad of pi
+        and ones near 0, with a degenerate frame and frames without a pose among them."""
+        rng = Seed(seed).rng()
+        frames = []
+        for k in range(96):
+            gt = Pose(random_rotation(Seed(seed).derive(k)), rng.normal(size=3))
+            kind = k % 4
+            if kind == 0:
+                rays, points = random_rotation(Seed(seed + 50).derive(k)), random_rotation(Seed(seed + 60).derive(k))
+            elif kind == 1:
+                rays = points = gt.r
+            else:  # within 1e-9 rad of pi, or within 1e-6 rad of 0
+                angle = math.pi - rng.uniform(0.0, 1e-9) if kind == 2 else rng.uniform(0.0, 1e-6)
+                rays = gt.r @ Rotation.from_axis_angle(rng.normal(size=3), angle)
+                points = gt.r @ Rotation.from_axis_angle(rng.normal(size=3), math.pi - rng.uniform(0.0, 1e-9))
+            frames.append((k, self.recovery(Pose(rays, gt.t + rng.normal(size=3)), points), gt))
+        frames[5] = (5, DegenerateConfiguration("collapsed", branch="points"), frames[5][2])
+        frames[9] = (9, frames[9][1], None)
+        assert_same(_score_frames, score_frames, frames)
+        records = _score_frames(frames)
+        assert [r.frame for r in records] == list(range(96))
+        assert records[1].rot_err_rays_deg == records[1].rot_err_points_deg == 0.0
+        assert records[5].status == "degenerate:points" and math.isnan(records[9].rot_err_rays_deg)
+        assert max(r.rot_err_points_deg for r in records if r.frame % 4 >= 2) > 179.9999999
+        for frame in frames[:8]:  # chunks of one
+            assert_same(_score_frames, score_frames, [frame])
+
+    def test_no_frames(self):
+        assert _score_frames([]) == []

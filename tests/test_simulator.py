@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import grr.simulator
+import reference
 from grr import (
     DegenerateConfiguration,
     FrameRecord,
@@ -134,6 +135,20 @@ class TestPerturbRepresentations:
                 got = perturb_representations(rays, pts, noise, seed=seed)
                 assert got[0].dirs.tobytes() == want[0].dirs.tobytes()
                 assert got[1].pts.tobytes() == want[1].pts.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 256])
+    def test_generator_ends_where_the_three_draws_leave_it(self, bundle, m):
+        """A caller's Generator is left as the docstring's three draws leave it:
+        direction angles (m), tilt magnitudes (m), then point offsets (m, 3)."""
+        rays, pts = RayBundle(bundle[0].dirs[:m]), PointMap(bundle[1].pts[:m])
+        for s in (Seed(0), Seed(7).derive(3), Seed(2**64 - 1)):
+            rng, plain = s.rng(), s.rng()
+            perturb_representations(rays, pts, spec(ray=0.01, pt=0.02), seed=rng)
+            plain.uniform(0.0, 2.0 * math.pi, m)
+            plain.standard_normal(m)
+            plain.standard_normal((m, 3))
+            assert rng.bit_generator.state == plain.bit_generator.state
+            assert rng.standard_normal(5).tobytes() == plain.standard_normal(5).tobytes()
 
     def test_length_mismatch_rejected(self, bundle):
         rays, pts = bundle
@@ -264,7 +279,9 @@ class TestSamplePoses:
                 assert np.array_equal(pose.t, base[k // count].t)
 
     @pytest.mark.parametrize("count", [1, 2, 3])
-    @pytest.mark.parametrize("sigma_t, sigma_r", [(0.05, 0.01), (0.0, 0.3), (2.0, 3.0), (1e-9, 0.0)])
+    @pytest.mark.parametrize("sigma_t, sigma_r", [(0.05, 0.01), (0.0, 0.3), (2.0, 3.0), (1e-9, 0.0), (0.0, 0.0),
+                                                  (0.0, 1e-9), (1e-9, 1e-9), (3.0, 0.0), (0.0, 3.0), (3.0, 3.0),
+                                                  (1e-9, 3.0), (3.0, 1e-9)])
     def test_stacked_draws_match_per_sample_loop(self, count, sigma_t, sigma_r):
         base = [Pose(random_rotation(Seed(62).derive(i)), Seed(63).rng(i).uniform(-5, 5, 3))
                 for i in range(7)]
@@ -287,6 +304,25 @@ class TestSamplePoses:
                 assert got == outcome(reference_sample_poses, base, s)
             failed += got[0] is ValueError and got[1].startswith("perturb sample ")
         assert failed >= 3
+
+    def test_overflow_messages_name_the_failing_draw(self):
+        """An overflowing sigma_r fails in math.sin, an overflowing sigma_t in the
+        translation check; with both, whichever sample comes first is named."""
+        base, both = self.base_poses(), set()
+        translation, angle = "translation contains non-finite entries", "math domain error"
+        for seed in range(12):
+            for sigma_t, sigma_r, want in [(1e308, 0.0, translation), (0.0, 1e308, angle), (1e308, 1e308, None)]:
+                s = PosePerturbSpec(sigma_t, sigma_r, 20, Seed(seed))
+                with np.errstate(over="ignore"):
+                    got = outcome(sample_poses, base, s)
+                    assert got == outcome(reference_sample_poses, base, s)
+                assert got[0] is ValueError and got[1].startswith("perturb sample ")
+                kind = got[1].split(": ", 1)[1]
+                if want:
+                    assert kind == want
+                else:
+                    both.add(kind)
+        assert both == {translation, angle}
 
     def test_no_base_poses(self):
         assert sample_poses([], PosePerturbSpec(0.1, 0.1, 2, Seed(0))) == []
@@ -433,6 +469,37 @@ class TestSweepParity:
         poses = self.poses(12)[:n]
         assert len(poses) == n
         assert bits(ablation_sweep(grid4, poses, self.SPECS)) == bits(sweep(grid4, poses, self.SPECS))
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+    def test_degenerate_frames_at_chunk_edges(self, grid4, monkeypatch, n):
+        """Frames that fail at the first, a middle and the last frame of each 16-pose
+        chunk are recorded in place, in every report, as the spec-major loop records them."""
+        poses = self.poses(12)[:n]
+        failing = set()  # (spec, frame)
+        for start in range(0, n, 16):
+            chunk = range(start, min(start + 16, n))
+            failing |= {(0, chunk[0]), (1, chunk[len(chunk) // 2]), (2, chunk[-1]), (0, chunk[-1])}
+
+        def raising(order, real):
+            calls = []
+
+            def recover(*args):
+                frame = order(len(calls))
+                calls.append(frame)
+                if frame in failing:
+                    raise DegenerateConfiguration("collapsed", branch=("rays", "points")[frame[1] % 2])
+                return real(*args)
+            return recover
+
+        specs, real = self.SPECS, grr.simulator.recover_pose
+        monkeypatch.setattr(grr.simulator, "recover_pose", raising(lambda c: (c % 3, c // 3), real))  # pose-major
+        monkeypatch.setattr(reference, "recover_pose", raising(lambda c: (c // max(n, 1), c % max(n, 1)), real))
+        got = ablation_sweep(grid4, poses, specs)
+        assert bits(got) == bits(sweep(grid4, poses, specs))
+        for k, report in enumerate(got):
+            assert [r.frame for r in report.records] == list(range(n))
+            assert [r.status != "ok" for r in report.records] == [(k, f) in failing for f in range(n)]
+            assert report.failure_count == sum(spec_k == k for spec_k, _ in failing)
 
     def test_empty_inputs(self, grid4):
         assert ablation_sweep(grid4, self.poses(1), []) == []
