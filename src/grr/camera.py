@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .geometry import (Pose, UNIT_TOL, _cached, _freeze, _normalized_rows, _read_only, _row_norms, _tangent_basis,
-                       _trusted)
+from .geometry import Pose, UNIT_TOL, _freeze, _normalized_rows, _read_only, _row_norms, _tangent_basis, _trusted
 
 __all__ = _EXPORTS["camera"]
 
@@ -116,12 +115,12 @@ class RayBundle:
         _freeze(self, "dirs", d)
         object.__setattr__(self, "norms", _read_only(norms))
 
-    @_cached
+    @functools.cached_property
     def unit(self) -> np.ndarray:
         """dirs / norms, the unit rows the ray solve aligns."""
         return _read_only(self.dirs / self.norms)
 
-    @_cached
+    @functools.cached_property
     def tangents(self) -> tuple[np.ndarray, np.ndarray]:
         """(u, v): per-row unit tangents orthogonal to dirs, the frame the noise tilts in."""
         return tuple(_read_only(t) for t in _tangent_basis(self.dirs))
@@ -160,17 +159,17 @@ class PointMap:
     def __len__(self) -> int:
         return self.pts.shape[0]
 
-    @_cached
+    @functools.cached_property
     def centroid(self) -> np.ndarray:
         """(1 @ pts) / m: the rigid solve's centroid under uniform weights."""
         return _read_only((np.ones(len(self)) @ self.pts) / len(self))
 
-    @_cached
+    @functools.cached_property
     def centred(self) -> np.ndarray:
         """pts - centroid."""
         return _read_only(self.pts - self.centroid)
 
-    @_cached
+    @functools.cached_property
     def _centred_finite(self) -> bool:
         """Whether centred is finite: centring can overflow."""
         return bool(np.isfinite(self.centred).all())
@@ -215,7 +214,7 @@ def canonical_points(rays: RayBundle) -> PointMap:
     With the camera at the origin this is numerically identical to the ray
     directions themselves.
     """
-    return PointMap(rays.dirs.copy())
+    return PointMap(rays.dirs)
 
 
 def world_rays(pose: Pose, rays: RayBundle) -> RayBundle:

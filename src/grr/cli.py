@@ -196,7 +196,6 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
     if unit_scale <= 0.0:
         raise ConfigError(f"key 'unit_scale' in config must be positive, got {unit_scale}")
 
-    poses: list[Pose] = []
     frames: list[tuple] = []  # (frame, outcome, ground-truth pose or None)
     # Points near the float limit overflow in the centroid, centring or cross-covariance; checks name it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -207,16 +206,14 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
                 rec = recover_pose(rays_cam, pts_cam, rays, pts)
             except DegenerateConfiguration as exc:
                 log.warning("frame %d degenerate: %s", idx, exc)
-                # Placeholder identity pose keeps the output file frame-aligned.
-                poses.append(Pose.identity())
                 rec = exc
-            else:
-                poses.append(rec.pose)
             frames.append((idx, rec, None if gt is None else gt[idx]))
         records = _score_frames(frames)
 
     out = _out_dir(args)
-    save_poses(poses, os.path.join(out, "solved_poses.txt"))
+    # A degenerate frame's placeholder identity pose keeps the output file frame-aligned.
+    save_poses((Pose.identity() if isinstance(rec, DegenerateConfiguration) else rec.pose for _, rec, _ in frames),
+               os.path.join(out, "solved_poses.txt"))
     write_report_csv(records, os.path.join(out, "frames.csv"), have_gt=gt is not None)
     _emit(summarize_records(records).to_json_dict(unit_scale))
     return EXIT_OK

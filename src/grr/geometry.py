@@ -77,19 +77,10 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _tangent_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pair (u, v) per unit (..., 3) row of d; the helper axis avoids the pole.
-
-    _cross_rows and _row_norms bit for bit, on contiguous columns. The helper axis is e_z or e_x,
-    and its zero components stay as * 0.0 terms, which set the signs of zero products."""
-    x, y, z = np.moveaxis(d, -1, 0).copy()
-    hz = (np.abs(z) < 0.9).astype(np.float64)
-    hx = 1.0 - hz
-    u = np.stack([y * hz - z * 0.0, z * hx - x * hz, x * 0.0 - y * hx])
-    norms = u[0] * u[0] + u[1] * u[1]  # _row_norms(u), column by column: squares sum to +0.0, not -0.0
-    norms += u[2] * u[2]
-    u /= np.sqrt(norms)
-    u0, u1, u2 = u
-    return np.stack([u0, u1, u2], axis=-1), np.stack([y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0], axis=-1)
+    """Orthonormal tangent pair (u, v) per unit (..., 3) row of d; the helper axis e_z or e_x avoids the pole."""
+    u = _cross_rows(d, np.where(np.abs(d[..., 2:]) < 0.9, _EYE3[2], _EYE3[0]))
+    u /= _row_norms(u, keepdims=True)
+    return u, _cross_rows(d, u)
 
 
 def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -143,28 +134,13 @@ def _trusted(cls, **fields):
     """An instance of the frozen dataclass cls over values already checked, without __post_init__.
 
     Array values are made read-only in place, not copied: pass a fresh array or a view the
-    caller never writes through. Names that are not fields (a _cached value) are filled too."""
+    caller never writes through. Names that are not fields (a cached_property value) are filled too."""
     for value in fields.values():
         if isinstance(value, np.ndarray):
             _read_only(value)
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-class _cached:
-    """functools.cached_property without the lock Python 3.10 and 3.11 take on every first
-    access (grr runs single-threaded): the value computed on first access is stored in the
-    instance __dict__, which later lookups find before this non-data descriptor."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -216,7 +192,8 @@ def _axis_angle_matrices(axes: np.ndarray, angles: Sequence[float], where: str =
     """Rotation.from_axis_angle's matrices for (F, 3) axes, normalized here, and F angles, before
     their orthonormality check. The first entry k whose axis is not finite or has near-zero norm,
     or whose angle math.sin rejects, raises ValueError with where.format(k) before its message."""
-    norms = _vector_norms(axes)
+    with np.errstate(over="ignore"):  # axes past ~1e154 square to inf; they are rescaled below
+        norms = _vector_norms(axes)
     terms = []  # per entry, (sin, 1 - cos) of its angle
     for k, (finite, n, angle) in enumerate(zip(np.isfinite(axes).all(axis=1).tolist(), norms.ravel().tolist(), angles)):
         try:
@@ -227,6 +204,10 @@ def _axis_angle_matrices(axes: np.ndarray, angles: Sequence[float], where: str =
             terms.append((math.sin(angle), 1.0 - math.cos(angle)))
         except ValueError as exc:
             raise ValueError(f"{where.format(k)}{exc}") from exc
+    huge = np.isinf(norms)  # divided by their largest |entry| first; every other axis keeps its bits
+    if huge.any():
+        axes = np.where(huge, axes / np.abs(axes).max(axis=1, keepdims=True), axes)
+        norms = np.where(huge, _vector_norms(axes), norms)
     x, y, z = (axes / norms).T
     zero = np.zeros_like(x)
     k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)

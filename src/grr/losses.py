@@ -7,6 +7,7 @@ literal L1/L2 norm of the 3-vector, for scalars |x|_p means |x|^p.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .camera import PointMap, RayBundle
-from .geometry import Pose, Rotation, _cached, _freeze, _mean, _read_only, _row_norms, _row_sums, geodesic_distance
+from .geometry import Pose, Rotation, _freeze, _mean, _read_only, _row_norms, _row_sums, geodesic_distance
 
 __all__ = _EXPORTS["losses"]
 
@@ -96,7 +97,7 @@ class NeighborSet:
     def __len__(self) -> int:
         return self.pairs.shape[0]
 
-    @_cached
+    @functools.cached_property
     def _scatter_index(self) -> np.ndarray:
         """Read-only flat bins (part * n_items + item) * 3 + column of a
         (2, n_items, 3) array, for (2, 3, 2k) columns that list, in each part

@@ -112,10 +112,10 @@ class PoseRecovery:
 
 # A solve and the rows H = sum_i w_i tgt_i src_i^T was built from, with their
 # weights (None: uniform) and, if renormalized, (m, 1) norms; for rigid_align,
-# the solve on the centred sets, the source centroid and the weight sum; and a
+# the translation, the solve on the centred sets, the source centroid and the weight sum; and a
 # stack's SVD factors and (F,) determinant signs, which the gradient code reuses.
 _KabschSolve = namedtuple("_KabschSolve", "rotation diag src tgt w src_norms tgt_norms")
-_RigidSolve = namedtuple("_RigidSolve", "pose kabsch c_src wsum")
+_RigidSolve = namedtuple("_RigidSolve", "t kabsch c_src wsum")
 _Factors = namedtuple("_Factors", "u s vt sign")
 
 
@@ -161,11 +161,11 @@ def _kabsch_stack(rows, branches=None) -> tuple[list[_KabschSolve], _Factors]:
     return [_KabschSolve(r, d, *row) for r, d, row in zip(rots, diags, rows)], svd
 
 
-def _rigid_pose(kabsch: _KabschSolve, c_src, c_tgt, wsum: float) -> _RigidSolve:
+def _rigid_record(kabsch: _KabschSolve, c_src, c_tgt, wsum: float) -> _RigidSolve:
     t = c_tgt - kabsch.rotation.m @ c_src  # a fresh (3,) array, checked as Pose checks it
     if not all(map(math.isfinite, t.tolist())):
         raise ValueError("translation contains non-finite entries")
-    return _RigidSolve(_trusted(Pose, r=kabsch.rotation, t=t), kabsch, c_src, wsum)
+    return _RigidSolve(t, kabsch, c_src, wsum)
 
 
 def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> tuple[_KabschSolve, _Factors]:
@@ -185,7 +185,7 @@ def _rigid_solve(problem: AlignmentProblem) -> tuple[_RigidSolve, _Factors]:
     if not (np.isfinite(src_c).all() and np.isfinite(tgt_c).all()):  # centring can overflow
         raise ValueError("correspondences contain non-finite entries")
     (kabsch,), svd = _kabsch_stack([(src_c, tgt_c, problem.weights, None, None)])
-    return _rigid_pose(kabsch, c_src, c_tgt, wsum), svd
+    return _rigid_record(kabsch, c_src, c_tgt, wsum), svd
 
 
 def _solve_frame(rays_cam: RayBundle, pts_cam: PointMap, pred_unit: np.ndarray, pred_norms: np.ndarray,
@@ -203,7 +203,7 @@ def _solve_frame(rays_cam: RayBundle, pts_cam: PointMap, pred_unit: np.ndarray, 
         _kabsch_stack([rays], ("rays",))  # the ray branch's checks come first
         raise ValueError("correspondences contain non-finite entries")
     (rays, pts), svd = _kabsch_stack([rays, pts], ("rays", "points"))
-    return rays, _rigid_pose(pts, pts_cam.centroid, pts_pred.centroid, float(len(pts_cam))), svd
+    return rays, _rigid_record(pts, pts_cam.centroid, pts_pred.centroid, float(len(pts_cam))), svd
 
 
 def kabsch_rotation(
@@ -234,7 +234,7 @@ def rigid_align(problem: AlignmentProblem) -> tuple[Pose, SolveDiagnostics]:
     to 1 by construction.
     """
     solve, _ = _rigid_solve(problem)
-    return solve.pose, solve.kabsch.diag
+    return _trusted(Pose, r=solve.kabsch.rotation, t=solve.t), solve.kabsch.diag
 
 
 def recover_pose(
@@ -261,8 +261,8 @@ def recover_pose(
     # The value types checked shapes, finiteness and unit ray norms.
     rays, pts, _ = _solve_frame(rays_cam, pts_cam, rays_pred.unit, rays_pred.norms, pts_pred)
     return PoseRecovery(
-        pose=_trusted(Pose, r=rays.rotation, t=pts.pose.t),  # each checked by _rigid_pose or _rotations
-        rotation_from_points=pts.pose.r,
+        pose=_trusted(Pose, r=rays.rotation, t=pts.t),  # each checked by _rigid_record or _rotations
+        rotation_from_points=pts.kabsch.rotation,
         ray_diagnostics=rays.diag,
         point_diagnostics=pts.kabsch.diag,
     )

@@ -161,7 +161,7 @@ def _rigid_target(fwd: _RigidSolve, hbar, g_t) -> np.ndarray:
 def _rigid_backward(fwd: _RigidSolve, hbar, g_t) -> VjpResult:
     """_rigid_target and the source-row gradient, less each row's share of R^T g_t."""
     target, k = _rigid_target(fwd, hbar, g_t), fwd.kabsch
-    source = _side_grad(k.src, k.src_norms, k.tgt, k.w, hbar.T) - _centroid_share(fwd) * (fwd.pose.r.m.T @ g_t)
+    source = _side_grad(k.src, k.src_norms, k.tgt, k.w, hbar.T) - _centroid_share(fwd) * (k.rotation.m.T @ g_t)
     return VjpResult(target, source)
 
 
@@ -265,7 +265,7 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     p_gt = pts_cam @ r_t + fi.gt.t
     w, p = fi.weights, fi.p
     dist = geodesic_distance(rays.rotation, fi.gt.r)
-    t_resid = pts.pose.t - fi.gt.t
+    t_resid = pts.t - fi.gt.t
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
     known, dots = canon[4]  # read once: the set and its dots stay one pair
     pairs = _pair_terms(fi.rays_pred, fi.pts_pred, rays_cam, p_gt, fi.neighbors, w, p,

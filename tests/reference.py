@@ -459,7 +459,7 @@ def rigid_backward(fwd, svd, rotation_grad, translation_grad):
     w = np.ones(len(fwd.kabsch.src)) if fwd.kabsch.w is None else fwd.kabsch.w
     share = w[:, np.newaxis] / fwd.wsum
     return (target + share * translation_grad,
-            source - share * (fwd.pose.r.m.T @ translation_grad))
+            source - share * (fwd.kabsch.rotation.m.T @ translation_grad))
 
 
 def pair_scatter(neighbors, coef, pull, delta, rays):

@@ -1,7 +1,9 @@
 """Rotation/pose primitives, geodesic metric, seeds, and pose file I/O."""
 
 import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from grr import (
     save_poses,
     world_points,
 )
-from grr.geometry import (UNIT_TOL, _cached, _check_rotations, _cross_rows, _mean, _quat_to_matrix, _row_norms,
-                          _row_sums, _seed_words, _streams, _tangent_basis, _trusted)
+from grr import camera
+from grr.camera import _world_frames
+from grr.geometry import (UNIT_TOL, _axis_angle_matrices, _check_rotations, _cross_rows, _mean, _quat_to_matrix,
+                          _row_norms, _row_sums, _seed_words, _streams, _tangent_basis, _trusted)
 from reference import (assert_same, axis_angle_matrix, bits, check_rotations, near_rotations, outcome, quat_to_matrix,
                        row_cases, row_norms, row_sums, rows, signed_zero_quaternions, switch_rows, tangent_basis,
                        unit_quaternions, write_poses)
@@ -81,6 +85,20 @@ class TestRotation:
                   ([0.0, 1.0, 0.0], math.inf), ([0.0, 1.0, 0.0], -math.inf), ([1.0, 2.0], 1.0), (np.eye(3), 1.0)]
         for axis, angle in cases:
             assert_same(Rotation.from_axis_angle, lambda a, t: Rotation(axis_angle_matrix(a, t)), axis, angle)
+
+    def test_axis_angle_huge_axis_is_rescaled_not_zeroed(self):
+        """An axis whose squared norm overflows is divided by its largest |entry| before it is
+        normalized: for an a whose largest |entry| is 1, a * 1e200 gives a's bits, with no
+        RuntimeWarning, alone or in a stack beside an axis whose norm is finite."""
+        for a in ([1.0, 0.0, 0.0], [0.3, -1.0, 0.7], [-1.0, 0.123456789, 1e-5], [0.5, 0.5, -1.0]):
+            a = np.array(a)
+            assert np.array_equal(a * 1e200 / 1e200, a)  # the rescaled axis is a itself
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert bits(Rotation.from_axis_angle(a * 1e200, 1.0)) == bits(Rotation.from_axis_angle(a, 1.0))
+                finite = np.array([0.2, 3.0, -0.4])
+                assert bits(_axis_angle_matrices(np.stack([a * 1e200, finite]), [1.0, 0.5])) \
+                    == bits(_axis_angle_matrices(np.stack([a, finite]), [1.0, 0.5]))
 
     def test_matmul_composes_rotations(self):
         a = random_rotation(Seed(11))
@@ -182,7 +200,7 @@ class TestPose:
 
 class TestTrustedAndCached:
     """_trusted builds a frozen value type over checked values without copying them;
-    _cached stores a computed attribute in the instance, as cached_property does."""
+    the value types cache derived arrays with functools.cached_property."""
 
     def test_trusted_keeps_the_arrays_and_makes_them_read_only(self):
         t = np.array([1.0, 2.0, 3.0])
@@ -196,24 +214,46 @@ class TestTrustedAndCached:
     def test_trusted_runs_no_check(self):
         assert np.isnan(_trusted(Pose, r=Rotation.identity(), t=np.full(3, np.nan)).t).all()
 
-    def test_cached_computes_once_per_instance(self):
+    # Value type -> (a builder of equal instances, its cached attributes in an order that needs no recomputation).
+    CACHED = {
+        "RayBundle": (lambda: RayBundle(random_rotation(Seed(3)).m), ("unit", "tangents")),
+        "PointMap": (lambda: PointMap(np.arange(18.0).reshape(6, 3)), ("centroid", "centred", "_centred_finite")),
+        "NeighborSet": (lambda: NeighborSet(4, [[0, 1], [1, 2], [3, 2]]), ("_scatter_index",)),
+    }
+
+    @pytest.mark.parametrize("name", CACHED)
+    def test_cached_attributes_computed_once_per_instance(self, name, monkeypatch):
+        """Each is a cached_property, not a field: computed on first access, once per instance,
+        kept in the instance, and left out of equality and repr."""
+        build, attrs = self.CACHED[name]
+        cls, calls = type(build()), []
+        assert not set(attrs) & {f.name for f in dataclasses.fields(cls)}
+        for attr in attrs:
+            prop = cls.__dict__[attr]
+            assert isinstance(prop, functools.cached_property)
+            monkeypatch.setattr(prop, "func", lambda obj, fn=prop.func, attr=attr: calls.append(attr) or fn(obj))
+        a, b = build(), build()
+        twin = _trusted(cls, **{f.name: getattr(a, f.name) for f in dataclasses.fields(cls)})
+        before = repr(a)
+        for attr in attrs:
+            first = getattr(a, attr)
+            assert getattr(a, attr) is first and a.__dict__[attr] is first
+            assert bits(getattr(b, attr)) == bits(first)
+        assert calls == [attr for attr in attrs for _ in "ab"]
+        assert repr(a) == before == repr(twin) and a == twin and not twin.__dict__.keys() & set(attrs)
+
+    def test_trusted_tangents_served_without_a_basis_call(self, monkeypatch):
+        """_world_frames fills each bundle's tangents from one stacked _tangent_basis call."""
         calls = []
-
-        @dataclasses.dataclass(frozen=True)
-        class Box:
-            x: float
-
-            @_cached
-            def doubled(self) -> float:
-                """2 x."""
-                calls.append(self.x)
-                return 2.0 * self.x
-
-        a, b = Box(1.0), Box(2.0)
-        assert (a.doubled, a.doubled, b.doubled) == (2.0, 2.0, 4.0)
-        assert calls == [1.0, 2.0]
-        assert isinstance(Box.doubled, _cached) and Box.doubled.__doc__ == "2 x."
-        assert a == Box(1.0) and repr(a).endswith("Box(x=1.0)")  # not a field
+        monkeypatch.setattr(camera, "_tangent_basis", lambda d, fn=camera._tangent_basis: calls.append(d.shape) or fn(d))
+        rays = RayBundle(random_rotation(Seed(4)).m)
+        poses = [Pose(random_rotation(Seed(5 + k)), np.zeros(3)) for k in range(3)]
+        frames = _world_frames(poses, rays, PointMap(rays.dirs))
+        assert calls == [(3, 3, 3)]
+        for bundle, _ in frames:
+            assert bundle.tangents is bundle.__dict__["tangents"]
+        assert calls == [(3, 3, 3)]
+        assert rays.tangents is rays.tangents and calls == [(3, 3, 3), (3, 3)]
 
 
 # Value type -> (its writable arrays from a generator, a constructor over them, one result derived from an instance).
