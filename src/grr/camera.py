@@ -197,15 +197,15 @@ def canonical_rays(grid: PatchGrid) -> RayBundle:
     cbounds = grid.col_bounds()
     row_counts = np.diff(rbounds)  # each >= 1: PatchGrid keeps n <= min(width, height)
     col_counts = np.diff(cbounds)
-    rays = _pixel_rays(grid.intrinsics)
-    band_sums = np.add.reduceat(rays, rbounds[:-1], axis=0)
-    patch_sums = np.add.reduceat(band_sums, cbounds[:-1], axis=1)
     counts = np.multiply.outer(row_counts, col_counts).astype(np.float64)
-    means = patch_sums / counts[:, :, np.newaxis]
-    flat = means.reshape(grid.patch_count, 3)
-    norms = np.linalg.norm(flat, axis=1, keepdims=True)
-    # A pinhole ray bundle always has positive z, so the mean cannot vanish.
-    return RayBundle(flat / norms)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny fx or fy overflows; RayBundle names it
+        rays = _pixel_rays(grid.intrinsics)
+        band_sums = np.add.reduceat(rays, rbounds[:-1], axis=0)
+        patch_sums = np.add.reduceat(band_sums, cbounds[:-1], axis=1)
+        flat = (patch_sums / counts[:, :, np.newaxis]).reshape(grid.patch_count, 3)
+        # A pinhole ray bundle always has positive z, so the mean cannot vanish.
+        dirs = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+    return RayBundle(dirs)
 
 
 def canonical_points(rays: RayBundle) -> PointMap:

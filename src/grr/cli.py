@@ -330,10 +330,7 @@ def cmd_loss(args, cfg: dict, base_dir: str) -> int:
             raise ConfigError("'domain_logits' entries must be numbers")
         logits = [_finite_float(x, f"domain_logits[{k}]") for k, x in enumerate(logits)]
 
-    try:
-        neighbors = NeighborSet.grid(grid.n, connectivity=connectivity)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    neighbors = NeighborSet.grid(grid.n, connectivity=connectivity)  # a ValueError exits 3 as a ConfigError does
 
     frames = []
     totals = {0: [], 1: []}

@@ -128,7 +128,7 @@ def _seed_from(d: dict, key: str, fallback: Seed, where: str) -> Seed:
         return fallback
     try:
         return Seed(raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # _get gave an int that is not a bool
         raise ConfigError(f"invalid seed in {where}: {exc}") from exc
 
 

@@ -51,7 +51,6 @@ from .solver import (
     rigid_align,
     _Factors,
     _kabsch_solve,
-    _KabschSolve,
     _rigid_solve,
     _RigidSolve,
     _solve_frame,
@@ -139,12 +138,6 @@ def _side_grad(rows, norms, other, w, hbar) -> np.ndarray:
     return (grad - _row_sums(grad * rows)[:, np.newaxis] * rows) / norms
 
 
-def _kabsch_backward(fwd: _KabschSolve, hbar: np.ndarray) -> VjpResult:
-    """Row gradients of one solve from its Hbar."""
-    return VjpResult(target=_side_grad(fwd.tgt, fwd.tgt_norms, fwd.src, fwd.w, hbar),
-                     source=_side_grad(fwd.src, fwd.src_norms, fwd.tgt, fwd.w, hbar.T))
-
-
 def _centroid_share(fwd: _RigidSolve):
     """Each row's share w_i / sum(w) of a cotangent through the centroids."""
     return (1.0 if fwd.kabsch.w is None else fwd.kabsch.w[:, np.newaxis]) / fwd.wsum
@@ -156,13 +149,6 @@ def _rigid_target(fwd: _RigidSolve, hbar, g_t) -> np.ndarray:
     translation cotangent g_t through the target centroid."""
     k = fwd.kabsch
     return _side_grad(k.tgt, k.tgt_norms, k.src, k.w, hbar) + _centroid_share(fwd) * g_t
-
-
-def _rigid_backward(fwd: _RigidSolve, hbar, g_t) -> VjpResult:
-    """_rigid_target and the source-row gradient, less each row's share of R^T g_t."""
-    target, k = _rigid_target(fwd, hbar, g_t), fwd.kabsch
-    source = _side_grad(k.src, k.src_norms, k.tgt, k.w, hbar.T) - _centroid_share(fwd) * (k.rotation.m.T @ g_t)
-    return VjpResult(target, source)
 
 
 def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
@@ -177,7 +163,9 @@ def kabsch_rotation_vjp(req: VjpRequest, normalize: bool = True) -> VjpResult:
     (DegenerateConfiguration when it is degenerate).
     """
     fwd, svd = _kabsch_solve(req.problem, normalize)
-    return _kabsch_backward(fwd, _h_cotangents(svd, req.rotation_grad[np.newaxis])[0])
+    hbar = _h_cotangents(svd, req.rotation_grad[np.newaxis])[0]
+    return VjpResult(target=_side_grad(fwd.tgt, fwd.tgt_norms, fwd.src, fwd.w, hbar),
+                     source=_side_grad(fwd.src, fwd.src_norms, fwd.tgt, fwd.w, hbar.T))
 
 
 def rigid_align_vjp(req: VjpRequest) -> VjpResult:
@@ -191,7 +179,9 @@ def rigid_align_vjp(req: VjpRequest) -> VjpResult:
     fwd, svd = _rigid_solve(req.problem)
     g_t = req.translation_grad if req.translation_grad is not None else np.zeros(3)
     g_rot = req.rotation_grad - g_t[:, np.newaxis] * fwd.c_src  # np.outer's products
-    return _rigid_backward(fwd, _h_cotangents(svd, g_rot[np.newaxis])[0], g_t)
+    hbar, k = _h_cotangents(svd, g_rot[np.newaxis])[0], fwd.kabsch
+    source = _side_grad(k.src, k.src_norms, k.tgt, k.w, hbar.T) - _centroid_share(fwd) * (k.rotation.m.T @ g_t)
+    return VjpResult(_rigid_target(fwd, hbar, g_t), source)
 
 
 @dataclass(frozen=True)
@@ -243,19 +233,21 @@ class FrameInputs:
 _FramePass = namedtuple("_FramePass", "terms rays pts svd d_gt dist t_resid geo pairs")
 
 
-# The canonical pair the last frame used, as bytes, and what was built from it:
-# [rays_cam bytes, pts_cam bytes, RayBundle, PointMap, (NeighborSet, its pair dots)].
-# Equal bytes give bitwise-equal factors; a pair that fails validation is never stored.
-_memo = [None] * 5
+# The canonical pair the last frame used, and what was built from it, as one tuple
+# replaced whole so that threads never mix two pairs: (rays_cam bytes, pts_cam bytes,
+# RayBundle, PointMap, NeighborSet, its pair dots). Equal bytes give bitwise-equal
+# factors; a pair that fails validation is never stored.
+_memo = (None,) * 6
 
 
 def _frame_forward(fi: FrameInputs) -> _FramePass:
+    global _memo
     if not np.isfinite(fi.rays_pred).all():  # a NaN row would pass the near-zero check
         raise ValueError("rays_pred contains non-finite entries")
     rays_cam, pts_cam, canon = fi.rays_cam, fi.pts_cam, _memo
     rays_key, pts_key = rays_cam.tobytes(), pts_cam.tobytes()
     if not (canon[0] == rays_key and canon[1] == pts_key):
-        canon[:] = rays_key, pts_key, RayBundle(rays_cam), PointMap(pts_cam), (None, None)
+        canon = _memo = (rays_key, pts_key, RayBundle(rays_cam), PointMap(pts_cam), None, None)
     unit, norms = _normalized_rows(fi.rays_pred, "target")
     if not np.isfinite(fi.pts_pred).all():  # PointMap's check; the view below never leaves the frame
         raise ValueError("pts contains non-finite entries")
@@ -267,10 +259,11 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     dist = geodesic_distance(rays.rotation, fi.gt.r)
     t_resid = pts.t - fi.gt.t
     geo = _geometry_terms(fi.rays_pred, d_gt, fi.pts_pred, p_gt, w, p)
-    known, dots = canon[4]  # read once: the set and its dots stay one pair
+    known = canon[4] is fi.neighbors
     pairs = _pair_terms(fi.rays_pred, fi.pts_pred, rays_cam, p_gt, fi.neighbors, w, p,
-                        dots if known is fi.neighbors else None)
-    canon[4] = fi.neighbors, _read_only(pairs.cam_dots)
+                        canon[5] if known else None)
+    if not known:
+        _memo = canon[:4] + (fi.neighbors, _read_only(pairs.cam_dots))
     terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
     return _FramePass(terms, rays, pts, svd, d_gt, dist, t_resid, geo, pairs)
 

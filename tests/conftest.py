@@ -54,7 +54,7 @@ def canonical_work(monkeypatch):
             done.append("dots")
         return out
 
-    monkeypatch.setattr(solver_grad, "_memo", [None] * 5)
+    monkeypatch.setattr(solver_grad, "_memo", (None,) * 6)
     monkeypatch.setattr(solver_grad, "RayBundle", CountingRayBundle)
     monkeypatch.setattr(solver_grad, "_pair_terms", counting_pair_terms)
     return done

@@ -88,7 +88,9 @@ class TestIntrinsics:
         ("height", "4", "height must be an integer, got '4'"),
         ("n", 2.0, "n must be an integer, got 2.0"),
         ("n", True, "n must be an integer, got True"),
-    ], ids=["fx-inf", "fx-nan", "fy-neg-inf", "width-bool", "width-float", "height-str", "n-float", "n-bool"])
+        ("n", 0, "grid side n must be >= 1"),
+    ], ids=["fx-inf", "fx-nan", "fy-neg-inf", "width-bool", "width-float", "height-str", "n-float", "n-bool",
+            "n-zero"])
     def test_construction_names_the_bad_field(self, field, value, message):
         """Non-finite focal lengths and non-integer (or bool) sizes fail when built."""
         intr = {**self.GOOD, field: value} if field != "n" else self.GOOD
@@ -299,6 +301,12 @@ class TestRayBundle:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             RayBundle(np.array([[np.nan, 0.0, 1.0]]))
+
+    @pytest.mark.parametrize("arr", [np.zeros((3, 2)), np.ones(3)], ids=["3x2", "vector"])
+    def test_rejects_rows_that_are_not_3_wide(self, arr):
+        with pytest.raises(ValueError) as info:
+            RayBundle(arr)
+        assert str(info.value) == f"dirs must have shape (m, 3), got {arr.shape}"
 
     @staticmethod
     def built(arr):

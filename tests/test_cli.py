@@ -605,6 +605,23 @@ class TestNonFiniteConfigFloats:
         assert mean.stdout == plain.stdout != ""
 
 
+class TestCanonicalRaysThatOverflow:
+    """A focal length so small that the pixel rays overflow passes the config
+    checks; every command that builds the canonical rays then exits 3 with
+    RayBundle's one line, with or without RuntimeWarning an error."""
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    @pytest.mark.parametrize("key, value", [("fx", 1e-300), ("fy", 5e-324)])
+    @pytest.mark.parametrize("command", ["gen", "solve", "loss", "ablate"])
+    def test_exit_3_with_one_line(self, dataset, tmp_path, command, key, value, warnings_as_errors):
+        cfg = {"grid": {**GRID, key: value}, "frames": 2, "noise": [{"ray_sigma": 0.01}],
+               "rays": str(dataset / "world_rays_*.csv"), "points": str(dataset / "world_points_*.csv"),
+               "gt_poses": str(dataset / "gt_poses.txt")}
+        r = run_child([command, "--config", write_cfg(tmp_path / "cfg.json", **cfg), "--out", str(tmp_path / "o")],
+                      warnings_as_errors)
+        assert (r.returncode, r.stdout, r.stderr) == (3, "", "ERROR grr: dirs contains non-finite entries\n")
+
+
 class TestOverflowingRaysWithWarningsAsErrors:
     """Rays scaled by 1e155 square to infinite norms. With RuntimeWarning an
     error, as the CI smoke step sets it, the named ValueError still surfaces

@@ -52,9 +52,9 @@ def test_no_upward_imports(module):
 GATED = {"_row_sums", "_row_norms", "_cross_rows", "_normalized_rows", "_tangent_basis", "_check_rotations",
          "_rotations", "_det3", "_svd_rotation", "_kabsch_stack", "_quat_to_matrix", "_streams", "_seed_words",
          "_world_frames", "_tilt_rays", "_ramp", "_pair_grads", "_polar_h_cotangent", "_h_cotangents",
-         "_kabsch_backward", "_rigid_backward", "_rigid_target", "_frame_forward", "_mean", "median", "_score_frames",
-         "_axis_angle_matrices", "_vector_norms", "summarize_records", "sample_poses", "ablation_sweep", "run_trial",
-         "pipeline_loss", "pipeline_loss_grad", "read_xyz_csv", "save_poses"}
+         "_rigid_target", "_frame_forward", "_mean", "median", "_score_frames", "_axis_angle_matrices",
+         "_vector_norms", "summarize_records", "sample_poses", "ablation_sweep", "run_trial", "pipeline_loss",
+         "pipeline_loss_grad", "read_xyz_csv", "save_poses"}
 
 
 def test_reference_forms_import_no_fast_path():

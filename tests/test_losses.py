@@ -179,6 +179,12 @@ class TestGeometryLoss:
         with pytest.raises(ValueError, match="shapes differ"):
             geometry_loss(d, d[:2], pts, pts, LossWeights(), 2)
 
+    def test_rejects_rows_that_are_not_3_wide(self):
+        d = self.axes()
+        with pytest.raises(ValueError) as info:
+            geometry_loss(d, d, d[:, :2], d, LossWeights(), 2)
+        assert str(info.value) == "pts_hat must be (m, 3), got (3, 2)"
+
 
 class TestRegularizationLoss:
     def single_pair_rays(self):

@@ -62,6 +62,11 @@ class TestAlignmentProblem:
         with pytest.raises(ValueError, match="shape"):
             AlignmentProblem(np.zeros((3, 3)), np.zeros((4, 3)))
 
+    def test_rejects_source_that_is_not_rows_of_three(self):
+        with pytest.raises(ValueError) as info:
+            AlignmentProblem(np.zeros((3, 2)), np.zeros((3, 2)))
+        assert str(info.value) == "source must be (m, 3), got (3, 2)"
+
     def test_rejects_weights_of_wrong_length(self):
         with pytest.raises(ValueError, match=r"weights must be \(3,\), got \(2,\)"):
             AlignmentProblem(np.eye(3), np.eye(3), weights=np.ones(2))
@@ -298,6 +303,9 @@ class TestRecoverPose:
         rays4 = canonical_rays(grid4)
         with pytest.raises(ValueError, match="length"):
             recover_pose(rays4, pts16, wr16, wp16)
+        with pytest.raises(ValueError) as info:
+            recover_pose(rays16, PointMap(rays4.dirs), wr16, wp16)
+        assert str(info.value) == "canonical and predicted pointmaps differ in length"
 
 
 def _collinear_message(prefix: str, h: np.ndarray) -> str:
@@ -365,6 +373,18 @@ class TestFailureParity:
         with np.errstate(over="ignore", invalid="ignore"):
             assert raised(rigid_align, AlignmentProblem(pts.pts, huge)) == overflow
             assert raised(recover_pose, rays, pts, wr, PointMap(huge)) == overflow
+
+    def test_translation_that_overflows(self):
+        """Centroids at x = +-1.7e308 (weights 1/m keep the sums finite) with equal yz
+        rows: R fixes the x axis, so t = c_tgt - R c_src overflows."""
+        rows = Seed(64).rng().normal(size=(8, 3))
+        src, tgt = rows.copy(), rows.copy()
+        src[:, 0], tgt[:, 0] = 1.7e308, -1.7e308
+        problem = AlignmentProblem(src, tgt, np.full(8, 0.125))
+        overflow = (ValueError, "translation contains non-finite entries", None)
+        with np.errstate(over="ignore"):
+            assert raised(rigid_align, problem) == overflow
+            assert raised(rigid_align_vjp, VjpRequest(problem, np.eye(3), np.ones(3))) == overflow
 
     def test_cross_covariance_that_overflows(self, grid4):
         """Rows near 1e155 overflow the products in H (centring stays finite)."""

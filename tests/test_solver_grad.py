@@ -1,6 +1,8 @@
 """Analytic VJPs vs central finite differences, guard behavior, pipeline grads."""
 
 import math
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from grr import (
     LossWeights,
     NearSingularJacobian,
     NeighborSet,
+    Pose,
     Seed,
     VjpRequest,
     finite_diff_check,
@@ -233,6 +236,68 @@ class TestGuards:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="^rotation_grad must be a finite 3x3 array$"):
                 pipeline_loss_grad(fi)
+
+    @staticmethod
+    def translation_overflow_frame():
+        """Predicted points at x = 2^1019, so the rigid solve's t is ~5.6e306, against a
+        ground truth at x = -1.79e308: t - t_gt overflows, and at p = 2 the unit residual
+        direction, so the translation cotangent, is NaN. The loss is finite only in its
+        pairwise term."""
+        fi = random_frame_inputs(Seed(170))  # a grid symmetric in x and y
+        pts_pred = fi.pts_pred.copy()
+        pts_pred[:, 0] = 2.0 ** 1019  # every partial sum exact: the centred x column is 0
+        return replace(fi, pts_pred=pts_pred, gt=Pose(fi.gt.r, np.array([-1.79e308, 0.0, 0.0])))
+
+    def test_translation_cotangent_that_overflows(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert pipeline_loss(self.translation_overflow_frame()).pose == math.inf
+            assert raised(pipeline_loss_grad, self.translation_overflow_frame()) == (
+                ValueError, "translation_grad must be a finite 3-vector", None)
+
+    def test_near_singular_rays_are_reported_before_the_translation_cotangent(self):
+        """A mirrored ray branch whose two smallest singular values are equal: its
+        NearSingularJacobian comes first, as VjpRequest checks the rotation solve
+        before the translation cotangent."""
+        fi = random_frame_inputs(Seed(170))
+        mirrored = fi.rays_cam * np.array([1.0, -1.0, 1.0])
+        want = raised(pipeline_loss_grad, replace(fi, rays_pred=mirrored))
+        assert want[0] is NearSingularJacobian and want[1].startswith("SVD cross-term denominator below")
+        frame = replace(self.translation_overflow_frame(), rays_pred=mirrored)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert raised(pipeline_loss_grad, frame) == want
+
+    @staticmethod
+    def l2_guard_frames():
+        """p = 2 frames on which one of pipeline_loss_grad's L2 or pair guards trips."""
+        exact = random_frame_inputs(Seed(300), p=2, noise=0.0)
+        fi = random_frame_inputs(Seed(301), p=2)
+        one_exact, coincident = fi.pts_pred.copy(), fi.pts_pred.copy()
+        one_exact[0] = (fi.pts_cam @ fi.gt.r.m.T + fi.gt.t)[0]  # p_gt's row, as the forward builds it
+        coincident[1] = coincident[0]  # patches 0 and 1 are grid neighbours
+        return {
+            "translation residual": (exact, "translation residual too small for an L2 gradient"),
+            "point residual": (replace(fi, pts_pred=one_exact), "point residual too small for an L2 gradient"),
+            "coincident pair": (replace(fi, pts_pred=coincident),
+                                "coincident neighbor points; pair distance gradient undefined"),
+        }
+
+    @pytest.mark.parametrize("case", ["translation residual", "point residual", "coincident pair"])
+    def test_l2_and_pair_guards(self, case):
+        """Each guard rejects only the gradient: the loss itself is finite."""
+        fi, message = self.l2_guard_frames()[case]
+        assert math.isfinite(pipeline_loss(fi).total)
+        assert raised(pipeline_loss_grad, fi) == (NearSingularJacobian, message, None)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"rays_pred": np.zeros((16, 2))}, "rays_pred must be (m, 3), got (16, 2)"),
+        ({"pts_cam": np.zeros(48)}, "pts_cam must be (m, 3), got (48,)"),
+        ({"pts_pred": np.zeros((15, 3))}, "frame arrays disagree in length"),
+        ({"p": 3}, "p must be 1 or 2"),
+    ], ids=["rays_pred-2-columns", "pts_cam-flat", "pts_pred-short", "p3"])
+    def test_frame_inputs_validation(self, change, message):
+        with pytest.raises(ValueError) as info:
+            replace(random_frame_inputs(Seed(35)), **change)
+        assert str(info.value) == message
 
 
 class TestPipelineLoss:
@@ -535,7 +600,7 @@ class TestCanonicalMemo:
         assert canonical_work == ["dots", "dots"]  # equal bytes are served from the cache
         fresh = []
         for f in frames:
-            solver_grad._memo[0] = None  # forget the pair: this frame builds its own
+            solver_grad._memo = (None,) * 6  # forget the pair: this frame builds its own
             fresh.append(frame_outcome(replace(f, rays_cam=rays_cam.copy(), pts_cam=pts_cam.copy())))
         assert canonical_work.count("rays") == len(frames)
         assert shared == copies == fresh
@@ -553,6 +618,33 @@ class TestCanonicalMemo:
         for fi in frames:
             pipeline_loss_grad(fi)
         assert canonical_work == ["rays", "dots"]
+
+    def test_two_threads_on_two_pairs_get_the_bits_of_one_thread(self):
+        """Two threads train on different canonical pairs that share one NeighborSet,
+        switching as often as the interpreter allows. A frame reads the cache once and
+        replaces it whole, so none is served the other pair's factors or pair dots."""
+        fi = random_frame_inputs(Seed(1), n=4)
+        q = random_rotation(Seed(2)).m
+        frames = (fi, replace(fi, rays_cam=fi.rays_cam @ q.T, pts_cam=fi.pts_cam @ q.T + 0.5))
+        want = [outcome(pipeline_loss_grad, f) for f in frames]
+        assert want[0] != want[1] and all(out[0][0] == "FrameLossTerms" for out in want)
+        start, mismatches = threading.Barrier(2), [None, None]
+
+        def train(k):
+            start.wait()
+            mismatches[k] = sum(outcome(pipeline_loss_grad, frames[k]) != want[k] for _ in range(1000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=train, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == [0, 0]
 
     def test_mutated_writable_pair_is_revalidated(self):
         fi = random_frame_inputs(Seed(210))
