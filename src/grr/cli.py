@@ -167,6 +167,14 @@ def _dataset(
     return grid, rays, pts, list(zip(ray_files, pt_files)), gt
 
 
+def _in_frame(idx: int, rf: str, pf: str, fn, *args):
+    """fn(*args), naming frame idx and its files in a ValueError fn raises (reads passed as args keep theirs)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"frame {idx} (rays {rf}, points {pf}): {exc}") from exc
+
+
 def cmd_gen(args, cfg: dict, base_dir: str) -> int:
     seed = _run_seed(args, cfg)
 
@@ -200,10 +208,10 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
     # Points near the float limit overflow in the centroid, centring or cross-covariance; checks name it.
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (rf, pf) in enumerate(files):
-            rays = RayBundle.from_array(read_xyz_csv(rf))
-            pts = PointMap(read_xyz_csv(pf))
+            rays = _in_frame(idx, rf, pf, RayBundle.from_array, read_xyz_csv(rf))
+            pts = _in_frame(idx, rf, pf, PointMap, read_xyz_csv(pf))
             try:
-                rec = recover_pose(rays_cam, pts_cam, rays, pts)
+                rec = _in_frame(idx, rf, pf, recover_pose, rays_cam, pts_cam, rays, pts)
             except DegenerateConfiguration as exc:
                 log.warning("frame %d degenerate: %s", idx, exc)
                 rec = exc
@@ -219,42 +227,25 @@ def cmd_solve(args, cfg: dict, base_dir: str) -> int:
     return EXIT_OK
 
 
-_GRADCHECK_SIZES = {"rotation": 12, "rigid": 16, "loss_total": 4}
-
-
 def cmd_gradcheck(args, cfg: dict, base_dir: str) -> int:
     from .solver import DegenerateConfiguration
-    from .solver_grad import (
-        NearSingularJacobian,
-        finite_diff_check,
-        near_collinear_problem,
-        random_alignment_problem,
-        random_frame_inputs,
-        random_rigid_problem,
-    )
+    from .solver_grad import _GRADCHECK_OPS, NearSingularJacobian, finite_diff_check
 
     seed = _run_seed(args, cfg)
 
     op = _get(cfg, "op", str, "config", default="rotation")
-    if op not in _GRADCHECK_SIZES:
-        raise ConfigError(f"gradcheck op must be one of {sorted(_GRADCHECK_SIZES)}")
-    size = _get(cfg, "size", int, "config", default=_GRADCHECK_SIZES[op])
+    if op not in _GRADCHECK_OPS:
+        raise ConfigError(f"gradcheck op must be one of {sorted(_GRADCHECK_OPS)}")
+    default_size, random_instance, collinear_instance = _GRADCHECK_OPS[op]
+    size = _get(cfg, "size", int, "config", default=default_size)
     h = _get(cfg, "h", float, "config", default=1e-5)
     threshold = _get(cfg, "threshold", float, "config", default=1e-4)
     kind = _get(cfg, "instance", str, "config", default="random")
     if kind not in ("random", "collinear"):
         raise ConfigError("gradcheck instance must be 'random' or 'collinear'")
-
-    if kind == "collinear":
-        if op == "loss_total":
-            raise ConfigError("collinear instances exist only for the solver ops")
-        instance = near_collinear_problem(size)
-    elif op == "rotation":
-        instance = random_alignment_problem(seed, m=size)
-    elif op == "rigid":
-        instance = random_rigid_problem(seed, m=size)
-    else:
-        instance = random_frame_inputs(seed, n=size)
+    if kind == "collinear" and collinear_instance is None:
+        raise ConfigError("collinear instances exist only for the solver ops")
+    instance = random_instance(seed, size) if kind == "random" else collinear_instance(size)
 
     try:
         report = finite_diff_check(op, instance, h=h, seed=seed)
@@ -348,14 +339,12 @@ def cmd_loss(args, cfg: dict, base_dir: str) -> int:
         try:
             # Points near the float limit overflow the row norms or the centroid; the checks name the frame.
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = pipeline_loss(fi)
+                terms = _in_frame(idx, rf, pf, pipeline_loss, fi)
         except DegenerateConfiguration as exc:
             # One degenerate frame aborts the batch (exit 2); name it.
             raise DegenerateConfiguration(
                 f"frame {idx} (rays {rf}, points {pf}): {exc}", branch=exc.branch
             ) from exc
-        except ValueError as exc:
-            raise ValueError(f"frame {idx} (rays {rf}, points {pf}): {exc}") from exc
         if not np.isfinite(terms.total):
             raise ValueError(f"frame {idx} (rays {rf}, points {pf}): loss components must be finite")
         totals[domains[idx]].append(terms.total)

@@ -138,10 +138,10 @@ def _svd_rotation(hs: np.ndarray, branches: tuple[str, ...] | None = None):
     # A sign -1 negates u's third column; with none, U V^T is that product bit for bit.
     r = (u * np.array([[(1.0, 1.0, sg)] for sg in signs])) @ vt if -1.0 in signs else u @ vt
     for i, (s0, s1, s2) in enumerate(svals):
-        if finite[i] and not (s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
+        if finite[i] and s0 < math.inf and not (s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
             continue
         _check_rotations(r[:i])  # the earlier entries' rotation checks come first
-        if not finite[i]:
+        if not (finite[i] and s0 < math.inf):  # a finite H whose spectrum overflows counts as one that overflows
             raise ValueError("cross-covariance overflows: correspondences too large")
         branch = branches[i] if branches else None
         raise DegenerateConfiguration(
@@ -162,10 +162,10 @@ def _kabsch_stack(rows, branches=None) -> tuple[list[_KabschSolve], _Factors]:
 
 
 def _rigid_record(kabsch: _KabschSolve, c_src, c_tgt, wsum: float) -> _RigidSolve:
-    t = c_tgt - kabsch.rotation.m @ c_src  # a fresh (3,) array, checked as Pose checks it
-    if not all(map(math.isfinite, t.tolist())):
+    t = [a - b for a, b in zip(c_tgt.tolist(), (kabsch.rotation.m @ c_src).tolist())]
+    if not all(map(math.isfinite, t)):  # Python floats: numpy's bits, and an overflow emits no RuntimeWarning
         raise ValueError("translation contains non-finite entries")
-    return _RigidSolve(t, kabsch, c_src, wsum)
+    return _RigidSolve(np.array(t), kabsch, c_src, wsum)
 
 
 def _kabsch_solve(problem: AlignmentProblem, normalize: bool) -> tuple[_KabschSolve, _Factors]:

@@ -419,8 +419,10 @@ def finite_diff_check(op_id: str, instance, h: float = 1e-5, seed: Seed = Seed(0
     """
     if not _FD_H_MIN <= h <= _FD_H_MAX:
         raise ValueError(f"step h must lie in [{_FD_H_MIN:g}, {_FD_H_MAX:g}], got {h:g}")
+    if op_id not in _GRADCHECK_OPS:
+        raise ValueError("unknown op_id {!r}; expected {}, {}, or {}".format(op_id, *_GRADCHECK_OPS))
 
-    if op_id in ("rotation", "rigid"):
+    if op_id != "loss_total":
         problem: AlignmentProblem = instance
         rng = seed.rng()
         g_rot = rng.standard_normal((3, 3))
@@ -436,7 +438,7 @@ def finite_diff_check(op_id: str, instance, h: float = 1e-5, seed: Seed = Seed(0
             pose, _ = rigid_align(moved)
             return float((g_rot * pose.r.m).sum() + g_t @ pose.t)
 
-    elif op_id == "loss_total":
+    else:
         fi: FrameInputs = instance
         _, grad_rays, grad_pts = pipeline_loss_grad(fi)
         analytic, base = (grad_rays, grad_pts), (fi.rays_pred, fi.pts_pred)
@@ -444,8 +446,6 @@ def finite_diff_check(op_id: str, instance, h: float = 1e-5, seed: Seed = Seed(0
         def probe(arrays: Sequence[np.ndarray]) -> float:
             return pipeline_loss(replace(fi, rays_pred=arrays[0], pts_pred=arrays[1])).total
 
-    else:
-        raise ValueError(f"unknown op_id {op_id!r}; expected rotation, rigid, or loss_total")
     numeric = _central_diff(probe, [a.copy() for a in base], h)
     return _compare(op_id, np.concatenate([a.reshape(-1) for a in analytic]),
                     np.concatenate([g.reshape(-1) for g in numeric]))
@@ -523,3 +523,11 @@ def near_collinear_problem(m: int = 12) -> AlignmentProblem:
     )
     src /= np.linalg.norm(src, axis=1, keepdims=True)
     return AlignmentProblem(src, src.copy(), np.full(m, 1.0 / m))
+
+
+# `grr gradcheck`'s ops: op -> (default size, random instance (seed, size), near-collinear instance (size) or None)
+_GRADCHECK_OPS = {
+    "rotation": (12, random_alignment_problem, near_collinear_problem),
+    "rigid": (16, random_rigid_problem, near_collinear_problem),
+    "loss_total": (4, random_frame_inputs, None),
+}

@@ -141,10 +141,11 @@ def svd_rotation(hs, branches=None):
     sign = np.array([1.0 if du * dv > 0.0 else -1.0 for du, dv in zip(dets[:len(hs)], dets[len(hs):])])
     r = (u * np.stack([np.ones_like(sign), np.ones_like(sign), sign], axis=1)[:, np.newaxis]) @ vt
     for i, (s0, s1, s2) in enumerate(s.tolist()):
-        if finite[i] and not (s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
+        overflows = not (finite[i] and math.isfinite(s0))  # H or its spectrum
+        if not (overflows or s0 <= 0.0 or s1 < DEGENERACY_RTOL * s0):
             continue
         check_rotations(r[:i])
-        if not finite[i]:
+        if overflows:
             raise ValueError("cross-covariance overflows: correspondences too large")
         branch = branches[i] if branches else None
         raise DegenerateConfiguration(

@@ -196,6 +196,45 @@ class TestSolve:
         assert 1e154 < float(row["trans_err"]) < 1e156
 
 
+# What gradcheck prints when it rejects an instance or a config: (stdout, stderr).
+REJECTED_ROTATION = ('{"error": "NearSingularJacobian", "op": "rotation"}\n',
+                     "WARNING grr: gradcheck rotation rejected: SVD cross-term denominator below 1e-08 "
+                     "(singular values 1.000e+00, 2.500e-09, 2.500e-09); gradient unreliable near degenerate "
+                     "or reflective configurations\n")
+REJECTED_RIGID = ('{"error": "NearSingularJacobian", "op": "rigid"}\n',
+                  "WARNING grr: gradcheck rigid rejected: SVD cross-term denominator below 1e-08 "
+                  "(singular values 2.500e-09, 2.500e-09, 1.233e-32); gradient unreliable near degenerate "
+                  "or reflective configurations\n")
+NOT_SOLVER_OP = ("", "ERROR grr: collinear instances exist only for the solver ops\n")
+UNKNOWN_OP = ("", "ERROR grr: gradcheck op must be one of ['loss_total', 'rigid', 'rotation']\n")
+# gradcheck at seed 3: (op, instance, size; None is the op's default) -> (exit code, the
+# report's n_params or, for an exit code other than 0, the stdout and stderr).
+GRADCHECK_TABLE = {
+    ("rotation", "random", None): (0, 72), ("rotation", "random", 5): (0, 30),
+    ("rigid", "random", None): (0, 96), ("rigid", "random", 5): (0, 30),
+    ("loss_total", "random", None): (0, 96), ("loss_total", "random", 5): (0, 150),
+    ("rotation", "collinear", None): (2, REJECTED_ROTATION), ("rotation", "collinear", 5): (2, REJECTED_ROTATION),
+    ("rigid", "collinear", None): (2, REJECTED_RIGID), ("rigid", "collinear", 5): (2, REJECTED_RIGID),
+    ("loss_total", "collinear", None): (3, NOT_SOLVER_OP), ("loss_total", "collinear", 5): (3, NOT_SOLVER_OP),
+    ("hessian", "random", None): (3, UNKNOWN_OP), ("hessian", "random", 5): (3, UNKNOWN_OP),
+}
+# The reports' stdout on GOLDEN_BUILD: (op, size) -> stdout.
+GRADCHECK_GOLDEN_STDOUT = {
+    ("rotation", None): ('{"max_abs_err": 1.3021603934015857e-10, "max_rel_err": 2.6607227892333137e-08, '
+                         '"n_params": 72, "op": "rotation"}\n'),
+    ("rotation", 5): ('{"max_abs_err": 8.326805911451629e-11, "max_rel_err": 6.835647221420127e-10, '
+                      '"n_params": 30, "op": "rotation"}\n'),
+    ("rigid", None): ('{"max_abs_err": 1.4450522722864179e-10, "max_rel_err": 3.974714407982796e-08, '
+                      '"n_params": 96, "op": "rigid"}\n'),
+    ("rigid", 5): ('{"max_abs_err": 1.1316747539069638e-10, "max_rel_err": 3.5524103738416575e-09, '
+                   '"n_params": 30, "op": "rigid"}\n'),
+    ("loss_total", None): ('{"max_abs_err": 3.220928662672762e-10, "max_rel_err": 9.04448033478461e-09, '
+                           '"n_params": 96, "op": "loss_total"}\n'),
+    ("loss_total", 5): ('{"max_abs_err": 6.185239369294049e-10, "max_rel_err": 2.0558171219922185e-08, '
+                        '"n_params": 150, "op": "loss_total"}\n'),
+}
+
+
 class TestGradcheck:
     def test_passes_for_each_op(self, run, tmp_path):
         for op in ("rotation", "rigid", "loss_total"):
@@ -204,6 +243,29 @@ class TestGradcheck:
             assert code == 0, op
             assert payload["op"] == op
             assert payload["max_rel_err"] < 1e-4
+
+    @pytest.mark.parametrize("op, instance, size", list(GRADCHECK_TABLE),
+                             ids=[f"{op}-{kind}-{size or 'default'}" for op, kind, size in GRADCHECK_TABLE])
+    def test_op_instance_size_table(self, capsys, tmp_path, op, instance, size):
+        """Each op's default size and instance builders: the exit code and the
+        whole output, or the report's n_params (its float bytes on GOLDEN_BUILD)."""
+        extra = {} if size is None else {"size": size}
+        cfg = write_cfg(tmp_path / "gc.json", op=op, instance=instance, seed=3, **extra)
+        code = main(["gradcheck", "--config", cfg])
+        out, err = capsys.readouterr()
+        want_code, want = GRADCHECK_TABLE[op, instance, size]
+        assert code == want_code
+        if code:
+            # The smallest singular value is rounding noise, so other builds may print it differently.
+            assert out == want[0] and err.count("\n") == 1 and err.startswith(want[1].split("(singular")[0])
+            if numpy_build() == GOLDEN_BUILD:
+                assert err == want[1]
+            return
+        payload = json.loads(out)
+        assert (payload["op"], payload["n_params"], err) == (op, want, "")
+        assert payload["max_rel_err"] < 1e-4
+        if numpy_build() == GOLDEN_BUILD:
+            assert out == GRADCHECK_GOLDEN_STDOUT[op, size]
 
     def test_unreachable_threshold_fails(self, run, tmp_path):
         cfg = write_cfg(tmp_path / "gc.json", op="rotation", threshold=1e-13, seed=3)
@@ -634,9 +696,8 @@ class TestOverflowingRaysWithWarningsAsErrors:
         r = run_child([command, "--config", dataset_cfg(work), *out], warnings_as_errors=True)
         assert r.returncode == 3
         assert r.stdout == ""
-        # `loss` names the frame on every input error it meets in the frame's solve.
-        frame = (f"frame 2 (rays {work / 'world_rays_0002.csv'}, points "
-                 f"{work / 'world_points_0002.csv'}): ") if command == "loss" else ""
+        # Both commands name the frame on every input error they meet in the frame's solve.
+        frame = f"frame 2 (rays {work / 'world_rays_0002.csv'}, points {work / 'world_points_0002.csv'}): "
         assert r.stderr == f"ERROR grr: {frame}cannot normalize {what} rows: their norms overflow\n"
 
 
@@ -655,24 +716,76 @@ class TestOverflowingPoints:
         assert r.stdout == ""
         return r.stderr, work
 
+    @staticmethod
+    def frame_2(work):
+        """The start of an error line that names frame 2 of the dataset copy in work."""
+        return f"ERROR grr: frame 2 (rays {work / 'world_rays_0002.csv'}, points {work / 'world_points_0002.csv'}): "
+
     @pytest.mark.parametrize("warnings_as_errors", [False, True])
     def test_loss_names_the_frame_whose_points_overflow(self, dataset, tmp_path, warnings_as_errors):
         err, work = self.run_cli(dataset, tmp_path, "loss", lambda p: 1e155 * p, warnings_as_errors)
-        assert err == (f"ERROR grr: frame 2 (rays {work / 'world_rays_0002.csv'}, points "
-                       f"{work / 'world_points_0002.csv'}): loss components must be finite\n")
+        assert err == self.frame_2(work) + "loss components must be finite\n"
 
     @pytest.mark.parametrize("warnings_as_errors", [False, True])
     def test_solve_rejects_points_at_the_float_limit(self, dataset, tmp_path, warnings_as_errors):
-        err, _ = self.run_cli(dataset, tmp_path, "solve", lambda p: np.where(p < 0.0, -1.7e308, 1.7e308),
-                              warnings_as_errors)
-        assert err == "ERROR grr: correspondences contain non-finite entries\n"
+        err, work = self.run_cli(dataset, tmp_path, "solve", lambda p: np.where(p < 0.0, -1.7e308, 1.7e308),
+                                 warnings_as_errors)
+        assert err == self.frame_2(work) + "correspondences contain non-finite entries\n"
 
     def test_solve_rejects_a_cross_covariance_that_overflows(self, dataset, tmp_path):
         # Alternating signs keep the centroid finite; the products then overflow.
-        err, _ = self.run_cli(dataset, tmp_path, "solve",
-                              lambda p: np.where(np.arange(p.size).reshape(p.shape) % 2, -1.7e308, 1.7e308),
-                              True)
-        assert err == "ERROR grr: cross-covariance overflows: correspondences too large\n"
+        err, work = self.run_cli(dataset, tmp_path, "solve",
+                                 lambda p: np.where(np.arange(p.size).reshape(p.shape) % 2, -1.7e308, 1.7e308),
+                                 True)
+        assert err == self.frame_2(work) + "cross-covariance overflows: correspondences too large\n"
+
+
+class TestSolveNamesTheFrame:
+    """`solve` names the frame and its files, as `loss` does, on an input error
+    in a frame's values or its solve. A read error names only its file, and a
+    frame is read and checked in order: rays read, rays checked, points read,
+    points checked, then solved."""
+
+    @staticmethod
+    def solve_err(capsys, work, tmp_path):
+        assert main(["solve", "--config", dataset_cfg(work), "--out", str(tmp_path / "o")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    @staticmethod
+    def named(work, msg):
+        files = f"rays {work / 'world_rays_0001.csv'}, points {work / 'world_points_0001.csv'}"
+        return f"ERROR grr: frame 1 ({files}): {msg}\n"
+
+    @staticmethod
+    def break_header(path):
+        path.write_text("j,x,y,z\r\n" + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError) as exc_info:
+            read_xyz_csv(path)
+        return f"ERROR grr: {exc_info.value}\n"
+
+    def test_points_of_another_length(self, capsys, dataset, tmp_path):
+        work = changed_copy(dataset, tmp_path, "world_points_0001.csv", lambda p: p[:-1])
+        assert self.solve_err(capsys, work, tmp_path) == self.named(
+            work, "canonical and predicted pointmaps differ in length")
+
+    def test_read_error_names_only_its_file(self, capsys, dataset, tmp_path):
+        work = changed_copy(dataset, tmp_path, "world_points_0001.csv", lambda p: p[:-1])
+        want = self.break_header(work / "world_points_0001.csv")
+        assert str(work / "world_points_0001.csv") in want
+        assert self.solve_err(capsys, work, tmp_path) == want
+
+    def test_ray_check_before_point_read(self, capsys, dataset, tmp_path):
+        work = changed_copy(dataset, tmp_path, "world_rays_0001.csv", lambda r: 1e155 * r)
+        self.break_header(work / "world_points_0001.csv")
+        assert self.solve_err(capsys, work, tmp_path) == self.named(
+            work, "cannot normalize ray rows: their norms overflow")
+
+    def test_ray_read_before_point_check(self, capsys, dataset, tmp_path):
+        work = changed_copy(dataset, tmp_path, "world_points_0001.csv", lambda p: p[:-1])
+        want = self.break_header(work / "world_rays_0001.csv")
+        assert self.solve_err(capsys, work, tmp_path) == want
 
 
 # Scales applied to one frame's file; "limit" pushes every entry to +-1.7e308 by its sign.

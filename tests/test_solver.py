@@ -33,7 +33,7 @@ from grr import (
 )
 from grr.geometry import _rotations
 from grr.solver import _svd_rotation
-from reference import assert_same, bits, covariance_stacks, posed_frame, raised, svd_rotation
+from reference import COLLINEAR, assert_same, bits, covariance_stacks, posed_frame, raised, svd_rotation
 
 
 def alignment_cost(problem: AlignmentProblem, r: np.ndarray) -> float:
@@ -376,15 +376,27 @@ class TestFailureParity:
 
     def test_translation_that_overflows(self):
         """Centroids at x = +-1.7e308 (weights 1/m keep the sums finite) with equal yz
-        rows: R fixes the x axis, so t = c_tgt - R c_src overflows."""
+        rows: R fixes the x axis, so t = c_tgt - R c_src overflows. The suite runs
+        RuntimeWarning as an error, so the named error must come without one."""
         rows = Seed(64).rng().normal(size=(8, 3))
         src, tgt = rows.copy(), rows.copy()
         src[:, 0], tgt[:, 0] = 1.7e308, -1.7e308
         problem = AlignmentProblem(src, tgt, np.full(8, 0.125))
         overflow = (ValueError, "translation contains non-finite entries", None)
-        with np.errstate(over="ignore"):
-            assert raised(rigid_align, problem) == overflow
-            assert raised(rigid_align_vjp, VjpRequest(problem, np.eye(3), np.ones(3))) == overflow
+        assert raised(rigid_align, problem) == overflow
+        assert raised(rigid_align_vjp, VjpRequest(problem, np.eye(3), np.ones(3))) == overflow
+
+    def test_cross_covariance_whose_spectrum_overflows(self):
+        """A finite H whose largest singular value overflows raises the overflow
+        error, not "collinear" and not a rotation with infinite diagnostics."""
+        overflow = (ValueError, "cross-covariance overflows: correspondences too large", None)
+        lone = AlignmentProblem(np.eye(3), [[1.3e308, 0.0, 0.0], [1.3e308, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        a = 1.2e154  # a^2 is finite; sigma_1 of H (sqrt(2) a^2 before centring) is not
+        pair = AlignmentProblem([[a, a, 0.0], [-a, a, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                                [[a, 0.0, 0.0], [0.0, a, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        assert raised(kabsch_rotation, lone, False) == overflow
+        assert raised(kabsch_rotation, pair, False) == overflow
+        assert raised(rigid_align, pair) == overflow
 
     def test_cross_covariance_that_overflows(self, grid4):
         """Rows near 1e155 overflow the products in H (centring stays finite)."""
@@ -591,3 +603,15 @@ class TestSvdTailParity:
                 hs[k] = bad
                 assert_same(_svd_rotation, svd_rotation, hs)
                 assert_same(_svd_rotation, svd_rotation, hs, ("rays", "points", "rays", "points"))
+
+    def test_finite_entry_whose_spectrum_overflows(self):
+        """An entry with a finite H and an infinite sigma_1 raises the overflow
+        error in entry order: after an earlier entry's error, before a later one's."""
+        big = np.array([[1.3e308, 1.3e308, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert np.isfinite(big).all()
+        g = Seed(9).rng().standard_normal((3, 3))
+        overflow = (ValueError, "cross-covariance overflows: correspondences too large", None)
+        for hs in ([big], [g, big], [big, COLLINEAR], [big, g]):
+            assert assert_same(_svd_rotation, svd_rotation, np.array(hs), ("rays", "points")[:len(hs)]) == overflow
+        first = assert_same(_svd_rotation, svd_rotation, np.array([COLLINEAR, big]), ("rays", "points"))
+        assert first[0] is DegenerateConfiguration and first[2] == "rays"
