@@ -277,7 +277,10 @@ def read_xyz_csv(path) -> np.ndarray:
     """
     # Universal newlines make \r\n and \r row ends \n; str.splitlines would also split at \x0b, \x0c, \x1c-\x1e.
     with open(path, "r", encoding="ascii") as fh:
-        header, *rows = fh.read().split("\n")
+        try:
+            header, *rows = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if header != _XYZ_HEADER:
         raise ValueError(f"{path}: expected header {_XYZ_HEADER}, got {header!r}")
     if not rows or rows == [""]:

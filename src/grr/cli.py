@@ -325,31 +325,21 @@ def cmd_loss(args, cfg: dict, base_dir: str) -> int:
 
     frames = []
     totals = {0: [], 1: []}
-    for idx, (rf, pf) in enumerate(files):
-        fi = FrameInputs(
-            rays_cam=rays_cam.dirs,
-            pts_cam=pts_cam.pts,
-            rays_pred=read_xyz_csv(rf),
-            pts_pred=read_xyz_csv(pf),
-            gt=gt[idx],
-            neighbors=neighbors,
-            weights=weights,
-            p=p,
-        )
-        try:
-            # Points near the float limit overflow the row norms or the centroid; the checks name the frame.
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Points near the float limit overflow the row norms or the centroid; the checks name the frame.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (rf, pf) in enumerate(files):
+            fi = _in_frame(idx, rf, pf, FrameInputs, rays_cam.dirs, pts_cam.pts, read_xyz_csv(rf),
+                           read_xyz_csv(pf), gt[idx], neighbors, weights, p)
+            try:
                 terms = _in_frame(idx, rf, pf, pipeline_loss, fi)
-        except DegenerateConfiguration as exc:
-            # One degenerate frame aborts the batch (exit 2); name it.
-            raise DegenerateConfiguration(
-                f"frame {idx} (rays {rf}, points {pf}): {exc}", branch=exc.branch
-            ) from exc
-        if not np.isfinite(terms.total):
-            raise ValueError(f"frame {idx} (rays {rf}, points {pf}): loss components must be finite")
-        totals[domains[idx]].append(terms.total)
-        frames.append({"frame": idx, "domain": domains[idx], "pose": terms.pose, "geometry": terms.geometry,
-                       "regularization": terms.regularization, "total": terms.total})
+            except DegenerateConfiguration as exc:
+                # One degenerate frame aborts the batch (exit 2); name it.
+                raise DegenerateConfiguration(
+                    f"frame {idx} (rays {rf}, points {pf}): {exc}", branch=exc.branch
+                ) from exc
+            totals[domains[idx]].append(terms.total)
+            frames.append({"frame": idx, "domain": domains[idx], "pose": terms.pose, "geometry": terms.geometry,
+                           "regularization": terms.regularization, "total": terms.total})
 
     l_syn = float(np.mean(totals[0])) if totals[0] else 0.0
     l_real = float(np.mean(totals[1])) if totals[1] else 0.0

@@ -11,7 +11,7 @@ import glob
 import json
 import math
 import os
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import _EXPORTS
 from .camera import Intrinsics, PatchGrid
@@ -70,21 +70,33 @@ def _finite_float(v: int | float, what: str) -> float:
     return f
 
 
-def grid_from_config(d: Any) -> PatchGrid:
+def _section(d: Any, what: str, where: str, build: Callable[[dict], Any],
+             check: Callable[[dict], Any] | None = None):
+    """build(d) for the config section d. d must be an object (else `<what> must be
+    an object`), check(d) may reject it in its own words, and a ValueError from
+    build, a ConfigError from _get among them, is reported as `invalid <where>: ...`."""
     if not isinstance(d, dict):
-        raise ConfigError("grid section must be an object")
+        raise ConfigError(f"{what} must be an object")
+    if check is not None:
+        check(d)
     try:
-        intr = Intrinsics(
+        return build(d)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def grid_from_config(d: Any) -> PatchGrid:
+    return _section(d, "grid section", "grid", lambda d: PatchGrid(
+        Intrinsics(
             fx=_get(d, "fx", float, "grid"),
             fy=_get(d, "fy", float, "grid"),
             cx=_get(d, "cx", float, "grid"),
             cy=_get(d, "cy", float, "grid"),
             width=_get(d, "width", int, "grid"),
             height=_get(d, "height", int, "grid"),
-        )
-        return PatchGrid(intr, n=_get(d, "n", int, "grid"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+        ),
+        n=_get(d, "n", int, "grid"),
+    ))
 
 
 def weights_from_config(d: Any) -> LossWeights:
@@ -93,16 +105,14 @@ def weights_from_config(d: Any) -> LossWeights:
 
     if d is None:
         return LossWeights()
-    if not isinstance(d, dict):
-        raise ConfigError("weights section must be an object")
-    known = set(LossWeights.__dataclass_fields__)
-    extra = set(d) - known
-    if extra:
-        raise ConfigError(f"unknown weight keys: {sorted(extra)}")
-    try:
-        return LossWeights(**{k: _get(d, k, float, "weights") for k in d})
-    except ValueError as exc:
-        raise ConfigError(f"invalid weights: {exc}") from exc
+
+    def known(d: dict) -> None:
+        extra = set(d) - set(LossWeights.__dataclass_fields__)
+        if extra:
+            raise ConfigError(f"unknown weight keys: {sorted(extra)}")
+
+    return _section(d, "weights section", "weights",
+                    lambda d: LossWeights(**{k: _get(d, k, float, "weights") for k in d}), known)
 
 
 def schedule_from_config(d: Any) -> NormSchedule:
@@ -111,15 +121,10 @@ def schedule_from_config(d: Any) -> NormSchedule:
 
     if d is None:
         return NormSchedule()
-    if not isinstance(d, dict):
-        raise ConfigError("schedule section must be an object")
-    try:
-        return NormSchedule(
-            warmup_steps=_get(d, "warmup_steps", int, "schedule", default=0),
-            current_step=_get(d, "current_step", int, "schedule", default=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
+    return _section(d, "schedule section", "schedule", lambda d: NormSchedule(
+        warmup_steps=_get(d, "warmup_steps", int, "schedule", default=0),
+        current_step=_get(d, "current_step", int, "schedule", default=0),
+    ))
 
 
 def _seed_from(d: dict, key: str, fallback: Seed, where: str) -> Seed:
@@ -135,15 +140,14 @@ def _seed_from(d: dict, key: str, fallback: Seed, where: str) -> Seed:
 def noise_spec_from_config(d: Any, fallback_seed: Seed, index: int) -> NoiseSpec:
     from .simulator import NoiseSpec
 
-    if not isinstance(d, dict):
-        raise ConfigError(f"noise entry {index} must be an object")
     where = f"noise[{index}]"
-    bias = _get(d, "point_bias", list, where, default=[0.0, 0.0, 0.0])
-    # type(), not isinstance: a JSON true is a bool, and bool is an int.
-    # NoiseSpec checks that there are three and that they are finite.
-    if any(type(b) not in (int, float) for b in bias):
-        raise ConfigError(f"invalid {where}: point_bias entries must be numbers")
-    try:
+
+    def build(d: dict) -> NoiseSpec:
+        bias = d.get("point_bias", [0.0, 0.0, 0.0])  # a list: the check below saw to it
+        # type(), not isinstance: a JSON true is a bool, and bool is an int.
+        # NoiseSpec checks that there are three and that they are finite.
+        if any(type(b) not in (int, float) for b in bias):
+            raise ValueError("point_bias entries must be numbers")
         return NoiseSpec(
             ray_sigma=_get(d, "ray_sigma", float, where, default=0.0),
             point_sigma=_get(d, "point_sigma", float, where, default=0.0),
@@ -151,24 +155,20 @@ def noise_spec_from_config(d: Any, fallback_seed: Seed, index: int) -> NoiseSpec
             mode=_get(d, "mode", str, where, default="iid_gaussian"),
             seed=_seed_from(d, "seed", fallback_seed.derive(2, index), where),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+    return _section(d, f"noise entry {index}", where, build,
+                    lambda d: _get(d, "point_bias", list, where, default=None))
 
 
 def perturb_spec_from_config(d: Any, fallback_seed: Seed) -> PosePerturbSpec:
     from .simulator import PosePerturbSpec
 
-    if not isinstance(d, dict):
-        raise ConfigError("perturb section must be an object")
-    try:
-        return PosePerturbSpec(
-            sigma_t=_get(d, "sigma_t", float, "perturb", default=0.0),
-            sigma_r=_get(d, "sigma_r", float, "perturb", default=0.0),
-            count=_get(d, "count", int, "perturb", default=1),
-            seed=_seed_from(d, "seed", fallback_seed.derive(1), "perturb"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid perturb: {exc}") from exc
+    return _section(d, "perturb section", "perturb", lambda d: PosePerturbSpec(
+        sigma_t=_get(d, "sigma_t", float, "perturb", default=0.0),
+        sigma_r=_get(d, "sigma_r", float, "perturb", default=0.0),
+        count=_get(d, "count", int, "perturb", default=1),
+        seed=_seed_from(d, "seed", fallback_seed.derive(1), "perturb"),
+    ))
 
 
 def resolve_paths(value: Any, base_dir: str, what: str) -> list[str]:

@@ -60,6 +60,9 @@ __all__ = _EXPORTS["solver_grad"]
 
 # Denominator floor for the SVD-differential cross terms.
 NEAR_SINGULAR_TOL = 1e-8
+# Geodesic floor of the p = 1 pose gradient -R_gt / (2 sin d). On exact rays turned by d its
+# relative rounding error is about 5e-16 / d: 3.7e-4 at d = 1.1e-12, up to 2e-3 at 1e-13, 0.3 at 1e-15.
+P1_GEODESIC_FLOOR = 1e-12
 
 _FD_H_MIN = 1e-8
 _FD_H_MAX = 1e-3
@@ -265,11 +268,14 @@ def _frame_forward(fi: FrameInputs) -> _FramePass:
     if not known:
         _memo = canon[:4] + (fi.neighbors, _read_only(pairs.cam_dots))
     terms = FrameLossTerms(_pose_value(dist, t_resid, w, p), geo[0], pairs.value)
+    if not math.isfinite(terms.total):  # a term overflowed, and its gradient would not show it
+        raise ValueError("loss components must be finite")
     return _FramePass(terms, rays, pts, svd, d_gt, dist, t_resid, geo, pairs)
 
 
 def pipeline_loss(fi: FrameInputs) -> FrameLossTerms:
-    """Composed per-frame loss: solve the pose, then pose + geometry + pairwise terms."""
+    """Composed per-frame loss: solve the pose, then pose + geometry + pairwise terms.
+    Raises ValueError when the terms do not sum to a finite total."""
     return _frame_forward(fi).terms
 
 
@@ -293,9 +299,9 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
     The forward pass is pipeline_loss's; the pose term backpropagates
     through the VJPs above on the solves' own SVD factors, and the geometry
     and pairwise terms contribute directly. Raises
-    NearSingularJacobian at non-differentiable points (zero geodesic at
-    p = 1, geodesic near pi, or coincident points) rather than returning a
-    clamped direction.
+    NearSingularJacobian at non-differentiable points (a geodesic below
+    P1_GEODESIC_FLOOR at p = 1, a geodesic near pi, or coincident points)
+    rather than returning a clamped direction, and ValueError as pipeline_loss does.
     """
     f = _frame_forward(fi)
     m, w, p = fi.rays_cam.shape[0], fi.weights, fi.p
@@ -304,7 +310,7 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
     # d(d_g)/dR = -R_gt / (2 sin d_g) has no limit at 0 or pi; d(d_g^2)/dR =
     # -R_gt d_g / sin d_g tends to -R_gt at 0, so only p = 1 fails at convergence.
     sin_dist = math.sin(f.dist)
-    if abs(sin_dist) < NEAR_SINGULAR_TOL and (p == 1 or f.dist > 0.5 * math.pi):
+    if abs(sin_dist) < NEAR_SINGULAR_TOL and f.dist > 0.5 * math.pi or p == 1 and f.dist < P1_GEODESIC_FLOOR:
         raise NearSingularJacobian(
             f"geodesic distance {f.dist:.3e} too close to 0 or pi for a stable gradient"
         )
@@ -318,15 +324,11 @@ def pipeline_loss_grad(fi: FrameInputs) -> tuple[FrameLossTerms, np.ndarray, np.
             raise NearSingularJacobian("translation residual too small for an L2 gradient")
         trans_dir = f.t_resid / nrm
 
-    # Cotangents are checked as VjpRequest checks them, a near-singular ray solve
-    # before the translation cotangent. Both Hbar come from one stack; only the
-    # predicted (target) rows are free, so no source gradient is built.
-    g_rays = _cotangent(rot_grad, "rotation_grad")
-    try:
-        g_t = _cotangent(w.w_pose_p * trans_dir, "translation_grad")
-    except ValueError:
-        _polar_h_cotangent(np.zeros((1, 3, 3)), f.svd.s[:1], f.svd.sign[:1])  # the ray's check
-        raise
+    # dL/dR is checked as VjpRequest checks it. dL/dt needs no check: its entries are at
+    # most w_pose_p in size, since a finite loss has a finite translation residual.
+    # Both Hbar come from one stack; only the predicted (target) rows are free, so no
+    # source gradient is built.
+    g_rays, g_t = _cotangent(rot_grad, "rotation_grad"), w.w_pose_p * trans_dir
     hbar = _h_cotangents(f.svd, np.array((g_rays, 0.0 - g_t[:, np.newaxis] * f.pts.c_src)))
     rays = f.rays
     grad_rays = _side_grad(rays.tgt, rays.tgt_norms, rays.src, rays.w, hbar[0])

@@ -232,10 +232,14 @@ XYZ_ROW = np.dtype([("i", np.int64), ("xyz", np.float64, (3,))])
 
 def read_xyz(path) -> np.ndarray:
     """read_xyz_csv as first written: a header readline, blank lines found by string
-    scans, the body parsed through io.StringIO; an index out of order names its file line."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        body = fh.read()
+    scans, the body parsed through io.StringIO; an index out of order names its file line,
+    and a byte that is not ASCII its file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().rstrip("\n")
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if header != "i,x,y,z":
         raise ValueError(f"{path}: expected header i,x,y,z, got {header!r}")
     if not body:
@@ -805,10 +809,10 @@ AGREEMENT_CASES = {
 def training_batch() -> list[FrameInputs]:
     """A seeded 16x16 training batch: p = 1 and p = 2 frames on one frozen canonical
     pair and one neighbor set (so the per-batch memo is hit), one on a writable copy of
-    that pair and one with 8-connected pairs, a near-converged frame at each p (p = 1
-    raises NearSingularJacobian), a frame whose predicted rays all point one way
+    that pair and one with 8-connected pairs, a near-converged frame at each p (geodesic
+    1.7e-11, above the p = 1 floor), a frame whose predicted rays all point one way
     (DegenerateConfiguration) and one whose points are scaled by 1e155 (its pair term
-    overflows to inf)."""
+    overflows, so the loss raises ValueError)."""
     frames = [random_frame_inputs(Seed(200 + s), n=16, p=1 + s % 2) for s in range(8)]
     first = frames[0]
     frames = [replace(fi, rays_cam=first.rays_cam, pts_cam=first.pts_cam, neighbors=first.neighbors)

@@ -559,13 +559,14 @@ class TestXyzCsv:
         assert str(exc.value) == f"{path}: row index 3 out of order at line 4"  # the header is line 1
 
     def test_non_ascii_byte_is_placed_from_the_start_of_the_file(self, tmp_path):
-        # Past the first 8 KB chunk too: the file is decoded in one piece.
+        # Past the first 8 KB chunk too: the file is decoded in one piece. The error names the file.
         text = "i,x,y,z\n" + "".join(f"{i},0.5,0.25,1\n" for i in range(1000))
         path = tmp_path / "bad.csv"
         path.write_bytes(text.encode("ascii") + b"1000,\xe9,0,1\n")
-        with pytest.raises(UnicodeDecodeError) as exc:
+        with pytest.raises(ValueError) as exc:
             read_xyz_csv(path)
-        assert exc.value.start == len(text) + 5
+        assert str(exc.value) == (f"{path}: 'ascii' codec can't decode byte 0xe9 in position {len(text) + 5}: "
+                                  "ordinal not in range(128)")
 
     def test_rejects_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -604,4 +605,4 @@ class TestReaderParity:
             path.write_bytes(data)
             got = outcome(read_xyz, path)
             kinds.add(got[0].__name__ if isinstance(got[0], type) else "read")
-        assert kinds == {"read", "ValueError", "UnicodeDecodeError"}
+        assert kinds == {"read", "ValueError"}

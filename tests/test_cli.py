@@ -23,7 +23,8 @@ from grr import (ConfigError, FrameInputs, LossWeights, NeighborSet, Seed, canon
                  canonical_rays, geodesic_distance, load_poses, median, pipeline_loss, read_xyz_csv,
                  write_xyz_csv)
 from grr.cli import main
-from grr.config import grid_from_config, noise_spec_from_config
+from grr.config import (grid_from_config, noise_spec_from_config, perturb_spec_from_config, schedule_from_config,
+                        weights_from_config)
 from reference import GOLDEN_BUILD, numpy_build
 
 GRID = {"fx": 48.0, "fy": 48.0, "cx": 32.0, "cy": 32.0, "width": 64, "height": 64, "n": 4}
@@ -588,6 +589,12 @@ class TestLoss:
                 terms.pose, terms.geometry, terms.regularization, terms.total]
             assert fr["regularization"] != four["frames"][idx]["regularization"]
 
+    def test_points_of_another_length_name_the_frame(self, capsys, dataset, tmp_path):
+        """As `solve` does: the frame's inputs are built under its name."""
+        work = changed_copy(dataset, tmp_path, "world_points_0001.csv", lambda p: p[:-1])
+        assert main(["loss", "--config", dataset_cfg(work)]) == 3
+        assert capsys.readouterr() == ("", TestSolveNamesTheFrame.named(work, "frame arrays disagree in length"))
+
     def test_connectivity_5_rejected(self, dataset):
         r = run_child(["loss", "--config", dataset_cfg(dataset, name="loss_c5.json", connectivity=5)])
         assert r.returncode == 3
@@ -665,6 +672,67 @@ class TestNonFiniteConfigFloats:
         mean = self.run_cli(dataset, tmp_path / "mean", command, {**cfg, "method": "mean"})
         assert plain.returncode == mean.returncode == 0, mean.stderr
         assert mean.stdout == plain.stdout != ""
+
+
+SECTION_BUILDERS = {
+    "grid": grid_from_config,
+    "weights": weights_from_config,
+    "schedule": schedule_from_config,
+    "noise": lambda d: noise_spec_from_config(d, Seed(0), 0),
+    "perturb": lambda d: perturb_spec_from_config(d, Seed(0)),
+}
+SEED_RANGE = "seed value must fit in an unsigned 64-bit integer"
+# case id -> (section, its value, the whole ConfigError text)
+SECTION_ERRORS = {
+    "grid not an object": ("grid", [GRID], "grid section must be an object"),
+    "grid missing key": ("grid", {k: v for k, v in GRID.items() if k != "cy"},
+                         "invalid grid: missing required key 'cy' in grid"),
+    "grid wrong type": ("grid", {**GRID, "width": 64.0}, "invalid grid: key 'width' in grid has wrong type float"),
+    "grid out of range": ("grid", {**GRID, "n": 0}, "invalid grid: grid side n must be >= 1"),
+    "grid fx out of range": ("grid", {**GRID, "fx": -1}, "invalid grid: focal lengths must be positive"),
+    "weights not an object": ("weights", [1.0], "weights section must be an object"),
+    "weights unknown keys": ("weights", {"w_pose": 1.0, "w_geo": 2.0, "w_syn": 1.0},
+                             "unknown weight keys: ['w_geo', 'w_pose']"),
+    "weights unknown keys before a wrong type": ("weights", {"w_pose_r": "1", "w_x": 1},
+                                                 "unknown weight keys: ['w_x']"),
+    "weights wrong type": ("weights", {"w_pose_r": "1"},
+                           "invalid weights: key 'w_pose_r' in weights has wrong type str"),
+    "weights out of range": ("weights", {"w_pose_r": -1},
+                             "invalid weights: w_pose_r must be finite and nonnegative, got -1.0"),
+    "schedule not an object": ("schedule", 3, "schedule section must be an object"),
+    "schedule wrong type": ("schedule", {"warmup_steps": 2.5},
+                            "invalid schedule: key 'warmup_steps' in schedule has wrong type float"),
+    "schedule out of range": ("schedule", {"warmup_steps": -1}, "invalid schedule: steps must be nonnegative"),
+    "noise not an object": ("noise", "iid_gaussian", "noise entry 0 must be an object"),
+    "noise wrong type": ("noise", {"ray_sigma": "0.1"},
+                         "invalid noise[0]: key 'ray_sigma' in noise[0] has wrong type str"),
+    "noise out of range": ("noise", {"ray_sigma": -0.1},
+                           "invalid noise[0]: ray_sigma must be finite and nonnegative, got -0.1"),
+    "noise mode": ("noise", {"mode": "uniform"}, "invalid noise[0]: unknown noise mode 'uniform'"),
+    "noise point_bias not a list": ("noise", {"point_bias": "0,0,0", "ray_sigma": "x"},
+                                    "key 'point_bias' in noise[0] has wrong type str"),
+    "noise point_bias entry not a number": ("noise", {"point_bias": [0, None, 0], "ray_sigma": "x"},
+                                            "invalid noise[0]: point_bias entries must be numbers"),
+    "noise point_bias of two": ("noise", {"point_bias": [0, 0]},
+                                "invalid noise[0]: point_bias must be a finite 3-vector"),
+    "noise seed": ("noise", {"seed": -1}, f"invalid noise[0]: invalid seed in noise[0]: {SEED_RANGE}"),
+    "noise seed wrong type": ("noise", {"seed": 1.5}, "invalid noise[0]: key 'seed' in noise[0] has wrong type float"),
+    "perturb not an object": ("perturb", None, "perturb section must be an object"),
+    "perturb wrong type": ("perturb", {"count": "2"}, "invalid perturb: key 'count' in perturb has wrong type str"),
+    "perturb out of range": ("perturb", {"count": 0}, "invalid perturb: count must be an int >= 1, got 0"),
+    "perturb seed": ("perturb", {"seed": -1}, f"invalid perturb: invalid seed in perturb: {SEED_RANGE}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECTION_ERRORS))
+def test_config_section_error_text(case):
+    """Each section builder's whole message: the object check, the `invalid <section>:`
+    wrap, the unwrapped unknown-weight-keys and point_bias type errors, and which of
+    two errors in one section is reported."""
+    section, value, message = SECTION_ERRORS[case]
+    with pytest.raises(ConfigError) as info:
+        SECTION_BUILDERS[section](value)
+    assert str(info.value) == message
 
 
 class TestCanonicalRaysThatOverflow:
@@ -786,6 +854,18 @@ class TestSolveNamesTheFrame:
         work = changed_copy(dataset, tmp_path, "world_points_0001.csv", lambda p: p[:-1])
         want = self.break_header(work / "world_rays_0001.csv")
         assert self.solve_err(capsys, work, tmp_path) == want
+
+
+@pytest.mark.parametrize("command", ["solve", "loss"])
+def test_non_ascii_byte_names_its_file(capsys, dataset, tmp_path, command):
+    """A byte the ASCII reader cannot decode exits 3 with the file's path, as every read error does."""
+    work = tmp_path / "in"
+    shutil.copytree(dataset, work)
+    path = work / "world_points_0001.csv"
+    path.write_bytes(b"i,x,y,z\n0,\xc3\xa9,0,1\n")
+    assert main([command, "--config", dataset_cfg(work), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr() == (
+        "", f"ERROR grr: {path}: 'ascii' codec can't decode byte 0xc3 in position 10: ordinal not in range(128)\n")
 
 
 # Scales applied to one frame's file; "limit" pushes every entry to +-1.7e308 by its sign.
